@@ -29,7 +29,7 @@ RunResult run_frequency(bool hardened, std::uint64_t seed, int rounds) {
   cfg.subs_per_topic = 3;
   attack::AttackScenario sc(cfg);
   if (!sc.settle()) throw std::runtime_error("scenario failed to settle");
-  const std::size_t frames_before = sc.net().traffic().size();
+  const std::size_t frames_before = sc.observer().sightings().size();
   RunResult out;
   out.seconds = benchutil::time_op(1, [&] {
     for (int round = 0; round < rounds; ++round) {
@@ -39,7 +39,7 @@ RunResult run_frequency(bool hardened, std::uint64_t seed, int rounds) {
     sc.drain();
   });
   out.publishes = static_cast<std::size_t>(rounds) * 2;
-  const attack::EavesdropperObserver obs = sc.observer();
+  const attack::EavesdropperObserver& obs = sc.observer();
   for (std::size_t i = frames_before; i < obs.sightings().size(); ++i) {
     ++out.wire_frames;
     out.wire_bytes += obs.sightings()[i].size;

@@ -67,11 +67,11 @@ int main() {
 
   std::printf("\ndeliveries:\n");
   std::printf("  us node-7: %zu (flash matched + decrypted)\n",
-              us_analyst->deliveries().size());
+              us_analyst->delivery_count());
   std::printf("  uk node-3: %zu (no sigint published)\n",
-              uk_analyst->deliveries().size());
+              uk_analyst->delivery_count());
   std::printf("  fr node-9: %zu matched=%zu undecryptable=%zu\n",
-              fr_liaison->deliveries().size(), fr_liaison->match_count(),
+              fr_liaison->delivery_count(), fr_liaison->match_count(),
               fr_liaison->undecryptable_payloads());
   std::printf("      (the FR liaison matched BOTH east items, fetched both,\n"
               "       but could only decrypt the coalition-wide one — and it\n"

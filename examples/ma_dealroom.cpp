@@ -8,6 +8,8 @@
 // dissemination server, not the repository, not even the token server —
 // can tell WHICH bank watches WHICH target.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "abe/policy.hpp"
 #include "crypto/drbg.hpp"
@@ -42,6 +44,10 @@ int main() {
   auto barclays = p3s.make_subscriber("bc-endpoint", "deal-team-3",
                                       {"basic"}, rng);
   auto feed = p3s.make_publisher("feed-endpoint", "market-feed", rng);
+  std::vector<std::string> goldman_read;  // what deal-team-1 decrypted
+  goldman->set_delivery_handler([&](const core::Subscriber::Delivery& d) {
+    goldman_read.push_back(bytes_to_str(d.payload));
+  });
 
   // Each bank registers its secret watch list.
   goldman->subscribe({{"target", "lehman"}});
@@ -77,13 +83,13 @@ int main() {
   }
 
   std::printf("after 4 publications:\n");
-  std::printf("  deal-team-1 (gs): %zu deliveries\n", goldman->deliveries().size());
-  for (const auto& d : goldman->deliveries()) {
-    std::printf("      \"%s\"\n", bytes_to_str(d.payload).c_str());
+  std::printf("  deal-team-1 (gs): %zu deliveries\n", goldman->delivery_count());
+  for (const std::string& text : goldman_read) {
+    std::printf("      \"%s\"\n", text.c_str());
   }
-  std::printf("  deal-team-2 (ms): %zu deliveries\n", morgan->deliveries().size());
+  std::printf("  deal-team-2 (ms): %zu deliveries\n", morgan->delivery_count());
   std::printf("  deal-team-3 (bc): %zu deliveries (basic tier: only the open item)\n\n",
-              barclays->deliveries().size());
+              barclays->delivery_count());
 
   // The privacy ledger: what each third party could write down.
   std::printf("third-party visibility (the paper's §6.1 claims, live):\n");

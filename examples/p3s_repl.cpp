@@ -131,7 +131,7 @@ struct Console {
           std::printf("  %s: tokens=%zu broadcasts=%zu matches=%zu "
                       "delivered=%zu blocked=%zu\n",
                       name.c_str(), s->token_count(), s->metadata_received(),
-                      s->match_count(), s->deliveries().size(),
+                      s->match_count(), s->delivery_count(),
                       s->undecryptable_payloads());
         }
         std::printf("  rs: stored=%zu; pbe-ts predicates seen=%zu; "

@@ -89,11 +89,11 @@ int main() {
   frank.say("social", "cake in the kitchen");
 
   std::printf("\nscoreboard:\n");
-  std::printf("  dana: %zu messages received\n", dana.rx->deliveries().size());
-  std::printf("  erin: %zu messages received\n", erin.rx->deliveries().size());
+  std::printf("  dana: %zu messages received\n", dana.rx->delivery_count());
+  std::printf("  erin: %zu messages received\n", erin.rx->delivery_count());
   std::printf("  frank: %zu messages received (matched=%zu — frank never even\n"
               "        matched the ops or incident rooms, let alone decrypted)\n",
-              frank.rx->deliveries().size(), frank.rx->match_count());
+              frank.rx->delivery_count(), frank.rx->match_count());
   std::printf("\ninfrastructure view: DS relayed %zu frames, RS stored %zu\n"
               "ciphertexts; neither can name a single room membership.\n",
               p3s.ds().observations().size(), p3s.rs().stored_items());

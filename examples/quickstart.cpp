@@ -69,10 +69,10 @@ int main() {
   std::printf("\nresults:\n");
   std::printf("  alice: matched=%zu delivered=%zu undecryptable=%zu  "
               "(interest matched, but policy blocked decryption)\n",
-              alice->match_count(), alice->deliveries().size(),
+              alice->match_count(), alice->delivery_count(),
               alice->undecryptable_payloads());
   std::printf("  bob:   matched=%zu delivered=%zu  (matched and authorized)\n",
-              bob->match_count(), bob->deliveries().size());
+              bob->match_count(), bob->delivery_count());
   std::printf("  PBE-TS saw %zu plaintext predicates, all from '%s'\n",
               p3s.token_server().seen_predicates().size(),
               p3s.token_server().seen_predicates()[0].network_from.c_str());

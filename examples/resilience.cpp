@@ -36,7 +36,7 @@ int main() {
   };
 
   publish("warn", "disk 80% on db-3");
-  std::printf("baseline: %zu alert(s) delivered\n", sub->deliveries().size());
+  std::printf("baseline: %zu alert(s) delivered\n", sub->delivery_count());
 
   // --- 1. RS crash with disk persistence -----------------------------------
   const std::string store = "/tmp/p3s-resilience-store.bin";
@@ -48,7 +48,7 @@ int main() {
   std::printf("RS restarted from disk: %zu item(s) back, no re-encryption.\n",
               p3s.rs().stored_items());
   publish("crit", "db-3 read-only");
-  std::printf("alerts delivered so far: %zu\n", sub->deliveries().size());
+  std::printf("alerts delivered so far: %zu\n", sub->delivery_count());
 
   // --- 2. DS crash: clients must re-register --------------------------------
   p3s.ds().crash_and_restart();
@@ -57,7 +57,7 @@ int main() {
   pub->connect();
   std::printf("clients re-registered; publishing again...\n");
   publish("warn", "failover completed");
-  std::printf("alerts delivered so far: %zu\n", sub->deliveries().size());
+  std::printf("alerts delivered so far: %zu\n", sub->delivery_count());
 
   // --- 3. subscriber restart: tokens re-obtained ------------------------------
   std::printf("\nsubscriber restarted: re-registers with DS and re-obtains\n"
@@ -65,7 +65,7 @@ int main() {
   sub->reconnect();
   sub->refresh_tokens();
   publish("info", "all clear");
-  std::printf("alerts delivered in total: %zu\n", sub->deliveries().size());
+  std::printf("alerts delivered in total: %zu\n", sub->delivery_count());
 
   std::printf("\nEvery delivery used the ORIGINAL ciphertexts: restart never\n"
               "required re-encrypting stored content or re-keying the system.\n");

@@ -4,14 +4,6 @@
 
 namespace p3s::attack {
 
-EavesdropperObserver::EavesdropperObserver(
-    const std::vector<net::TrafficRecord>& traffic) {
-  sightings_.reserve(traffic.size());
-  for (const net::TrafficRecord& rec : traffic) {
-    sightings_.push_back({rec.time, rec.from, rec.to, rec.size});
-  }
-}
-
 std::vector<Sighting> EavesdropperObserver::on_link(
     const std::string& from, const std::string& to) const {
   std::vector<Sighting> out;

@@ -1,6 +1,6 @@
-// Eavesdropper's instrument (DESIGN.md §11): replays the network traffic
-// log as an adversary would see it. The constructor strips every record
-// down to a Sighting — time, endpoints, size — and discards the ciphertext
+// Eavesdropper's instrument (DESIGN.md §11): what an adversary on the wire
+// records. Fed from a network's wire tap, it keeps each frame as a
+// Sighting — time, endpoints, size — and never copies the ciphertext
 // bytes, so no attack built on this observer can accidentally depend on
 // frame CONTENT. Everything the adversarial workload suite infers, it
 // infers from shape alone (the paper's §6.1 network-observer model).
@@ -58,8 +58,14 @@ class LinkTally {
 
 class EavesdropperObserver {
  public:
-  explicit EavesdropperObserver(
-      const std::vector<net::TrafficRecord>& traffic);
+  /// Become `net`'s wire tap: from now on every frame is kept as a
+  /// Sighting. The observer must outlive every later send on `net`.
+  void watch(net::Network& net) {
+    net.set_tap([this](const net::TrafficRecord& rec) {
+      sightings_.push_back(
+          {rec.time, std::string(rec.from), std::string(rec.to), rec.size});
+    });
+  }
 
   const std::vector<Sighting>& sightings() const { return sightings_; }
 

@@ -48,6 +48,7 @@ core::P3sConfig scenario_config(const ScenarioConfig& cfg) {
 
 AttackScenario::AttackScenario(const ScenarioConfig& cfg)
     : cfg_(cfg), rng_(0xa77ac4u ^ cfg.seed) {
+  observer_.watch(net_);
   system_ =
       std::make_unique<core::P3sSystem>(net_, scenario_config(cfg), rng_);
 }
@@ -138,10 +139,6 @@ std::size_t AttackScenario::duplicate_metadata_total() const {
   std::size_t total = 0;
   for (const auto& sub : subs_) total += sub->duplicate_metadata();
   return total;
-}
-
-std::size_t AttackScenario::deliveries_of(const core::Subscriber& sub) const {
-  return sub.deliveries().size();
 }
 
 }  // namespace p3s::attack

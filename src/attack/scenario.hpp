@@ -72,20 +72,18 @@ class AttackScenario {
   /// Converge until queued batches are flushed and the wire is idle.
   [[nodiscard]] bool drain();
 
-  EavesdropperObserver observer() const {
-    return EavesdropperObserver(net_.traffic());
-  }
+  /// Everything the wire tap saw since construction.
+  const EavesdropperObserver& observer() const { return observer_; }
 
   std::size_t metadata_received_total() const;
   std::size_t duplicate_metadata_total() const;
-  /// Deliveries of `topic` publications seen by `sub` (exactly-once check).
-  std::size_t deliveries_of(const core::Subscriber& sub) const;
 
  private:
   void poll_all();
 
   ScenarioConfig cfg_;
   net::AsyncNetwork net_;
+  EavesdropperObserver observer_;
   TestRng rng_;
   std::unique_ptr<core::P3sSystem> system_;
   std::vector<std::unique_ptr<core::Subscriber>> subs_;

@@ -1,5 +1,6 @@
 #include "net/async.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/catalog.hpp"
@@ -25,17 +26,6 @@ NetFaultMetrics& net_fault_metrics() {
 }
 }  // namespace
 
-void AsyncNetwork::register_endpoint(const std::string& name, Handler handler) {
-  if (!endpoints_.emplace(name, std::move(handler)).second) {
-    throw std::invalid_argument("AsyncNetwork: duplicate endpoint '" + name +
-                                "'");
-  }
-}
-
-void AsyncNetwork::unregister_endpoint(const std::string& name) {
-  endpoints_.erase(name);
-}
-
 std::size_t AsyncNetwork::dropped_on(const std::string& from,
                                      const std::string& to) const {
   const auto it = dropped_by_link_.find({from, to});
@@ -50,26 +40,23 @@ void AsyncNetwork::count_drop(const std::string& from, const std::string& to) {
 void AsyncNetwork::send(const std::string& from, const std::string& to,
                         Bytes frame) {
   ++tick_;
+  if (plan_.has_value() && plan_->in_blackout(from, now())) {
+    // A dark sender's frames never leave the host segment — they are lost
+    // before the wire, so the tap never sees them. Plan drops and receiver
+    // blackouts below happen PAST the observation point.
+    count_drop(from, to);
+    net_fault_metrics().blackout_dropped.inc();
+    return;
+  }
+  // The wire sees the frame whether or not it survives delivery: loss
+  // happens past the observation point, and a duplicate is seen twice —
+  // once per wire appearance.
+  observe(from, to, frame.size(), frame);
   if (!plan_.has_value()) {
-    record(from, to, frame);
     queue_.push_back(InFlight{from, to, std::move(frame), tick_});
     return;
   }
   NetFaultMetrics& metrics = net_fault_metrics();
-  const double t = now();
-  if (plan_->in_blackout(from, t)) {
-    // A dark sender's frames never leave the host segment — they are lost
-    // before the wire, so the eavesdropper (whose tap is the wire) never
-    // sees them. Plan drops and receiver blackouts below happen PAST the
-    // observation point and stay in the traffic log.
-    count_drop(from, to);
-    metrics.blackout_dropped.inc();
-    return;
-  }
-  // The wire sees the frame whether or not it survives delivery: the traffic
-  // log is the eavesdropper's view, and loss happens past the observation
-  // point (a duplicate appears twice — once per wire appearance).
-  record(from, to, frame);
   if (plan_->should_drop(from, to)) {
     count_drop(from, to);
     metrics.dropped.inc();
@@ -83,7 +70,7 @@ void AsyncNetwork::send(const std::string& from, const std::string& to,
   const std::uint64_t deliver_at = delayed();
   if (plan_->should_duplicate(from, to)) {
     metrics.duplicated.inc();
-    record(from, to, frame);  // the eavesdropper sees both copies
+    observe(from, to, frame.size(), frame);
     queue_.push_back(InFlight{from, to, frame, delayed()});
   }
   queue_.push_back(InFlight{from, to, std::move(frame), deliver_at});
@@ -108,30 +95,17 @@ bool AsyncNetwork::pump_one() {
       msg = std::move(queue_[idx]);
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
       tick_ = std::max(tick_ + 1, msg.deliver_at);
-    } else if (reorder_) {
-      msg = std::move(queue_.back());
-      queue_.pop_back();
-      ++tick_;
+      if (plan_->in_blackout(msg.to, now())) {
+        count_drop(msg.from, msg.to);
+        net_fault_metrics().blackout_dropped.inc();
+        continue;  // receiver dark at delivery time
+      }
     } else {
       msg = std::move(queue_.front());
       queue_.pop_front();
       ++tick_;
     }
-    if (drop_remaining_ > 0) {
-      --drop_remaining_;
-      count_drop(msg.from, msg.to);
-      continue;  // frame lost on the wire
-    }
-    if (plan_.has_value() && plan_->in_blackout(msg.to, now())) {
-      count_drop(msg.from, msg.to);
-      net_fault_metrics().blackout_dropped.inc();
-      continue;  // receiver dark at delivery time
-    }
-    const auto it = endpoints_.find(msg.to);
-    if (it == endpoints_.end()) continue;  // host down
-    Handler handler = it->second;  // copy: receiver may unregister itself
-    handler(msg.from, msg.frame);
-    return true;
+    if (endpoints_.deliver(msg.from, msg.to, msg.frame)) return true;
   }
   return false;
 }

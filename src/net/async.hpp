@@ -4,14 +4,18 @@
 // passing — in-flight races, loss, reordering — while staying fully
 // deterministic and single-threaded.
 //
-// Fault injection hooks cover the §6.1 robustness discussion: "participants
-// can detect if network failures cause message loss at the application
-// level" and the slow-consumer/deletion races behind the T_G grace period.
-// Beyond the manual drop_next/set_reorder knobs, a seeded net::FaultPlan
-// drives probabilistic per-link drop/duplicate/reorder/delay and endpoint
-// blackout windows — every chaos schedule is replayable from its seed.
-// Without a plan installed the behavior (and the tick sequence) is exactly
-// the pre-fault-plan network.
+// Fault injection covers the §6.1 robustness discussion: "participants can
+// detect if network failures cause message loss at the application level"
+// and the slow-consumer/deletion races behind the T_G grace period. A
+// seeded net::FaultPlan drives probabilistic per-link drop/duplicate/
+// reorder/delay and endpoint blackout windows — every chaos schedule is
+// replayable from its seed. This is the only consumer of FaultPlan. Without
+// a plan installed the network delivers FIFO, one tick per send and per
+// delivery.
+//
+// The wire tap sees a frame after the sender-blackout check (a dark
+// sender's frame never reaches the wire) and before any other fault, so a
+// dropped frame was still seen and a duplicated frame is seen twice.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +32,12 @@ namespace p3s::net {
 
 class AsyncNetwork final : public Network {
  public:
-  void register_endpoint(const std::string& name, Handler handler) override;
-  void unregister_endpoint(const std::string& name) override;
+  void register_endpoint(const std::string& name, Handler handler) override {
+    endpoints_.add(name, std::move(handler));
+  }
+  void unregister_endpoint(const std::string& name) override {
+    endpoints_.remove(name);
+  }
   void send(const std::string& from, const std::string& to,
             Bytes frame) override;
   double now() const override { return static_cast<double>(tick_); }
@@ -37,9 +45,8 @@ class AsyncNetwork final : public Network {
   /// Advance logical time without delivering anything.
   void advance(std::uint64_t ticks) { tick_ += ticks; }
 
-  /// Deliver one in-flight frame (oldest first; newest first when
-  /// reordering is on; earliest deliver_at first under a FaultPlan).
-  /// Returns false when nothing is in flight.
+  /// Deliver one in-flight frame (oldest first; earliest deliver_at first
+  /// under a FaultPlan). Returns false when nothing is in flight.
   bool pump_one();
 
   /// Deliver until the queue drains (frames sent during delivery are also
@@ -50,23 +57,16 @@ class AsyncNetwork final : public Network {
   std::size_t in_flight() const { return queue_.size(); }
 
   // --- fault injection -----------------------------------------------------
-  /// Drop the next `n` frames instead of delivering them (they still appear
-  /// in the traffic log — the wire saw them; the receiver did not).
-  void drop_next(std::size_t n) { drop_remaining_ += n; }
-  /// Deliver newest-first (adversarial reordering) while enabled.
-  void set_reorder(bool on) { reorder_ = on; }
-
-  /// Install a seeded fault schedule; all probabilistic faults (and their
-  /// replayability) come from the plan. clear_fault_plan() restores the
-  /// exact legacy delivery order.
+  /// Install a seeded fault schedule; all faults (and their replayability)
+  /// come from the plan. Delays are in ticks. clear_fault_plan() restores
+  /// plain FIFO delivery.
   void set_fault_plan(FaultPlan plan) { plan_ = std::move(plan); }
   void clear_fault_plan() { plan_.reset(); }
   /// Mutable access so a running chaos harness can add blackout windows at
   /// the current network time. nullptr when no plan is installed.
   FaultPlan* fault_plan() { return plan_.has_value() ? &*plan_ : nullptr; }
 
-  /// Every frame lost for any reason (drop_next, plan drop, blackout).
-  /// All of them were recorded in the traffic log first.
+  /// Every frame the plan lost (drop or blackout).
   std::size_t dropped_frames() const { return dropped_; }
   /// Per-link loss counter for the same events.
   std::size_t dropped_on(const std::string& from, const std::string& to) const;
@@ -81,12 +81,10 @@ class AsyncNetwork final : public Network {
 
   void count_drop(const std::string& from, const std::string& to);
 
-  std::map<std::string, Handler> endpoints_;
+  EndpointTable endpoints_;
   std::deque<InFlight> queue_;
   std::uint64_t tick_ = 0;
-  std::size_t drop_remaining_ = 0;
   std::size_t dropped_ = 0;
-  bool reorder_ = false;
   std::optional<FaultPlan> plan_;
   std::map<std::pair<std::string, std::string>, std::size_t> dropped_by_link_;
 };

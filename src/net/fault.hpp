@@ -1,10 +1,11 @@
-// Seeded, replayable network-fault schedule shared by AsyncNetwork and
-// sim::SimNetwork. A FaultPlan owns every random decision fault injection
-// makes — per-link drop/duplicate/reorder probabilities, extra delivery
-// delay, and endpoint blackout windows — and draws them all from one
-// deterministic stream keyed by a single seed. Replaying a chaos schedule is
-// therefore one number: reconstruct the plan with the same seed and the same
-// configuration calls and every drop/dup/delay lands on the same frame.
+// Seeded, replayable network-fault schedule, consumed by AsyncNetwork (the
+// one network that injects faults). A FaultPlan owns every random decision
+// fault injection makes — per-link drop/duplicate/reorder probabilities,
+// extra delivery delay, and endpoint blackout windows — and draws them all
+// from one deterministic stream keyed by a single seed. Replaying a chaos
+// schedule is therefore one number: reconstruct the plan with the same seed
+// and the same configuration calls and every drop/dup/delay lands on the
+// same frame.
 //
 // The decision stream is a seeded xoshiro generator rather than a literal
 // ReplayRng: ReplayRng replays a finite pre-drawn byte budget, but a fault
@@ -24,9 +25,8 @@
 
 namespace p3s::net {
 
-/// Per-(from, to) fault probabilities. Delay is expressed in the owning
-/// network's time units (logical ticks for AsyncNetwork, seconds for
-/// sim::SimNetwork).
+/// Per-(from, to) fault probabilities. Delay is in AsyncNetwork logical
+/// ticks (every send and every delivery is one tick).
 struct LinkFaults {
   double drop = 0.0;       // P(frame lost on the wire)
   double duplicate = 0.0;  // P(frame delivered twice)

@@ -4,35 +4,27 @@
 
 namespace p3s::net {
 
-std::uint64_t Network::bytes_sent_by(const std::string& name) const {
-  std::uint64_t total = 0;
-  for (const TrafficRecord& rec : traffic_) {
-    if (rec.from == name) total += rec.size;
-  }
-  return total;
-}
-
-void DirectNetwork::register_endpoint(const std::string& name,
-                                      Handler handler) {
-  if (!endpoints_.emplace(name, std::move(handler)).second) {
-    throw std::invalid_argument("DirectNetwork: duplicate endpoint '" + name +
-                                "'");
+void EndpointTable::add(const std::string& name, Network::Handler handler) {
+  if (!handlers_.emplace(name, std::move(handler)).second) {
+    throw std::invalid_argument("duplicate endpoint '" + name + "'");
   }
 }
 
-void DirectNetwork::unregister_endpoint(const std::string& name) {
-  endpoints_.erase(name);
+bool EndpointTable::deliver(const std::string& from, const std::string& to,
+                            BytesView frame) const {
+  const auto it = handlers_.find(to);
+  if (it == handlers_.end()) return false;
+  // Copy the handler: the receiver may unregister itself while handling.
+  const Network::Handler handler = it->second;
+  handler(from, frame);
+  return true;
 }
 
 void DirectNetwork::send(const std::string& from, const std::string& to,
                          Bytes frame) {
   ++tick_;
-  record(from, to, frame);
-  const auto it = endpoints_.find(to);
-  if (it == endpoints_.end()) return;  // dropped, like a dead host
-  // Copy the handler: the receiver may unregister itself while handling.
-  Handler handler = it->second;
-  handler(from, frame);
+  observe(from, to, frame.size(), frame);
+  endpoints_.deliver(from, to, frame);
 }
 
 }  // namespace p3s::net

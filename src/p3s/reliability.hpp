@@ -5,8 +5,8 @@
 // RS fetch, PBE-TS token grant, registration, metadata sync — carries a
 // deadline; expiry re-sends with capped exponential backoff and jitter
 // drawn from the client's own DRBG, so retry schedules are deterministic
-// per client seed. All times are in network-time units (logical ticks on
-// AsyncNetwork, seconds on SimNetwork).
+// per client seed. All times are in the network's time units: logical ticks
+// on AsyncNetwork, the network whose seeded fault plans exercise this layer.
 #pragma once
 
 #include <cstddef>

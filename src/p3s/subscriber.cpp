@@ -578,9 +578,9 @@ void Subscriber::handle_content_response(BytesView body) {
     ++duplicate_metadata_;
     return;
   }
-  deliveries_.push_back(delivery);
+  ++delivered_;
   metrics.deliveries.inc();
-  if (handler_) handler_(deliveries_.back());
+  if (handler_) handler_(delivery);
 }
 
 }  // namespace p3s::core

@@ -85,15 +85,18 @@ class Subscriber {
   /// already processed are counted as duplicates, never re-delivered.
   void request_metadata_replay(std::uint64_t from_index);
 
+  /// The only output of delivered payloads: each one is handed to the
+  /// handler once and not kept.
   void set_delivery_handler(DeliveryHandler handler) {
     handler_ = std::move(handler);
   }
 
-  // --- observable state / curious log ------------------------------------
-  const std::vector<Delivery>& deliveries() const { return deliveries_; }
+  // --- observable state ----------------------------------------------------
   std::size_t token_count() const { return tokens_.size(); }
   std::size_t metadata_received() const { return metadata_received_; }
   std::size_t match_count() const { return matches_; }
+  /// Payloads decrypted and delivered (each GUID at most once).
+  std::size_t delivery_count() const { return delivered_; }
   /// Matched but the RS no longer had the item (TTL deletion / slow client).
   std::size_t fetch_failures() const { return fetch_failures_; }
   /// Fetched but CP-ABE attributes did not satisfy the policy.
@@ -184,9 +187,9 @@ class Subscriber {
   std::set<Guid> delivered_guids_;
 
   DeliveryHandler handler_;
-  std::vector<Delivery> deliveries_;
   std::size_t metadata_received_ = 0;
   std::size_t matches_ = 0;
+  std::size_t delivered_ = 0;
   std::size_t fetch_failures_ = 0;
   std::size_t undecryptable_ = 0;
   std::size_t token_rejections_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/simnet.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
@@ -14,15 +13,6 @@ struct SimNetMetrics {
   obs::Counter& frames = reg.counter(obs::names::kSimFramesTotal);
   obs::Histogram& frame_bytes =
       reg.histogram(obs::names::kSimFrameBytes, {}, "bytes");
-  // Fault hooks share the p3s.net.fault_* vocabulary with AsyncNetwork.
-  obs::Counter& fault_dropped =
-      reg.counter(obs::names::kNetFaultDroppedTotal);
-  obs::Counter& fault_duplicated =
-      reg.counter(obs::names::kNetFaultDuplicatedTotal);
-  obs::Counter& fault_delayed =
-      reg.counter(obs::names::kNetFaultDelayedTotal);
-  obs::Counter& fault_blackout_dropped =
-      reg.counter(obs::names::kNetFaultBlackoutDroppedTotal);
 };
 
 SimNetMetrics& simnet_metrics() {
@@ -49,41 +39,16 @@ const LinkConfig& SimNetwork::link_for(const std::string& from,
   return defaults_;
 }
 
-void SimNetwork::register_endpoint(const std::string& name, Handler handler) {
-  if (!endpoints_.emplace(name, std::move(handler)).second) {
-    throw std::invalid_argument("SimNetwork: duplicate endpoint '" + name + "'");
-  }
-}
-
-void SimNetwork::unregister_endpoint(const std::string& name) {
-  endpoints_.erase(name);
-}
-
 void SimNetwork::send(const std::string& from, const std::string& to,
                       Bytes frame) {
   const std::size_t wire_size = frame.size();
   send_sized(from, to, std::move(frame), wire_size);
 }
 
-std::size_t SimNetwork::dropped_on(const std::string& from,
-                                   const std::string& to) const {
-  const auto it = dropped_by_link_.find({from, to});
-  return it != dropped_by_link_.end() ? it->second : 0;
-}
-
 void SimNetwork::send_sized(const std::string& from, const std::string& to,
                             Bytes frame, std::size_t wire_size) {
+  observe(from, to, wire_size, frame);
   SimNetMetrics& metrics = simnet_metrics();
-  if (plan_.has_value() && plan_->in_blackout(from, now())) {
-    // A dark sender's frames die on the host — no NIC time, no wire, and
-    // therefore no entry in the eavesdropper's traffic log. Every other
-    // fault below loses the frame PAST the observation point.
-    ++dropped_;
-    ++dropped_by_link_[{from, to}];
-    metrics.fault_blackout_dropped.inc();
-    return;
-  }
-  traffic_.push_back({now(), from, to, wire_size, frame});
   metrics.frames.inc();
   metrics.frame_bytes.record(static_cast<double>(wire_size));
   const LinkConfig& link = link_for(from, to);
@@ -91,47 +56,10 @@ void SimNetwork::send_sized(const std::string& from, const std::string& to,
   double& nic_free = nic_free_at_[from];
   const double start = std::max(engine_.now(), nic_free);
   nic_free = start + tx;
-  double arrival = start + tx + link.latency_s;
-
-  if (plan_.has_value()) {
-    // NIC time above is spent either way: the frame left the host (and the
-    // traffic log) before the fault ate it.
-    const auto lost = [&](obs::Counter& counter) {
-      ++dropped_;
-      ++dropped_by_link_[{from, to}];
-      counter.inc();
-    };
-    if (plan_->in_blackout(to, arrival)) {
-      lost(metrics.fault_blackout_dropped);
-      return;
-    }
-    if (plan_->should_drop(from, to)) {
-      lost(metrics.fault_dropped);
-      return;
-    }
-    const double extra = plan_->delay(from, to);
-    if (extra > 0.0) metrics.fault_delayed.inc();
-    arrival += extra;
-    if (plan_->should_duplicate(from, to)) {
-      metrics.fault_duplicated.inc();
-      traffic_.push_back({now(), from, to, wire_size, frame});
-      const double dup_arrival =
-          start + tx + link.latency_s + plan_->delay(from, to);
-      engine_.at(dup_arrival, [this, from, to, frame]() {
-        const auto it = endpoints_.find(to);
-        if (it == endpoints_.end()) return;
-        Handler handler = it->second;
-        handler(from, frame);
-      });
-    }
-  }
-
-  engine_.at(arrival, [this, from, to, frame = std::move(frame)]() {
-    const auto it = endpoints_.find(to);
-    if (it == endpoints_.end()) return;  // host down: frame lost
-    Handler handler = it->second;
-    handler(from, frame);
-  });
+  engine_.at(start + tx + link.latency_s,
+             [this, from, to, frame = std::move(frame)]() {
+               endpoints_.deliver(from, to, frame);  // host down: lost
+             });
 }
 
 }  // namespace p3s::sim

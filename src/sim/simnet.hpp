@@ -3,15 +3,16 @@
 //   start + m/B_A + ℓ, where start is when A's NIC becomes free —
 // so fan-out from one node (the DS broadcasting PBE metadata to all
 // subscribers) serializes on that node's NIC, which is exactly the
-// bottleneck the paper's throughput model captures.
+// bottleneck the paper's throughput model captures. The wire tap sees each
+// frame at send time, with the wire size the NIC is charged for.
+//
+// The links are lossless: fault injection lives in net::AsyncNetwork only.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "net/fault.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 
@@ -34,8 +35,12 @@ class SimNetwork final : public net::Network {
   /// Override every link leaving `from` (NIC-level config).
   void set_egress(const std::string& from, LinkConfig link);
 
-  void register_endpoint(const std::string& name, Handler handler) override;
-  void unregister_endpoint(const std::string& name) override;
+  void register_endpoint(const std::string& name, Handler handler) override {
+    endpoints_.add(name, std::move(handler));
+  }
+  void unregister_endpoint(const std::string& name) override {
+    endpoints_.remove(name);
+  }
   void send(const std::string& from, const std::string& to,
             Bytes frame) override;
   /// Like send(), but the NIC/link timing uses `wire_size` instead of the
@@ -47,19 +52,6 @@ class SimNetwork final : public net::Network {
 
   SimEngine& engine() { return engine_; }
 
-  // --- fault injection (mirrors AsyncNetwork; DESIGN.md "Reliability") -----
-  /// Install a seeded net::FaultPlan so figure benches can run lossy:
-  /// per-link drop/duplicate, extra delivery delay (seconds here), and
-  /// endpoint blackout windows. Reorder probabilities are ignored — delay
-  /// variance already reorders a discrete-event schedule. NIC time is
-  /// consumed even by frames the plan drops (the bytes left the host).
-  void set_fault_plan(net::FaultPlan plan) { plan_ = std::move(plan); }
-  void clear_fault_plan() { plan_.reset(); }
-  net::FaultPlan* fault_plan() { return plan_.has_value() ? &*plan_ : nullptr; }
-
-  std::size_t dropped_frames() const { return dropped_; }
-  std::size_t dropped_on(const std::string& from, const std::string& to) const;
-
  private:
   const LinkConfig& link_for(const std::string& from,
                              const std::string& to) const;
@@ -68,11 +60,8 @@ class SimNetwork final : public net::Network {
   LinkConfig defaults_;
   std::map<std::pair<std::string, std::string>, LinkConfig> pair_links_;
   std::map<std::string, LinkConfig> egress_links_;
-  std::map<std::string, Handler> endpoints_;
+  net::EndpointTable endpoints_;
   std::map<std::string, double> nic_free_at_;
-  std::optional<net::FaultPlan> plan_;
-  std::size_t dropped_ = 0;
-  std::map<std::pair<std::string, std::string>, std::size_t> dropped_by_link_;
 };
 
 }  // namespace p3s::sim

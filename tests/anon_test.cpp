@@ -16,21 +16,13 @@
 #include "obs/metrics.hpp"
 #include "p3s/anonymizer.hpp"
 #include "p3s/system.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::core {
 namespace {
 
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
-}
-
-std::size_t frames_between(const net::Network& net, const std::string& from,
-                           const std::string& to) {
-  std::size_t n = 0;
-  for (const auto& rec : net.traffic()) {
-    if (rec.from == from && rec.to == to) ++n;
-  }
-  return n;
 }
 
 P3sConfig base_config() {
@@ -64,6 +56,7 @@ TEST(AnonHardeningTest, EmptyBatchFlushIsWireNoop) {
   hard.batching = true;
   hard.batch_size = 4;
   hard.flush_interval = 50.0;
+  test::WireLog wire(net);
   Anonymizer anon(net, "anon", hard);
   const auto flushes_before =
       counter_value(obs::names::kAnonBatchFlushesTotal);
@@ -74,13 +67,14 @@ TEST(AnonHardeningTest, EmptyBatchFlushIsWireNoop) {
     anon.poll();
   }
   EXPECT_EQ(anon.held_count(), 0u);
-  EXPECT_TRUE(net.traffic().empty());
+  EXPECT_EQ(wire.size(), 0u);
   EXPECT_EQ(counter_value(obs::names::kAnonBatchFlushesTotal),
             flushes_before);
 }
 
 TEST(AnonHardeningTest, LoneRequestIsPaddedWithDecoys) {
   net::AsyncNetwork net;
+  test::WireLog wire(net);
   TestRng rng(0xdec0);
   P3sConfig config = base_config();
   config.anon_hardening.batching = true;
@@ -103,23 +97,22 @@ TEST(AnonHardeningTest, LoneRequestIsPaddedWithDecoys) {
   const auto cover_before = counter_value(obs::names::kAnonCoverTotal);
   const auto absorbed_before =
       counter_value(obs::names::kAnonDecoyRepliesTotal);
-  const std::size_t wire_to_rs_before =
-      frames_between(net, system.directory().anonymizer_name,
-                     system.directory().rs_name);
+  const std::size_t wire_to_rs_before = wire.count(
+      system.directory().anonymizer_name, system.directory().rs_name);
   pub->publish({{"sector", "finance"}, {"grade", "x"}},
                str_to_bytes("lone-payload"), abe::parse_policy("m"), 1e9);
   net.run_until_idle();
   // The single fetch is held: one real request, batch of 3 not reached.
   EXPECT_EQ(system.anonymizer()->held_count(), 1u);
   EXPECT_TRUE(converge(net, system, sub.get(),
-                       [&] { return sub->deliveries().size() == 1u; }));
+                       [&] { return sub->delivery_count() == 1u; }));
   // The deadline flush topped the lone request up with two decoy fetches,
   // and the decoys' replies were absorbed at the relay, never forwarded.
   EXPECT_EQ(counter_value(obs::names::kAnonCoverTotal), cover_before + 2);
   EXPECT_EQ(counter_value(obs::names::kAnonDecoyRepliesTotal),
             absorbed_before + 2);
-  EXPECT_EQ(frames_between(net, system.directory().anonymizer_name,
-                           system.directory().rs_name),
+  EXPECT_EQ(wire.count(system.directory().anonymizer_name,
+                       system.directory().rs_name),
             wire_to_rs_before + 3);
   EXPECT_EQ(system.anonymizer()->held_count(), 0u);
 }
@@ -148,9 +141,9 @@ TEST(AnonHardeningTest, LoneRequestHeldToDeadlineWithoutCover) {
                str_to_bytes("held-payload"), abe::parse_policy("m"), 1e9);
   net.run_until_idle();
   EXPECT_EQ(system.anonymizer()->held_count(), 1u);
-  EXPECT_EQ(sub->deliveries().size(), 0u);  // still held
+  EXPECT_EQ(sub->delivery_count(), 0u);  // still held
   EXPECT_TRUE(converge(net, system, sub.get(),
-                       [&] { return sub->deliveries().size() == 1u; }));
+                       [&] { return sub->delivery_count() == 1u; }));
   EXPECT_EQ(counter_value(obs::names::kAnonCoverTotal), cover_before);
 }
 
@@ -186,10 +179,10 @@ TEST(AnonHardeningTest, FlushAcrossRsBlackoutConvergesExactlyOnce) {
   plan.add_blackout(system.directory().rs_name, net.now(), net.now() + 600.0);
   net.set_fault_plan(std::move(plan));
   EXPECT_TRUE(converge(net, system, sub.get(),
-                       [&] { return sub->deliveries().size() == 1u; },
+                       [&] { return sub->delivery_count() == 1u; },
                        800));
   // Exactly-once despite retries re-entering later mixed batches.
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
   EXPECT_EQ(sub->request_failures(), 0u);
 }
 
@@ -220,7 +213,7 @@ TEST(DsHardeningTest, CoverBroadcastsFlowWithoutConfusingSubscribers) {
   EXPECT_GT(counter_value(obs::names::kDsCoverTotal), cover_before);
   EXPECT_GT(sub->metadata_received(), 0u);
   EXPECT_EQ(sub->match_count(), 0u);
-  EXPECT_TRUE(sub->deliveries().empty());
+  EXPECT_EQ(sub->delivery_count(), 0u);
 }
 
 }  // namespace

@@ -7,8 +7,12 @@
 
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
+#include "delivery_log.hpp"
 #include "net/async.hpp"
+#include "obs/catalog.hpp"
+#include "obs/metrics.hpp"
 #include "p3s/system.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::core {
 namespace {
@@ -36,34 +40,6 @@ TEST(AsyncNetwork, FifoOrderByDefault) {
   net.send("a", "b", Bytes{3});
   net.run_until_idle();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(AsyncNetwork, ReorderDeliversNewestFirst) {
-  net::AsyncNetwork net;
-  std::vector<int> order;
-  net.register_endpoint("b", [&](const std::string&, BytesView f) {
-    order.push_back(f[0]);
-  });
-  net.set_reorder(true);
-  net.send("a", "b", Bytes{1});
-  net.send("a", "b", Bytes{2});
-  net.run_until_idle();
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
-TEST(AsyncNetwork, DropsInjectedLoss) {
-  net::AsyncNetwork net;
-  int got = 0;
-  net.register_endpoint("b", [&](const std::string&, BytesView) { ++got; });
-  net.drop_next(2);
-  net.send("a", "b", Bytes{1});
-  net.send("a", "b", Bytes{2});
-  net.send("a", "b", Bytes{3});
-  net.run_until_idle();
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(net.dropped_frames(), 2u);
-  // Dropped frames are still on the eavesdropper's log.
-  EXPECT_EQ(net.traffic().size(), 3u);
 }
 
 TEST(AsyncNetwork, CascadingSendsAreProcessed) {
@@ -116,6 +92,7 @@ TEST(FaultPlan, PerLinkOverridesAndCounters) {
   lossy.drop = 1.0;
   plan.set_link("a", "b", lossy);  // only a→b is lossy; default is clean
   net.set_fault_plan(std::move(plan));
+  test::WireLog wire(net);
   int got = 0;
   net.register_endpoint("a", [&](const std::string&, BytesView) { ++got; });
   net.register_endpoint("b", [&](const std::string&, BytesView) { ++got; });
@@ -128,7 +105,7 @@ TEST(FaultPlan, PerLinkOverridesAndCounters) {
   EXPECT_EQ(net.dropped_frames(), 5u);
   EXPECT_EQ(net.dropped_on("a", "b"), 5u);
   EXPECT_EQ(net.dropped_on("b", "a"), 0u);
-  EXPECT_EQ(net.traffic().size(), 10u);  // eavesdropper saw every frame
+  EXPECT_EQ(wire.size(), 10u);  // eavesdropper saw every frame
 }
 
 TEST(FaultPlan, DuplicateDeliversTwiceAndLogsTwice) {
@@ -138,13 +115,14 @@ TEST(FaultPlan, DuplicateDeliversTwiceAndLogsTwice) {
   f.duplicate = 1.0;
   plan.set_default(f);
   net.set_fault_plan(std::move(plan));
+  test::WireLog wire(net);
   int got = 0;
   net.register_endpoint("b", [&](const std::string&, BytesView) { ++got; });
   net.send("a", "b", Bytes{1});
   net.run_until_idle();
   EXPECT_EQ(got, 2);
-  // The copy crossed the wire too: two traffic records.
-  EXPECT_EQ(net.traffic().size(), 2u);
+  // The copy crossed the wire too: the tap saw two frames.
+  EXPECT_EQ(wire.size(), 2u);
 }
 
 TEST(FaultPlan, BlackoutWindowSilencesEndpoint) {
@@ -152,6 +130,7 @@ TEST(FaultPlan, BlackoutWindowSilencesEndpoint) {
   net::FaultPlan plan(5);
   plan.add_blackout("b", 0.0, 1000.0);
   net.set_fault_plan(std::move(plan));
+  test::WireLog wire(net);
   int got = 0;
   net.register_endpoint("b", [&](const std::string&, BytesView) { ++got; });
   net.send("a", "b", Bytes{1});  // lands inside the window: lost
@@ -164,13 +143,13 @@ TEST(FaultPlan, BlackoutWindowSilencesEndpoint) {
   EXPECT_EQ(got, 1);
   // Sender-side blackout: frames from a dark endpoint are lost at send
   // time, BEFORE the wire — so unlike drops/receiver blackouts (lost past
-  // the observation point) they never appear on the eavesdropper log.
+  // the observation point) the tap never sees them.
   net.fault_plan()->add_blackout("b", net.now(), net.now() + 1000.0);
-  const std::size_t wire_before = net.traffic().size();
+  const std::size_t wire_before = wire.size();
   net.send("b", "a", Bytes{3});
   net.run_until_idle();
   EXPECT_EQ(net.dropped_frames(), 2u);
-  EXPECT_EQ(net.traffic().size(), wire_before);
+  EXPECT_EQ(wire.size(), wire_before);
 }
 
 TEST(FaultPlan, DelayHoldsFrameUntilItsTick) {
@@ -249,11 +228,12 @@ TEST_F(AsyncP3sTest, FullFlowUnderAsynchrony) {
   net_.run_until_idle();
   ASSERT_EQ(sub->token_count(), 1u);
 
+  test::DeliveryLog got(*sub);
   pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("async"),
                abe::parse_policy("m"), /*ttl=*/1e6);
   net_.run_until_idle();
-  ASSERT_EQ(sub->deliveries().size(), 1u);
-  EXPECT_EQ(bytes_to_str(sub->deliveries()[0].payload), "async");
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "async");
 }
 
 TEST_F(AsyncP3sTest, LostTokenResponseIsRecoverable) {
@@ -262,12 +242,17 @@ TEST_F(AsyncP3sTest, LostTokenResponseIsRecoverable) {
   net_.run_until_idle();
 
   sub->subscribe({{"topic", "a"}});
-  // Lose the in-flight request on the wire: the whole exchange dies.
+  // Lose the in-flight request on the wire: the anonymizer is dark when it
+  // arrives, so the whole exchange dies.
   ASSERT_EQ(net_.in_flight(), 1u);
-  net_.drop_next(1);
+  const std::string anon = system_->directory().anonymizer_name;
+  net::FaultPlan plan(1);
+  plan.add_blackout(anon, net_.now(), net_.now() + 2.0);
+  net_.set_fault_plan(std::move(plan));
   net_.run_until_idle();
   EXPECT_EQ(sub->token_count(), 0u);
   EXPECT_EQ(net_.dropped_frames(), 1u);
+  EXPECT_EQ(net_.dropped_on("sub1", anon), 1u);  // the request, not another
 
   // Application-level recovery (paper: loss is detectable; clients retry).
   sub->refresh_tokens();
@@ -277,7 +262,7 @@ TEST_F(AsyncP3sTest, LostTokenResponseIsRecoverable) {
   pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("ok"),
                abe::parse_policy("m"), 1e6);
   net_.run_until_idle();
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
 TEST_F(AsyncP3sTest, ChannelRejectsReorderedRecordsButFlowRecovers) {
@@ -287,17 +272,29 @@ TEST_F(AsyncP3sTest, ChannelRejectsReorderedRecordsButFlowRecovers) {
   sub->subscribe({{"topic", "a"}});
   net_.run_until_idle();
 
-  // Two publications sent while the wire delivers newest-first: the DS
-  // channel's strictly-increasing sequence numbers reject the older record
-  // (TLS semantics), so only the newer publication survives.
-  net_.set_reorder(true);
+  test::DeliveryLog got(*sub);
+  // Two publications sent while the wire reorders the publisher's frames:
+  // the DS channel's strictly-increasing sequence numbers reject the older
+  // record (TLS semantics), so only the newer publication survives.
+  const auto reordered = [] {
+    return obs::Registry::global()
+        .counter(obs::names::kNetFaultReorderedTotal)
+        .value();
+  };
+  const auto reordered_before = reordered();
+  net::FaultPlan plan(1);
+  net::LinkFaults reorder;
+  reorder.reorder = 1.0;
+  plan.set_link("pub1", system_->directory().ds_name, reorder);
+  net_.set_fault_plan(std::move(plan));
   pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("first"),
                abe::parse_policy("m"), 1e6);
   pub->publish({{"topic", "a"}, {"tier", "y"}}, str_to_bytes("second"),
                abe::parse_policy("m"), 1e6);
   net_.run_until_idle();
-  net_.set_reorder(false);
-  EXPECT_LE(sub->deliveries().size(), 1u);
+  net_.clear_fault_plan();
+  EXPECT_GT(reordered(), reordered_before);
+  EXPECT_LE(got.deliveries().size(), 1u);
 
   // In-order traffic afterwards fails (the channel lost sync) until the
   // client re-establishes its session — the documented recovery path.
@@ -306,8 +303,8 @@ TEST_F(AsyncP3sTest, ChannelRejectsReorderedRecordsButFlowRecovers) {
   pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("recovered"),
                abe::parse_policy("m"), 1e6);
   net_.run_until_idle();
-  ASSERT_FALSE(sub->deliveries().empty());
-  EXPECT_EQ(bytes_to_str(sub->deliveries().back().payload), "recovered");
+  ASSERT_FALSE(got.deliveries().empty());
+  EXPECT_EQ(bytes_to_str(got.deliveries().back().payload), "recovered");
 }
 
 TEST_F(AsyncP3sTest, SlowConsumerMissesStrictlyDeletedItem) {

@@ -10,6 +10,7 @@
 // modes satisfy would pin nothing.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 
 #include "attack/attacks.hpp"
 #include "attack/scenario.hpp"
+#include "delivery_log.hpp"
 #include "net/fault.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
@@ -77,18 +79,29 @@ class AttackMatrix : public ::testing::TestWithParam<AttackCellCase> {
     }
   }
 
+  /// Settle the scenario, then log what each subscriber delivers.
+  [[nodiscard]] bool settle(AttackScenario& sc) {
+    if (!sc.settle()) return false;
+    for (core::Subscriber* sub : sc.subscribers()) {
+      delivered_.try_emplace(sub->name(), *sub);
+    }
+    return true;
+  }
+
   /// Every subscriber delivered exactly the publications of its topic,
   /// without duplicates — the defenses must not cost correctness.
   void check_exactly_once(AttackScenario& sc, std::size_t per_topic) {
     for (core::Subscriber* sub : sc.subscribers()) {
       std::set<Guid> got;
-      for (const auto& d : sub->deliveries()) {
+      for (const auto& d : delivered_.at(sub->name()).deliveries()) {
         EXPECT_TRUE(got.insert(d.guid).second)
             << sub->name() << ": duplicate delivery";
       }
       EXPECT_EQ(got.size(), per_topic) << sub->name();
     }
   }
+
+  std::map<std::string, test::DeliveryLog> delivered_;  // by subscriber
 };
 
 TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
@@ -105,7 +118,7 @@ TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
     cfg.hardened = hardened();
     cfg.subs_per_topic = 3;
     AttackScenario sc(cfg);
-    ASSERT_TRUE(sc.settle());
+    ASSERT_TRUE(settle(sc));
     const auto ds_flushes = counter_value(obs::names::kDsBatchFlushesTotal);
     const auto anon_flushes =
         counter_value(obs::names::kAnonBatchFlushesTotal);
@@ -114,7 +127,7 @@ TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
       sc.publish("tech");
     }
     ASSERT_TRUE(sc.drain());
-    const EavesdropperObserver obs = sc.observer();
+    const EavesdropperObserver& obs = sc.observer();
     const AttackReport report = frequency_attack(
         obs, sc.schedule(), sc.truth(),
         sc.system().directory().anonymizer_name, AttackScenario::topics(),
@@ -141,13 +154,13 @@ TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
     cfg.with_anonymizer = hardened();
     cfg.subs_per_topic = 3;
     AttackScenario sc(cfg);
-    ASSERT_TRUE(sc.settle());
+    ASSERT_TRUE(settle(sc));
     for (int round = 0; round < 4; ++round) {
       sc.publish("finance");
       sc.publish("tech");
     }
     ASSERT_TRUE(sc.drain());
-    const EavesdropperObserver obs = sc.observer();
+    const EavesdropperObserver& obs = sc.observer();
     const std::string rs = sc.system().directory().rs_name;
     const AttackReport report =
         intersection_attack(obs, sc.schedule(), sc.truth(), rs,
@@ -177,7 +190,7 @@ TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
     cfg.hardened = hardened();
     cfg.subs_per_topic = 2;
     AttackScenario sc(cfg);
-    ASSERT_TRUE(sc.settle());
+    ASSERT_TRUE(settle(sc));
     sc.attacker();  // register before the schedule opens
     std::size_t probes = 0;
     for (int rep = 0; rep < 2; ++rep) {
@@ -189,7 +202,7 @@ TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
       sc.publish("finance");
     }
     ASSERT_TRUE(sc.drain());
-    const EavesdropperObserver obs = sc.observer();
+    const EavesdropperObserver& obs = sc.observer();
     const AttackReport report = probe_attack(
         obs, sc.schedule(), sc.truth(),
         sc.system().directory().anonymizer_name, AttackScenario::topics(),
@@ -213,7 +226,7 @@ TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
   cfg.reliability = hardened();
   cfg.subs_per_topic = 1;
   AttackScenario sc(cfg);
-  ASSERT_TRUE(sc.settle());
+  ASSERT_TRUE(settle(sc));
   net::FaultPlan plan(c.seed);
   net::LinkFaults replay_faults;
   replay_faults.duplicate = 0.6;
@@ -231,7 +244,7 @@ TEST_P(AttackMatrix, AdvantageStaysWithinLeakBudget) {
   }
   ASSERT_TRUE(sc.converge([&] {
     for (core::Subscriber* sub : sc.subscribers()) {
-      if (sub->deliveries().size() != 3u) return false;
+      if (sub->delivery_count() != 3u) return false;
     }
     return sc.net().in_flight() == 0;
   }));
@@ -268,11 +281,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EavesdropperObserverTest, StripsContentAndTalliesLinks) {
   net::DirectNetwork net;
+  EavesdropperObserver obs;
+  obs.watch(net);
   net.register_endpoint("b", [](const std::string&, BytesView) {});
   net.send("a", "b", Bytes{1, 2, 3});
   net.send("a", "b", Bytes{4, 5, 6, 7});
   net.send("c", "b", Bytes{8});
-  const EavesdropperObserver obs(net.traffic());
   ASSERT_EQ(obs.sightings().size(), 3u);
   EXPECT_EQ(obs.on_link("a", "b").size(), 2u);
   EXPECT_EQ(obs.on_link("", "b").size(), 3u);

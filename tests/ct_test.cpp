@@ -31,6 +31,7 @@
 #include "pairing/ecies.hpp"
 #include "pairing/pairing.hpp"
 #include "pbe/hve.hpp"
+#include "wire_log.hpp"
 
 namespace p3s {
 namespace {
@@ -263,6 +264,7 @@ namespace wire_shape {
 std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
     std::size_t pad_bucket) {
   net::DirectNetwork net;
+  test::WireLog wire(net);
   TestRng rng(0x3147);
   const pairing::PairingPtr pp = pairing::Pairing::test_pairing();
   core::P3sConfig config;
@@ -280,9 +282,9 @@ std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
   const std::string rs = system.directory().rs_name;
   const auto response_sizes = [&] {
     std::vector<std::size_t> sizes;
-    for (const auto& rec : net.traffic()) {
+    for (const auto& rec : wire.frames()) {
       if (rec.from == rs) {
-        Reader r(rec.frame);
+        Reader r(rec.bytes);
         if (core::read_frame_type(r) == core::FrameType::kContentResponse) {
           sizes.push_back(rec.size);
         }
@@ -295,7 +297,7 @@ std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
   pub->publish({{"sector", "finance"}, {"grade", "x"}},
                str_to_bytes("wire-shape-payload"), abe::parse_policy("m"),
                1e9);
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
   auto sizes = response_sizes();
   EXPECT_EQ(sizes.size(), 1u);  // exactly one response per fetch
   const std::size_t hit_size = sizes.empty() ? 0 : sizes.back();

@@ -4,14 +4,14 @@
 // configuration), and hierarchical dissemination (§6.2 remedy).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
+#include "delivery_log.hpp"
 #include "model/analytic.hpp"
 #include "net/network.hpp"
 #include "p3s/system.hpp"
 #include "pbe/epoch.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::core {
 namespace {
@@ -85,11 +85,12 @@ TEST_F(EpochSystemTest, CurrentEpochTokenMatches) {
   auto pub = system_->make_publisher("p1", "press", rng_);
   sub->subscribe({{"topic", "a"}});
   pub->publish(md("a", "x"), str_to_bytes("now"), abe::parse_policy("member"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
 TEST_F(EpochSystemTest, StaleTokenStopsMatchingAfterRollover) {
   auto sub = system_->make_subscriber("s1", "alice", {"member"}, rng_);
+  test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("p1", "press", rng_);
   sub->subscribe({{"topic", "a"}});
 
@@ -97,13 +98,13 @@ TEST_F(EpochSystemTest, StaleTokenStopsMatchingAfterRollover) {
   net_.advance(1000);
   pub->publish(md("a", "x"), str_to_bytes("later"), abe::parse_policy("member"));
   EXPECT_EQ(sub->match_count(), 0u);
-  EXPECT_TRUE(sub->deliveries().empty());
+  EXPECT_EQ(sub->delivery_count(), 0u);
 
   // Refreshing tokens (re-keying for the new epoch) restores matching.
   sub->refresh_tokens();
   pub->publish(md("a", "x"), str_to_bytes("fresh"), abe::parse_policy("member"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
-  EXPECT_EQ(bytes_to_str(sub->deliveries()[0].payload), "fresh");
+  EXPECT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "fresh");
 }
 
 TEST_F(EpochSystemTest, HoardedTokensFromOldEpochsAreUseless) {
@@ -134,46 +135,38 @@ class SuperEncryptTest : public ::testing::Test {
     system_ = std::make_unique<P3sSystem>(net_, std::move(config), rng_);
   }
 
-  bool wire_contains(BytesView needle) {
-    for (const auto& rec : net_.traffic()) {
-      if (std::search(rec.frame.begin(), rec.frame.end(), needle.begin(),
-                      needle.end()) != rec.frame.end()) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   net::DirectNetwork net_;
+  test::WireLog wire_{net_};
   TestRng rng_{0x5e};
   std::unique_ptr<P3sSystem> system_;
 };
 
 TEST_F(SuperEncryptTest, WrappedGuidStaysOffTheWire) {
   auto sub = system_->make_subscriber("s1", "alice", {"m"}, rng_);
+  test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("p1", "press", rng_);
   pub->set_guid_super_encryption(true);
   sub->subscribe({{"topic", "a"}});
-  net_.clear_traffic();
+  wire_.clear();
 
   const Guid guid = pub->publish(md("a", "x"), str_to_bytes("payload"),
                                  abe::parse_policy("m"));
   // Delivery still works end to end...
-  ASSERT_EQ(sub->deliveries().size(), 1u);
-  EXPECT_EQ(sub->deliveries()[0].guid, guid);
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(got.deliveries()[0].guid, guid);
   // ...but the GUID bytes never appear in any wire frame.
-  EXPECT_FALSE(wire_contains(guid.to_bytes()));
+  EXPECT_FALSE(wire_.contains(guid.to_bytes()));
 }
 
 TEST_F(SuperEncryptTest, ClearGuidIsVisibleWithoutTheMitigation) {
   auto sub = system_->make_subscriber("s1", "alice", {"m"}, rng_);
   auto pub = system_->make_publisher("p1", "press", rng_);
   sub->subscribe({{"topic", "a"}});
-  net_.clear_traffic();
+  wire_.clear();
   const Guid guid = pub->publish(md("a", "x"), str_to_bytes("payload"),
                                  abe::parse_policy("m"));
-  ASSERT_EQ(sub->deliveries().size(), 1u);
-  EXPECT_TRUE(wire_contains(guid.to_bytes()));  // the documented leak
+  ASSERT_EQ(sub->delivery_count(), 1u);
+  EXPECT_TRUE(wire_.contains(guid.to_bytes()));  // the documented leak
 }
 
 // --- Embedded PBE-TS (§8) -----------------------------------------------------------
@@ -189,6 +182,7 @@ class EmbeddedTsTest : public ::testing::Test {
   }
 
   net::DirectNetwork net_;
+  test::WireLog wire_{net_};
   TestRng rng_{0xe3b};
   std::unique_ptr<P3sSystem> system_;
 };
@@ -196,17 +190,17 @@ class EmbeddedTsTest : public ::testing::Test {
 TEST_F(EmbeddedTsTest, InterestNeverLeavesTheSubscriber) {
   auto sub = system_->make_subscriber("s1", "alice", {"m"}, rng_);
   auto pub = system_->make_publisher("p1", "press", rng_);
-  net_.clear_traffic();
+  wire_.clear();
   sub->subscribe({{"topic", "a"}});
   EXPECT_EQ(sub->token_count(), 1u);
   // No token request crossed the network at all.
   EXPECT_TRUE(system_->token_server().seen_predicates().empty());
-  for (const auto& rec : net_.traffic()) {
+  for (const auto& rec : wire_.frames()) {
     EXPECT_NE(rec.to, "pbe-ts");
   }
   // And the flow still works.
   pub->publish(md("a", "x"), str_to_bytes("m"), abe::parse_policy("m"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
 TEST_F(EmbeddedTsTest, TradeOffSubscriberHoldsMasterKeyAndCanDecodeAllMetadata) {

@@ -6,6 +6,7 @@
 #include "p3s/credentials.hpp"
 #include "p3s/messages.hpp"
 #include "p3s/system.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::core {
 namespace {
@@ -281,10 +282,11 @@ class ReplayP3sTest : public ::testing::Test {
 
   /// Latest frame delivered to `to` whose first byte is `type`.
   Bytes last_frame_to(const std::string& to, FrameType type) {
-    for (auto it = net_.traffic().rbegin(); it != net_.traffic().rend(); ++it) {
-      if (it->to == to && !it->frame.empty() &&
-          it->frame[0] == static_cast<std::uint8_t>(type)) {
-        return it->frame;
+    const auto& frames = wire_.frames();
+    for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
+      if (it->to == to && !it->bytes.empty() &&
+          it->bytes[0] == static_cast<std::uint8_t>(type)) {
+        return it->bytes;
       }
     }
     ADD_FAILURE() << "no frame of type " << int(static_cast<std::uint8_t>(type))
@@ -293,6 +295,7 @@ class ReplayP3sTest : public ::testing::Test {
   }
 
   net::AsyncNetwork net_;
+  test::WireLog wire_{net_};
   TestRng rng_{0x4e91};
   std::unique_ptr<P3sSystem> system_;
   std::unique_ptr<Subscriber> sub_;
@@ -304,7 +307,7 @@ TEST_F(ReplayP3sTest, RsStoreReplayIsIdempotent) {
                 abe::parse_policy("m"), 1e6);
   net_.run_until_idle();
   ASSERT_EQ(system_->rs().stored_items(), 1u);
-  ASSERT_EQ(sub_->deliveries().size(), 1u);
+  ASSERT_EQ(sub_->delivery_count(), 1u);
 
   // Replay the DS→RS store verbatim: one slot (GUID overwrite), and the
   // re-acked request id finds no pending publish at the DS — no second
@@ -314,7 +317,7 @@ TEST_F(ReplayP3sTest, RsStoreReplayIsIdempotent) {
   net_.send(system_->directory().ds_name, system_->directory().rs_name, store);
   net_.run_until_idle();
   EXPECT_EQ(system_->rs().stored_items(), 1u);
-  EXPECT_EQ(sub_->deliveries().size(), 1u);
+  EXPECT_EQ(sub_->delivery_count(), 1u);
 }
 
 TEST_F(ReplayP3sTest, TokenResponseReplayIsIgnored) {
@@ -331,14 +334,14 @@ TEST_F(ReplayP3sTest, DsNotifyReplayNeverRedelivers) {
   pub_->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("once"),
                 abe::parse_policy("m"), 1e6);
   net_.run_until_idle();
-  ASSERT_EQ(sub_->deliveries().size(), 1u);
+  ASSERT_EQ(sub_->delivery_count(), 1u);
 
   // Ask the DS to replay its whole broadcast ring (what a retried sync does).
   // Every replayed index is recognized as already processed.
   const std::size_t dupes_before = sub_->duplicate_metadata();
   sub_->request_metadata_replay(0);
   net_.run_until_idle();
-  EXPECT_EQ(sub_->deliveries().size(), 1u);
+  EXPECT_EQ(sub_->delivery_count(), 1u);
   EXPECT_GT(sub_->duplicate_metadata(), dupes_before);
   EXPECT_EQ(sub_->missing_metadata_count(), 0u);
 }

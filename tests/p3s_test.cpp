@@ -7,9 +7,11 @@
 
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
+#include "delivery_log.hpp"
 #include "exec/pool.hpp"
 #include "net/network.hpp"
 #include "p3s/system.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::core {
 namespace {
@@ -46,6 +48,7 @@ TEST_F(P3sEndToEnd, MatchingSubscriberReceivesPayload) {
   build();
   auto sub = system_->make_subscriber("sub1", "alice", {"analyst", "org:us"},
                                       rng_);
+  test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "acme-news", rng_);
   ASSERT_TRUE(sub->connected());
   ASSERT_TRUE(pub->connected());
@@ -57,9 +60,9 @@ TEST_F(P3sEndToEnd, MatchingSubscriberReceivesPayload) {
   const Guid guid = pub->publish(md("finance", "us", "default"), payload,
                                  abe::parse_policy("analyst and org:us"));
 
-  ASSERT_EQ(sub->deliveries().size(), 1u);
-  EXPECT_EQ(sub->deliveries()[0].guid, guid);
-  EXPECT_EQ(sub->deliveries()[0].payload, payload);
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(got.deliveries()[0].guid, guid);
+  EXPECT_EQ(got.deliveries()[0].payload, payload);
   EXPECT_EQ(sub->match_count(), 1u);
   EXPECT_EQ(sub->metadata_received(), 1u);
 }
@@ -76,7 +79,7 @@ TEST_F(P3sEndToEnd, NonMatchingSubscriberLearnsNothing) {
   // Received the encrypted broadcast but no match, no fetch, no delivery.
   EXPECT_EQ(sub->metadata_received(), 1u);
   EXPECT_EQ(sub->match_count(), 0u);
-  EXPECT_TRUE(sub->deliveries().empty());
+  EXPECT_EQ(sub->delivery_count(), 0u);
   EXPECT_TRUE(system_->rs().request_counts().empty());
 }
 
@@ -92,7 +95,7 @@ TEST_F(P3sEndToEnd, MatchingButUnauthorizedCannotDecrypt) {
 
   EXPECT_EQ(sub->match_count(), 1u);
   EXPECT_EQ(sub->undecryptable_payloads(), 1u);
-  EXPECT_TRUE(sub->deliveries().empty());
+  EXPECT_EQ(sub->delivery_count(), 0u);
 }
 
 TEST_F(P3sEndToEnd, WildcardInterestSpansValues) {
@@ -109,7 +112,7 @@ TEST_F(P3sEndToEnd, WildcardInterestSpansValues) {
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("no"),
                abe::parse_policy("a"));
 
-  EXPECT_EQ(sub->deliveries().size(), 3u);
+  EXPECT_EQ(sub->delivery_count(), 3u);
   EXPECT_EQ(sub->metadata_received(), 4u);
 }
 
@@ -127,19 +130,19 @@ TEST_F(P3sEndToEnd, MultipleInterestsMultipleSubscribers) {
 
   pub->publish(md("tech", "eu", "merger"), str_to_bytes("m1"),
                abe::parse_policy("a"));
-  EXPECT_EQ(s1->deliveries().size(), 1u);
-  EXPECT_EQ(s2->deliveries().size(), 1u);
-  EXPECT_EQ(s3->deliveries().size(), 1u);
+  EXPECT_EQ(s1->delivery_count(), 1u);
+  EXPECT_EQ(s2->delivery_count(), 1u);
+  EXPECT_EQ(s3->delivery_count(), 1u);
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m2"),
                abe::parse_policy("a"));
-  EXPECT_EQ(s1->deliveries().size(), 2u);
-  EXPECT_EQ(s2->deliveries().size(), 1u);  // region mismatch
-  EXPECT_EQ(s3->deliveries().size(), 1u);  // event mismatch
+  EXPECT_EQ(s1->delivery_count(), 2u);
+  EXPECT_EQ(s2->delivery_count(), 1u);  // region mismatch
+  EXPECT_EQ(s3->delivery_count(), 1u);  // event mismatch
 
   pub->publish(md("energy", "apac", "earnings"), str_to_bytes("m3"),
                abe::parse_policy("a"));
-  EXPECT_EQ(s1->deliveries().size(), 3u);  // second interest fired
+  EXPECT_EQ(s1->delivery_count(), 3u);  // second interest fired
 }
 
 TEST_F(P3sEndToEnd, SubscriberWithTwoMatchingTokensFetchesOnce) {
@@ -151,7 +154,7 @@ TEST_F(P3sEndToEnd, SubscriberWithTwoMatchingTokensFetchesOnce) {
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
   // RS served exactly one request for the item.
   ASSERT_EQ(system_->rs().request_counts().size(), 1u);
   EXPECT_EQ(system_->rs().request_counts().begin()->second, 1u);
@@ -181,6 +184,7 @@ TEST_F(P3sEndToEnd, StrictGraceZeroFailsSlowConsumers) {
   // Paper: with T_G = 0 a slow matched subscriber may fail to fetch.
   build(/*with_anonymizer=*/true, /*grace=*/0.0);
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
+  test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "p", rng_);
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
@@ -196,8 +200,8 @@ TEST_F(P3sEndToEnd, StrictGraceZeroFailsSlowConsumers) {
   // for the new item only.
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("fresh"),
                abe::parse_policy("a"), /*ttl_seconds=*/100.0);
-  EXPECT_EQ(sub->deliveries().size(), 1u);
-  EXPECT_EQ(bytes_to_str(sub->deliveries()[0].payload), "fresh");
+  EXPECT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "fresh");
   EXPECT_EQ(system_->rs().stored_items(), 1u);
 }
 
@@ -218,7 +222,7 @@ TEST_F(P3sEndToEnd, MatchedButDeletedItemYieldsFetchFailure) {
 
   EXPECT_EQ(sub->match_count(), 1u);
   EXPECT_EQ(sub->fetch_failures(), 1u);
-  EXPECT_TRUE(sub->deliveries().empty());
+  EXPECT_EQ(sub->delivery_count(), 0u);
 }
 
 // --- Restart / robustness (paper §6.1) ----------------------------------------------
@@ -226,6 +230,7 @@ TEST_F(P3sEndToEnd, MatchedButDeletedItemYieldsFetchFailure) {
 TEST_F(P3sEndToEnd, DsRestartRequiresReregistration) {
   build();
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
+  test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
 
@@ -237,8 +242,8 @@ TEST_F(P3sEndToEnd, DsRestartRequiresReregistration) {
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("after-restart"),
                abe::parse_policy("a"));
-  ASSERT_EQ(sub->deliveries().size(), 1u);
-  EXPECT_EQ(bytes_to_str(sub->deliveries()[0].payload), "after-restart");
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "after-restart");
 }
 
 TEST_F(P3sEndToEnd, RsSnapshotRestorePersistsEncryptedContent) {
@@ -258,7 +263,7 @@ TEST_F(P3sEndToEnd, RsSnapshotRestorePersistsEncryptedContent) {
   sub->subscribe({{"sector", "tech"}});
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("durable"),
                abe::parse_policy("a"), 1000.0);
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
 TEST_F(P3sEndToEnd, RsFilePersistenceSurvivesRestart) {
@@ -278,7 +283,7 @@ TEST_F(P3sEndToEnd, RsFilePersistenceSurvivesRestart) {
   sub->subscribe({{"sector", "tech"}});
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("on-disk"),
                abe::parse_policy("a"), 1e6);
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 
   EXPECT_THROW(system_->rs().load_from_file("/nonexistent/nope.bin"),
                std::runtime_error);
@@ -297,7 +302,7 @@ TEST_F(P3sEndToEnd, SubscriberRestartRefreshesTokens) {
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
 // --- Unsubscribe / clean departure ------------------------------------------------
@@ -311,16 +316,16 @@ TEST_F(P3sEndToEnd, UnsubscribeStopsMatchingImmediately) {
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m1"),
                abe::parse_policy("a"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 
   EXPECT_TRUE(sub->unsubscribe({{"sector", "tech"}}));
   EXPECT_EQ(sub->token_count(), 1u);  // finance token remains
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m2"),
                abe::parse_policy("a"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);  // no new delivery
+  EXPECT_EQ(sub->delivery_count(), 1u);  // no new delivery
   pub->publish(md("finance", "us", "ipo"), str_to_bytes("m3"),
                abe::parse_policy("a"));
-  EXPECT_EQ(sub->deliveries().size(), 2u);  // other interest still live
+  EXPECT_EQ(sub->delivery_count(), 2u);  // other interest still live
 
   EXPECT_FALSE(sub->unsubscribe({{"sector", "health"}}));  // never registered
 }
@@ -342,7 +347,7 @@ TEST_F(P3sEndToEnd, DisconnectedSubscriberStopsReceivingBroadcasts) {
   sub->reconnect();
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("back"),
                abe::parse_policy("a"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
 TEST_F(P3sEndToEnd, DisconnectedPublisherCannotPublish) {
@@ -387,6 +392,7 @@ TEST_F(P3sEndToEnd, PublisherCertificateCannotGetTokens) {
 TEST_F(P3sEndToEnd, PublishBatchDeliversLikeIndividualPublishes) {
   build();
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
+  test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "finance"}});
 
@@ -401,11 +407,11 @@ TEST_F(P3sEndToEnd, PublishBatchDeliversLikeIndividualPublishes) {
 
   ASSERT_EQ(guids.size(), 3u);
   EXPECT_EQ(sub->metadata_received(), 3u);
-  ASSERT_EQ(sub->deliveries().size(), 2u);
-  EXPECT_EQ(sub->deliveries()[0].guid, guids[0]);
-  EXPECT_EQ(bytes_to_str(sub->deliveries()[0].payload), "m1");
-  EXPECT_EQ(sub->deliveries()[1].guid, guids[2]);
-  EXPECT_EQ(bytes_to_str(sub->deliveries()[1].payload), "m3");
+  ASSERT_EQ(got.deliveries().size(), 2u);
+  EXPECT_EQ(got.deliveries()[0].guid, guids[0]);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "m1");
+  EXPECT_EQ(got.deliveries()[1].guid, guids[2]);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[1].payload), "m3");
 }
 
 // The parallel batch path must be bit-identical to the sequential one: run
@@ -415,12 +421,14 @@ TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
   const auto run = [](std::size_t threads) {
     exec::Pool::set_global_threads(threads);
     net::DirectNetwork net;
+    test::WireLog wire(net);
     TestRng rng(0x77aa);
     P3sConfig config;
     config.pairing = pairing::Pairing::test_pairing();
     config.schema = test_schema();
     P3sSystem system(net, std::move(config), rng);
     auto sub = system.make_subscriber("sub1", "s", {"a"}, rng);
+    test::DeliveryLog got(*sub);
     auto pub = system.make_publisher("pub1", "p", rng);
     sub->subscribe({{"sector", "finance"}});
     sub->subscribe({{"event", "merger"}});
@@ -436,9 +444,9 @@ TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
                      abe::parse_policy("a")});
     pub->publish_batch(items);
 
-    std::vector<net::TrafficRecord> traffic = net.traffic();
+    std::vector<test::WireLog::Frame> traffic = wire.frames();
     std::vector<Bytes> payloads;
-    for (const auto& d : sub->deliveries()) payloads.push_back(d.payload);
+    for (const auto& d : got.deliveries()) payloads.push_back(d.payload);
     return std::pair(std::move(traffic), std::move(payloads));
   };
 
@@ -451,7 +459,7 @@ TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
   for (std::size_t i = 0; i < seq_traffic.size(); ++i) {
     EXPECT_EQ(seq_traffic[i].from, par_traffic[i].from) << "frame " << i;
     EXPECT_EQ(seq_traffic[i].to, par_traffic[i].to) << "frame " << i;
-    EXPECT_EQ(seq_traffic[i].frame, par_traffic[i].frame) << "frame " << i;
+    EXPECT_EQ(seq_traffic[i].bytes, par_traffic[i].bytes) << "frame " << i;
   }
 }
 
@@ -464,7 +472,7 @@ TEST_F(P3sEndToEnd, WorksWithoutAnonymizer) {
   sub->subscribe({{"sector", "finance"}});
   pub->publish(md("finance", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"));
-  EXPECT_EQ(sub->deliveries().size(), 1u);
+  EXPECT_EQ(sub->delivery_count(), 1u);
   // Without anonymization the PBE-TS sees the subscriber's network identity.
   ASSERT_EQ(system_->token_server().seen_predicates().size(), 1u);
   EXPECT_EQ(system_->token_server().seen_predicates()[0].network_from, "sub1");

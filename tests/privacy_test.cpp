@@ -4,16 +4,16 @@
 // information appears exactly where the paper says it may — and nowhere else.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
+#include "delivery_log.hpp"
 #include "net/async.hpp"
 #include "net/network.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "p3s/messages.hpp"
 #include "p3s/system.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::core {
 namespace {
@@ -24,17 +24,6 @@ pbe::MetadataSchema test_schema() {
       {"region", {"us", "eu", "apac"}},
       {"event", {"merger", "earnings", "default", "ipo"}},
   });
-}
-
-bool wire_contains(const net::Network& net, BytesView needle) {
-  for (const auto& rec : net.traffic()) {
-    if (needle.size() > rec.frame.size()) continue;
-    if (std::search(rec.frame.begin(), rec.frame.end(), needle.begin(),
-                    needle.end()) != rec.frame.end()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 class PrivacyTest : public ::testing::Test {
@@ -48,7 +37,7 @@ class PrivacyTest : public ::testing::Test {
                                     rng_);
     other_ = system_->make_subscriber("sub2", "bob", {"analyst"}, rng_);
     pub_ = system_->make_publisher("pub1", "acme", rng_);
-    net_.clear_traffic();  // analyze only the steady-state protocol
+    wire_.clear();  // analyze only the steady-state protocol
   }
 
   void run_flow() {
@@ -63,6 +52,7 @@ class PrivacyTest : public ::testing::Test {
       "TOP-SECRET-PAYLOAD-0x5ca1ab1e";
 
   net::DirectNetwork net_;
+  test::WireLog wire_{net_};
   TestRng rng_{0x99};
   std::unique_ptr<P3sSystem> system_;
   std::unique_ptr<Subscriber> sub_;
@@ -72,16 +62,16 @@ class PrivacyTest : public ::testing::Test {
 
 TEST_F(PrivacyTest, PayloadNeverAppearsOnTheWire) {
   run_flow();
-  ASSERT_EQ(sub_->deliveries().size(), 1u);  // flow actually delivered
-  EXPECT_FALSE(wire_contains(net_, str_to_bytes(kPayloadMarker)));
+  ASSERT_EQ(sub_->delivery_count(), 1u);  // flow actually delivered
+  EXPECT_FALSE(wire_.contains(str_to_bytes(kPayloadMarker)));
 }
 
 TEST_F(PrivacyTest, InterestKeywordsNeverAppearOnTheWire) {
   run_flow();
   // The subscriber's predicate values travel only inside ECIES envelopes.
-  EXPECT_FALSE(wire_contains(net_, str_to_bytes("finance")));
-  EXPECT_FALSE(wire_contains(net_, str_to_bytes("default")));
-  EXPECT_FALSE(wire_contains(net_, str_to_bytes("sector")));
+  EXPECT_FALSE(wire_.contains(str_to_bytes("finance")));
+  EXPECT_FALSE(wire_.contains(str_to_bytes("default")));
+  EXPECT_FALSE(wire_.contains(str_to_bytes("sector")));
 }
 
 TEST_F(PrivacyTest, PolicyAttributesDoAppearInTheClear) {
@@ -89,8 +79,8 @@ TEST_F(PrivacyTest, PolicyAttributesDoAppearInTheClear) {
   // ("the access policy in CP-ABE encryption is 'in the clear'"). Policies
   // must therefore only use attributes safe to disclose.
   run_flow();
-  EXPECT_TRUE(wire_contains(net_, str_to_bytes("analyst")));
-  EXPECT_TRUE(wire_contains(net_, str_to_bytes("org:us")));
+  EXPECT_TRUE(wire_.contains(str_to_bytes("analyst")));
+  EXPECT_TRUE(wire_.contains(str_to_bytes("org:us")));
 }
 
 TEST_F(PrivacyTest, PbeTsSeesPredicateButNotIdentity) {
@@ -145,7 +135,7 @@ TEST_F(PrivacyTest, NonMatchingSubscriberSeesBroadcastButLearnsNothing) {
   run_flow();
   EXPECT_EQ(other_->metadata_received(), 1u);
   EXPECT_EQ(other_->match_count(), 0u);
-  EXPECT_TRUE(other_->deliveries().empty());
+  EXPECT_EQ(other_->delivery_count(), 0u);
   // And it never contacted the RS.
   for (const auto& obs : system_->anonymizer()->observations()) {
     if (obs.requester == "sub2") {
@@ -158,11 +148,12 @@ TEST_F(PrivacyTest, EavesdropperSeesGuidOnlyAsClearFieldOfStoreFrame) {
   // Footnote 1 of the paper: eavesdroppers may learn the GUID sent in the
   // clear between DS and RS (mitigable by super-encryption under the RS
   // key). Verify the payload itself is still protected even with the GUID.
+  test::DeliveryLog got(*sub_);
   run_flow();
-  ASSERT_EQ(sub_->deliveries().size(), 1u);
-  const Guid guid = sub_->deliveries()[0].guid;
-  EXPECT_TRUE(wire_contains(net_, guid.to_bytes()));       // documented leak
-  EXPECT_FALSE(wire_contains(net_, str_to_bytes(kPayloadMarker)));
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  const Guid guid = got.deliveries()[0].guid;
+  EXPECT_TRUE(wire_.contains(guid.to_bytes()));  // documented leak
+  EXPECT_FALSE(wire_.contains(str_to_bytes(kPayloadMarker)));
 }
 
 TEST_F(PrivacyTest, PublisherLearnsNothingAboutMatching) {
@@ -170,16 +161,16 @@ TEST_F(PrivacyTest, PublisherLearnsNothingAboutMatching) {
   // Frames addressed to the publisher: channel acks only, all of identical
   // shape regardless of whether anything matched.
   std::size_t to_pub = 0;
-  for (const auto& rec : net_.traffic()) {
+  for (const auto& rec : wire_.frames()) {
     if (rec.to == "pub1") ++to_pub;
   }
-  net_.clear_traffic();
+  wire_.clear();
   // Publish an item nobody matches; the publisher-visible traffic pattern
   // is identical (same count of acks per publish: zero — fire and forget).
   pub_->publish({{"sector", "health"}, {"region", "eu"}, {"event", "ipo"}},
                 str_to_bytes("unmatched"), abe::parse_policy("analyst"));
   std::size_t to_pub2 = 0;
-  for (const auto& rec : net_.traffic()) {
+  for (const auto& rec : wire_.frames()) {
     if (rec.to == "pub1") ++to_pub2;
   }
   // In both flows the publisher receives zero feedback frames: it cannot
@@ -192,7 +183,7 @@ TEST_F(PrivacyTest, CollusionOfHbcSubscribersIsUnionOfViews) {
   run_flow();
   // Pool the two subscribers' deliveries: bob (non-matching, and lacking
   // org:us) contributes nothing; alice's view is unchanged by pooling.
-  EXPECT_EQ(sub_->deliveries().size() + other_->deliveries().size(), 1u);
+  EXPECT_EQ(sub_->delivery_count() + other_->delivery_count(), 1u);
 }
 
 TEST_F(PrivacyTest, MetricsSnapshotsLeakNoSensitiveStrings) {
@@ -236,10 +227,11 @@ TEST_F(PrivacyTest, MetricNamesStayInsideClosedVocabulary) {
 
 TEST(PrivacyUnderLoss, DroppedFramesStillReachTheEavesdropper) {
   // Loss happens on the receiver side of the wire: an eavesdropper near the
-  // sender records every frame whether or not it arrives. The traffic log
-  // (our eavesdropper model) must therefore grow at send time, and the
-  // per-link drop counters must account for every loss.
+  // sender records every frame whether or not it arrives. The wire tap
+  // (our eavesdropper model) must therefore see each frame at send time,
+  // and the per-link drop counters must account for every loss.
   net::AsyncNetwork net;
+  test::WireLog wire(net);
   net::FaultPlan plan(42);
   net::LinkFaults faults;
   faults.drop = 0.5;
@@ -260,8 +252,8 @@ TEST(PrivacyUnderLoss, DroppedFramesStillReachTheEavesdropper) {
   net.run_until_idle();
   ASSERT_GT(net.dropped_frames(), 0u);
   EXPECT_EQ(delivered + net.dropped_frames(), 200u);
-  // Every frame — delivered or dropped — was recorded at send time.
-  EXPECT_EQ(net.traffic().size(), 200u);
+  // Every frame — delivered or dropped — was seen at send time.
+  EXPECT_EQ(wire.size(), 200u);
   // Per-link counters partition the total.
   EXPECT_EQ(net.dropped_on("a", "b") + net.dropped_on("b", "a"),
             net.dropped_frames());
@@ -272,9 +264,10 @@ TEST(PrivacyUnderLoss, SenderBlackoutFramesNeverReachTheEavesdropper) {
   // The converse boundary: a blacked-out SENDER is off the network, so its
   // frames are lost before the wire — the eavesdropper must NOT see them.
   // (Receiver-side loss — plan drops, receiver blackouts — happens past
-  // the observation point and stays in the log, as pinned above.) This is
-  // the end-to-end form of the recording-order fix in AsyncNetwork::send.
+  // the observation point and is seen, as pinned above.) This is the
+  // end-to-end form of the observation-order fix in AsyncNetwork::send.
   net::AsyncNetwork net;
+  test::WireLog wire(net);
   TestRng rng(0xb0b);
   P3sConfig config;
   config.pairing = pairing::Pairing::test_pairing();
@@ -290,17 +283,17 @@ TEST(PrivacyUnderLoss, SenderBlackoutFramesNeverReachTheEavesdropper) {
   net::FaultPlan plan(7);
   plan.add_blackout("pub1", net.now(), net.now() + 1e6);
   net.set_fault_plan(std::move(plan));
-  const std::size_t wire_before = net.traffic().size();
+  const std::size_t wire_before = wire.size();
   pub->publish({{"sector", "finance"}, {"region", "us"}, {"event", "ipo"}},
                str_to_bytes("dark-sender-payload"), abe::parse_policy("analyst"));
   net.run_until_idle();
   // The publisher was dark: nothing it sent hit the wire, nobody reacted.
-  EXPECT_EQ(net.traffic().size(), wire_before);
+  EXPECT_EQ(wire.size(), wire_before);
   EXPECT_GT(net.dropped_frames(), 0u);
-  EXPECT_EQ(sub->deliveries().size(), 0u);
-  for (std::size_t i = wire_before; i < net.traffic().size(); ++i) {
-    ADD_FAILURE() << "unexpected frame " << net.traffic()[i].from << " -> "
-                  << net.traffic()[i].to;
+  EXPECT_EQ(sub->delivery_count(), 0u);
+  for (std::size_t i = wire_before; i < wire.size(); ++i) {
+    ADD_FAILURE() << "unexpected frame " << wire.frames()[i].from << " -> "
+                  << wire.frames()[i].to;
   }
 }
 
@@ -308,9 +301,10 @@ TEST(PrivacyUnderLoss, LossyFlowLeaksNothingExtra) {
   // The §6.1 wire assertions hold under loss too: a full flow over a lossy
   // AsyncNetwork (with the reliable layer retrying) still never puts the
   // payload or interest plaintext on the wire — retried frames are fresh
-  // ciphertext, and dropped frames stay in the eavesdropper's log.
+  // ciphertext, and dropped frames were still seen by the eavesdropper.
   constexpr const char* kLossyMarker = "TOP-SECRET-PAYLOAD-0x10e55";
   net::AsyncNetwork net;
+  test::WireLog wire(net);
   TestRng rng(0x10e55);
   P3sConfig config;
   config.pairing = pairing::Pairing::test_pairing();
@@ -330,13 +324,13 @@ TEST(PrivacyUnderLoss, LossyFlowLeaksNothingExtra) {
                                     rng);
   auto pub = system.make_publisher("pub1", "acme", rng);
   sub->subscribe({{"sector", "finance"}, {"event", "default"}});
-  for (int round = 0; round < 300 && sub->deliveries().empty(); ++round) {
+  for (int round = 0; round < 300 && sub->delivery_count() == 0; ++round) {
     net.run_until_idle();
     sub->poll();
     pub->poll();
     if (net.in_flight() == 0) {
       if (pub->connected() && sub->token_count() == 1 &&
-          pub->pending_publish_count() == 0 && sub->deliveries().empty() &&
+          pub->pending_publish_count() == 0 && sub->delivery_count() == 0 &&
           sub->match_count() == 0) {
         // Everything settled and nothing published yet: publish now.
         pub->publish(
@@ -346,24 +340,18 @@ TEST(PrivacyUnderLoss, LossyFlowLeaksNothingExtra) {
       net.advance(97);
     }
   }
-  ASSERT_EQ(sub->deliveries().size(), 1u);
+  ASSERT_EQ(sub->delivery_count(), 1u);
   EXPECT_GT(net.dropped_frames(), 0u);
-  EXPECT_FALSE(wire_contains(net, str_to_bytes(kLossyMarker)));
-  EXPECT_FALSE(wire_contains(net, str_to_bytes("finance")));
-  EXPECT_FALSE(wire_contains(net, str_to_bytes("sector")));
+  EXPECT_FALSE(wire.contains(str_to_bytes(kLossyMarker)));
+  EXPECT_FALSE(wire.contains(str_to_bytes("finance")));
+  EXPECT_FALSE(wire.contains(str_to_bytes("sector")));
 }
 
 TEST_F(PrivacyTest, MetadataBroadcastIsIdenticalForAllSubscribers) {
   // Every subscriber receives the same-size encrypted metadata whether or
   // not they match: reception patterns do not leak interest.
   run_flow();
-  std::size_t sub1_meta = 0, sub2_meta = 0;
-  for (const auto& rec : net_.traffic()) {
-    if (rec.from != "ds") continue;
-    if (rec.to == "sub1") ++sub1_meta;
-    if (rec.to == "sub2") ++sub2_meta;
-  }
-  EXPECT_EQ(sub1_meta, sub2_meta);
+  EXPECT_EQ(wire_.count("ds", "sub1"), wire_.count("ds", "sub2"));
 }
 
 }  // namespace

@@ -233,7 +233,7 @@ TEST(ScaleSweep, TwentySubscribersMatchOracle) {
     }
   }
   for (std::size_t i = 0; i < n_subs; ++i) {
-    EXPECT_EQ(subs[i]->deliveries().size(), expected[i]) << "subscriber " << i;
+    EXPECT_EQ(subs[i]->delivery_count(), expected[i]) << "subscriber " << i;
     EXPECT_EQ(subs[i]->metadata_received(), 6u) << "subscriber " << i;
   }
 }

@@ -8,6 +8,7 @@
 #include "net/network.hpp"
 #include "p3s/messages.hpp"
 #include "p3s/system.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::core {
 namespace {
@@ -26,13 +27,14 @@ class RobustnessTest : public ::testing::Test {
   }
 
   void expect_system_still_works() {
-    const std::size_t before = sub_->deliveries().size();
+    const std::size_t before = sub_->delivery_count();
     pub_->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("alive"),
                   abe::parse_policy("m"));
-    EXPECT_EQ(sub_->deliveries().size(), before + 1);
+    EXPECT_EQ(sub_->delivery_count(), before + 1);
   }
 
   net::DirectNetwork net_;
+  test::WireLog wire_{net_};
   TestRng rng_{0x0b0b};
   std::unique_ptr<P3sSystem> system_;
   std::unique_ptr<Subscriber> sub_;
@@ -101,8 +103,8 @@ TEST_F(RobustnessTest, TokenServerRejectsReplayedRequestBlobGracefully) {
   // layer — the response is useless to the attacker without Ks), and the
   // system stays healthy.
   Bytes captured;
-  for (const auto& rec : net_.traffic()) {
-    if (rec.to == "pbe-ts") captured = rec.frame;
+  for (const auto& rec : wire_.frames()) {
+    if (rec.to == "pbe-ts") captured = rec.bytes;
   }
   ASSERT_FALSE(captured.empty());
   EXPECT_NO_THROW(net_.send("attacker", "pbe-ts", captured));

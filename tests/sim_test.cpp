@@ -2,6 +2,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/simnet.hpp"
+#include "wire_log.hpp"
 
 namespace p3s::sim {
 namespace {
@@ -122,73 +123,10 @@ TEST(SimNetwork, FramesToDeadHostsAreLost) {
   SimEngine eng;
   SimNetwork net(eng);
   net.register_endpoint("a", [](const std::string&, BytesView) {});
+  test::WireLog wire(net);
   EXPECT_NO_THROW(net.send("a", "dead", Bytes(10)));
   EXPECT_NO_THROW(eng.run());
-  EXPECT_EQ(net.traffic().size(), 1u);  // eavesdropper still saw it
-}
-
-TEST(SimNetwork, FaultPlanMirrorsAsyncSemantics) {
-  // The same seeded FaultPlan API drives the discrete-event network: drops
-  // and duplicates by probability, blackouts by sim time, extra delay added
-  // to the computed arrival. (Reorder probabilities are ignored — delay
-  // variance is what reorders a discrete-event schedule.)
-  SimEngine eng;
-  SimNetwork net(eng, {0.001, 10e6});
-  net::FaultPlan plan(11);
-  net::LinkFaults lossy;
-  lossy.drop = 1.0;
-  plan.set_link("a", "b", lossy);
-  net.set_fault_plan(std::move(plan));
-  int got_b = 0, got_a = 0;
-  net.register_endpoint("a", [&](const std::string&, BytesView) { ++got_a; });
-  net.register_endpoint("b", [&](const std::string&, BytesView) { ++got_b; });
-  net.send("a", "b", Bytes(100));
-  net.send("b", "a", Bytes(100));
-  eng.run();
-  EXPECT_EQ(got_b, 0);
-  EXPECT_EQ(got_a, 1);
-  EXPECT_EQ(net.dropped_frames(), 1u);
-  EXPECT_EQ(net.dropped_on("a", "b"), 1u);
-  EXPECT_EQ(net.dropped_on("b", "a"), 0u);
-  EXPECT_EQ(net.traffic().size(), 2u);  // dropped frame still on the log
-}
-
-TEST(SimNetwork, FaultPlanDuplicateAndDelay) {
-  SimEngine eng;
-  SimNetwork net(eng, {0.0, 8e6});
-  net::FaultPlan plan(12);
-  net::LinkFaults f;
-  f.duplicate = 1.0;
-  f.delay_max = 0.5;
-  plan.set_default(f);
-  net.set_fault_plan(std::move(plan));
-  std::vector<double> arrivals;
-  net.register_endpoint("b", [&](const std::string&, BytesView) {
-    arrivals.push_back(eng.now());
-  });
-  net.register_endpoint("a", [](const std::string&, BytesView) {});
-  net.send("a", "b", Bytes(10));
-  eng.run();
-  ASSERT_EQ(arrivals.size(), 2u);  // original + duplicate
-  EXPECT_EQ(net.traffic().size(), 2u);
-  // Extra delay only ever pushes arrivals later than the fault-free time.
-  for (const double t : arrivals) EXPECT_GE(t, 10 * 8.0 / 8e6);
-}
-
-TEST(SimNetwork, FaultPlanBlackoutBySimTime) {
-  SimEngine eng;
-  SimNetwork net(eng, {0.0, 8e6});
-  net::FaultPlan plan(13);
-  plan.add_blackout("b", 0.0, 1.0);
-  net.set_fault_plan(std::move(plan));
-  int got = 0;
-  net.register_endpoint("b", [&](const std::string&, BytesView) { ++got; });
-  net.register_endpoint("a", [](const std::string&, BytesView) {});
-  eng.at(0.5, [&] { net.send("a", "b", Bytes(10)); });  // inside: lost
-  eng.at(2.0, [&] { net.send("a", "b", Bytes(10)); });  // after: delivered
-  eng.run();
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(net.dropped_frames(), 1u);
+  EXPECT_EQ(wire.size(), 1u);  // eavesdropper still saw it
 }
 
 TEST(SimNetwork, TrafficLogTimestamps) {
@@ -196,10 +134,25 @@ TEST(SimNetwork, TrafficLogTimestamps) {
   SimNetwork net(eng, {0.0, 8e6});
   net.register_endpoint("b", [](const std::string&, BytesView) {});
   net.register_endpoint("a", [](const std::string&, BytesView) {});
+  test::WireLog wire(net);
   eng.at(1.5, [&] { net.send("a", "b", Bytes(10)); });
   eng.run();
-  ASSERT_EQ(net.traffic().size(), 1u);
-  EXPECT_DOUBLE_EQ(net.traffic()[0].time, 1.5);
+  ASSERT_EQ(wire.size(), 1u);
+  EXPECT_DOUBLE_EQ(wire.frames()[0].time, 1.5);
+}
+
+TEST(SimNetwork, TapSeesModeledWireSize) {
+  // send_sized charges the NIC for `wire_size` bytes; the eavesdropper sees
+  // that size, next to the (smaller) frame actually carried.
+  SimEngine eng;
+  SimNetwork net(eng, {0.0, 8e6});
+  net.register_endpoint("b", [](const std::string&, BytesView) {});
+  test::WireLog wire(net);
+  net.send_sized("a", "b", Bytes(10), 1'000'000);
+  eng.run();
+  ASSERT_EQ(wire.size(), 1u);
+  EXPECT_EQ(wire.frames()[0].size, 1'000'000u);
+  EXPECT_EQ(wire.frames()[0].bytes.size(), 10u);
 }
 
 }  // namespace

@@ -405,11 +405,13 @@ BigInt BigInt::from_hex(std::string_view s) {
 }
 
 BigInt BigInt::from_bytes(BytesView data) {
-  BigInt r;
-  for (std::uint8_t b : data) {
-    r = (r << 8) + BigInt{static_cast<std::uint64_t>(b)};
+  // Byte i from the end lands in limb i/8 at bit 8·(i%8).
+  const std::size_t n = data.size();
+  Limbs limbs((n + 7) / 8, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    limbs[i / 8] |= static_cast<u64>(data[n - 1 - i]) << (8 * (i % 8));
   }
-  return r;
+  return from_limbs(std::move(limbs), /*negative=*/false);
 }
 
 std::string BigInt::to_dec() const {

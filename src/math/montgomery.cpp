@@ -2,6 +2,7 @@
 
 #include <array>
 #include <stdexcept>
+#include <type_traits>
 
 #include "math/modular.hpp"
 
@@ -75,97 +76,134 @@ std::vector<u64> Montgomery::mont_mul_limbs(const std::vector<u64>& a,
 }
 
 namespace {
-// True iff a >= b over k limbs (little-endian).
-bool ge_limbs(const u64* a, const u64* b, std::size_t k) {
-  for (std::size_t i = k; i-- > 0;) {
+// The fixed-limb kernels, one instance per limb count K. Every loop has a
+// compile-time trip count; `#pragma GCC unroll` unrolls the carry chains
+// fully at -O2 too, so t[] lives in registers. The algorithms are exactly
+// those of mont_mul_limbs and the BigInt mod_add/mod_sub, so results are
+// bit-identical.
+
+// True iff a >= b (little-endian).
+template <std::size_t K>
+bool ge_k(const u64* a, const u64* b) {
+  for (std::size_t i = K; i-- > 0;) {
     if (a[i] != b[i]) return a[i] > b[i];
   }
   return true;
 }
 
-// out = a - b over k limbs; returns the final borrow.
-u64 sub_borrow(const u64* a, const u64* b, u64* out, std::size_t k) {
+// out = a + b; returns the final carry.
+template <std::size_t K>
+u64 add_carry_k(const u64* a, const u64* b, u64* out) {
+  u64 carry = 0;
+  #pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) {
+    const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
+    out[i] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
+  }
+  return carry;
+}
+
+// out = a - b; returns the final borrow.
+template <std::size_t K>
+u64 sub_borrow_k(const u64* a, const u64* b, u64* out) {
   u64 borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u64 bi = b[i] + borrow;
-    const u64 wrapped = (borrow != 0 && bi == 0) ? 1 : 0;  // b[i]+borrow overflowed
-    const u64 r = a[i] - bi;
-    borrow = wrapped | (r > a[i] ? 1 : 0);
-    out[i] = r;
+  #pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) {
+    const u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
+    out[i] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 64) & 1;
   }
   return borrow;
 }
-}  // namespace
 
-void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
-  // CIOS as in mont_mul_limbs, but on fixed stack buffers: zero heap
-  // traffic, which dominates at pairing sizes (3–8 limbs).
-  const std::size_t k = n_limbs_.size();
-  u64 t[kMaxFixedLimbs + 2] = {0};
-  for (std::size_t i = 0; i < k; ++i) {
+template <std::size_t K>
+void mul_k(const u64* a, const u64* b, const u64* n, u64 n0_inv, u64* out) {
+  u64 t[K + 2] = {};
+  #pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) {
     const u128 ai = a[i];
     u64 carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
+    #pragma GCC unroll 8
+    for (std::size_t j = 0; j < K; ++j) {
       const u128 cur = static_cast<u128>(t[j]) + ai * b[j] + carry;
       t[j] = static_cast<u64>(cur);
       carry = static_cast<u64>(cur >> 64);
     }
-    u128 cur = static_cast<u128>(t[k]) + carry;
-    t[k] = static_cast<u64>(cur);
-    t[k + 1] = static_cast<u64>(cur >> 64);
+    u128 cur = static_cast<u128>(t[K]) + carry;
+    t[K] = static_cast<u64>(cur);
+    t[K + 1] = static_cast<u64>(cur >> 64);
 
-    const u64 m = t[0] * n0_inv_;
-    u128 acc = static_cast<u128>(t[0]) + static_cast<u128>(m) * n_limbs_[0];
+    const u64 m = t[0] * n0_inv;
+    u128 acc = static_cast<u128>(t[0]) + static_cast<u128>(m) * n[0];
     carry = static_cast<u64>(acc >> 64);
-    for (std::size_t j = 1; j < k; ++j) {
-      acc = static_cast<u128>(t[j]) + static_cast<u128>(m) * n_limbs_[j] + carry;
+    #pragma GCC unroll 8
+    for (std::size_t j = 1; j < K; ++j) {
+      acc = static_cast<u128>(t[j]) + static_cast<u128>(m) * n[j] + carry;
       t[j - 1] = static_cast<u64>(acc);
       carry = static_cast<u64>(acc >> 64);
     }
-    acc = static_cast<u128>(t[k]) + carry;
-    t[k - 1] = static_cast<u64>(acc);
-    t[k] = t[k + 1] + static_cast<u64>(acc >> 64);
-    t[k + 1] = 0;
+    acc = static_cast<u128>(t[K]) + carry;
+    t[K - 1] = static_cast<u64>(acc);
+    t[K] = t[K + 1] + static_cast<u64>(acc >> 64);
   }
-  // Result < 2n with a possible carry limb in t[k]; one conditional
+  // Result < 2n with a possible carry limb in t[K]; one conditional
   // subtraction normalizes into [0, n).
-  if (t[k] != 0 || ge_limbs(t, n_limbs_.data(), k)) {
-    sub_borrow(t, n_limbs_.data(), t, k);
+  if (t[K] != 0 || ge_k<K>(t, n)) sub_borrow_k<K>(t, n, t);
+  #pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) out[i] = t[i];
+}
+
+template <std::size_t K>
+void add_k(const u64* a, const u64* b, const u64* n, u64* out) {
+  u64 t[K];
+  if (add_carry_k<K>(a, b, t) != 0 || ge_k<K>(t, n)) sub_borrow_k<K>(t, n, t);
+  #pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) out[i] = t[i];
+}
+
+template <std::size_t K>
+void sub_k(const u64* a, const u64* b, const u64* n, u64* out) {
+  u64 t[K];
+  if (sub_borrow_k<K>(a, b, t) != 0) add_carry_k<K>(t, n, t);
+  #pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) out[i] = t[i];
+}
+
+// Calls f(std::integral_constant<std::size_t, K>) for the runtime limb
+// count k: the one switch that picks a kernel instance.
+template <class F>
+void with_limb_count(std::size_t k, F&& f) {
+  switch (k) {
+    case 1: return f(std::integral_constant<std::size_t, 1>{});
+    case 2: return f(std::integral_constant<std::size_t, 2>{});
+    case 3: return f(std::integral_constant<std::size_t, 3>{});
+    case 4: return f(std::integral_constant<std::size_t, 4>{});
+    case 5: return f(std::integral_constant<std::size_t, 5>{});
+    case 6: return f(std::integral_constant<std::size_t, 6>{});
+    case 7: return f(std::integral_constant<std::size_t, 7>{});
+    case 8: return f(std::integral_constant<std::size_t, 8>{});
+    default:
+      throw std::logic_error("Montgomery: modulus too wide for fixed limbs");
   }
-  for (std::size_t i = 0; i < k; ++i) out[i] = t[i];
+}
+static_assert(Montgomery::kMaxFixedLimbs == 8, "with_limb_count covers 1..8");
+}  // namespace
+
+void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
+  with_limb_count(n_limbs_.size(), [&](auto k) {
+    mul_k<k>(a, b, n_limbs_.data(), n0_inv_, out);
+  });
 }
 
 void Montgomery::add_limbs(const u64* a, const u64* b, u64* out) const {
-  const std::size_t k = n_limbs_.size();
-  u64 t[kMaxFixedLimbs];
-  u64 carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u64 s1 = a[i] + b[i];
-    const u64 c1 = s1 < a[i] ? 1 : 0;
-    const u64 s2 = s1 + carry;
-    carry = c1 | (s2 < s1 ? 1 : 0);
-    t[i] = s2;
-  }
-  if (carry != 0 || ge_limbs(t, n_limbs_.data(), k)) {
-    sub_borrow(t, n_limbs_.data(), t, k);
-  }
-  for (std::size_t i = 0; i < k; ++i) out[i] = t[i];
+  with_limb_count(n_limbs_.size(),
+                  [&](auto k) { add_k<k>(a, b, n_limbs_.data(), out); });
 }
 
 void Montgomery::sub_limbs(const u64* a, const u64* b, u64* out) const {
-  const std::size_t k = n_limbs_.size();
-  u64 t[kMaxFixedLimbs];
-  if (sub_borrow(a, b, t, k) != 0) {
-    u64 carry = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const u64 s1 = t[i] + n_limbs_[i];
-      const u64 c1 = s1 < t[i] ? 1 : 0;
-      const u64 s2 = s1 + carry;
-      carry = c1 | (s2 < s1 ? 1 : 0);
-      t[i] = s2;
-    }
-  }
-  for (std::size_t i = 0; i < k; ++i) out[i] = t[i];
+  with_limb_count(n_limbs_.size(),
+                  [&](auto k) { sub_k<k>(a, b, n_limbs_.data(), out); });
 }
 
 BigInt Montgomery::mul(const BigInt& a_mont, const BigInt& b_mont) const {

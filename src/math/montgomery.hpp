@@ -1,7 +1,8 @@
 // Montgomery-form modular arithmetic for a fixed odd modulus (CIOS
-// multiplication). Used to accelerate modular exponentiation — the dominant
-// cost of Miller–Rabin during pairing-parameter generation and of the
-// pairing's final exponentiation path.
+// multiplication), in two forms: a BigInt API for any width (modular
+// exponentiation, Miller–Rabin, domain conversion) and the fixed-limb API
+// the whole pairing stack runs on (field elements, Miller loop, final
+// exponentiation, scalar multiplication), with one kernel per limb count.
 //
 // R = 2^(64·k) where k is the modulus limb count. Values in "Montgomery
 // form" are a·R mod n; mul() computes a·b·R⁻¹ mod n.
@@ -41,7 +42,11 @@ class Montgomery {
   // --- Fixed-width limb API (pairing hot path) -----------------------------
   // Operates on raw little-endian limb buffers of exactly limb_count()
   // words, all values in [0, n) and (for mul) in Montgomery form. No heap
-  // allocation; outputs may alias inputs. Only valid when fits_fixed().
+  // allocation; outputs may alias inputs. Only valid when fits_fixed();
+  // std::logic_error otherwise. Each call switches once on limb_count() to
+  // a kernel instance compiled for that many limbs (1..kMaxFixedLimbs), so
+  // the CIOS and carry loops run fully unrolled; results equal the BigInt
+  // mul()/mod_add/mod_sub bit for bit.
 
   std::size_t limb_count() const { return n_limbs_.size(); }
   bool fits_fixed() const { return n_limbs_.size() <= kMaxFixedLimbs; }

@@ -53,9 +53,10 @@ std::vector<std::int8_t> wnaf4(const BigInt& k);
 /// Jacobian addition per nonzero window — no doublings — which is ~5–8x
 /// fewer field operations than generic double-and-add for the bases the
 /// system reuses on every operation (the group generator, HVE/CP-ABE
-/// public-key components). Memory: windows·(2^w − 1) points, i.e. ~4.7 KB
-/// per 80-bit-scalar base and ~19 KB per 160-bit-scalar base at w = 4
-/// (see DESIGN.md).
+/// public-key components). Memory: windows·(2^w − 1) affine points of two
+/// 64-byte fqm::Fe each, i.e. 38,400 B per 80-bit-scalar base (test group)
+/// and 76,800 B per 160-bit-scalar base (paper group) at w = 4 (see
+/// DESIGN.md §7).
 ///
 /// The table borrows `mq`; it must outlive the table (the owning Pairing
 /// guarantees this for its own tables).

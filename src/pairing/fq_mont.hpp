@@ -1,11 +1,14 @@
 // Fixed-width Montgomery-domain elements of F_q and F_q² — the
 // representation the pairing fast path runs on. A value is a flat array of
-// math::Montgomery::kMaxFixedLimbs 64-bit limbs (only the context's
-// limb_count() low limbs are significant), so the Miller loop, wNAF scalar
-// multiplication, and GT exponentiation perform zero heap allocations;
-// BigInt appears only at the boundaries. Callers must check
-// Montgomery::fits_fixed() and fall back to the BigInt reference paths for
-// oversized moduli.
+// math::Montgomery::kMaxFixedLimbs 64-bit limbs; only the context's
+// limb_count() low limbs are significant (3 in the test group, 8 in the
+// paper group) and the rest stay zero. Every operation below ends in
+// Montgomery::mul_limbs/add_limbs/sub_limbs, which pick a kernel compiled
+// for the context's limb count, so the Miller loop, wNAF and fixed-base
+// scalar multiplication, and GT exponentiation run unrolled limb loops
+// with zero heap allocations; BigInt appears only at the boundaries.
+// Callers must check Montgomery::fits_fixed() and fall back to the BigInt
+// reference paths for oversized moduli.
 #pragma once
 
 #include <array>

@@ -1,5 +1,6 @@
 #include "pairing/pairing.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 
@@ -93,6 +94,9 @@ Pairing::Pairing(Params params)
   }
   final_exp_ = (params_.q * params_.q - BigInt{1}) / params_.r;
   q_bytes_ = (params_.q.bit_length() + 7) / 8;
+  if (montq_.fits_fixed()) {
+    mont_r2_ = fqm::fe_pack(montq_.to_mont(montq_.to_mont(BigInt{1})));
+  }
 
   // Same spellings as src/obs/catalog.hpp (metric-vocab lint enforces it);
   // duplicated here because the hermetic pairing layer cannot include obs.
@@ -262,11 +266,38 @@ Point Pairing::deserialize_g1(BytesView data) const {
   const Bytes xb = r.raw(q_bytes_);
   const Bytes yb = r.raw(q_bytes_);
   r.expect_done();
-  if (flag == 0) return Point::at_infinity();
-  Point p{BigInt::from_bytes(xb), BigInt::from_bytes(yb), false};
-  if (p.x >= params_.q || p.y >= params_.q || !on_curve(p, params_.q)) {
-    throw std::invalid_argument("deserialize_g1: point not on curve");
+  // Exactly the two encodings serialize_g1 writes: 00‖zeros and 01‖x‖y.
+  if (flag == 0) {
+    if (std::any_of(data.begin() + 1, data.end(),
+                    [](std::uint8_t b) { return b != 0; })) {
+      throw std::invalid_argument("deserialize_g1: nonzero identity encoding");
+    }
+    return Point::at_infinity();
   }
+  if (flag != 1) throw std::invalid_argument("deserialize_g1: bad flag");
+  Point p{BigInt::from_bytes(xb), BigInt::from_bytes(yb), false};
+  if (p.x >= params_.q || p.y >= params_.q) {
+    throw std::invalid_argument("deserialize_g1: coordinate not below q");
+  }
+  bool on = false;
+  if (montq_.fits_fixed()) {
+    // y² = x³ + x on plain-form limbs. Each CIOS product carries one R⁻¹,
+    // and x·(x·R²·R⁻¹)·R⁻¹ = x² is plain again, so the test reads
+    // y·y·R⁻¹ == x·(x² + 1)·R⁻¹.
+    const fqm::Fe x = fqm::fe_pack(p.x);
+    const fqm::Fe y = fqm::fe_pack(p.y);
+    fqm::Fe one, t, lhs, rhs;
+    one.w[0] = 1;
+    fqm::fe_mul(montq_, x, mont_r2_, t);
+    fqm::fe_mul(montq_, x, t, t);
+    fqm::fe_add(montq_, t, one, t);
+    fqm::fe_mul(montq_, x, t, rhs);
+    fqm::fe_sqr(montq_, y, lhs);
+    on = lhs.w == rhs.w;
+  } else {
+    on = on_curve(p, params_.q);
+  }
+  if (!on) throw std::invalid_argument("deserialize_g1: point not on curve");
   return p;
 }
 

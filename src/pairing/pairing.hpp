@@ -175,6 +175,7 @@ class Pairing {
   BigInt final_exp_;  // (q² − 1) / r
   std::size_t q_bytes_;
   math::Montgomery montq_;  // Montgomery context for F_q (pairing hot path)
+  fqm::Fe mont_r2_;         // R² mod q: fe_mul by it enters Montgomery form
   Fq2 e_gg_;
   // Fixed-base tables for the bases every operation reuses: the group
   // generator (mul/random_g1/hash-derived keys) and e(g,g) (gt_pow/

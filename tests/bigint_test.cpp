@@ -221,6 +221,24 @@ TEST(BigInt, BytesRoundTrip) {
   // Padding.
   EXPECT_EQ(BigInt{1}.to_bytes(4), (Bytes{0, 0, 0, 1}));
   EXPECT_THROW(BigInt{-1}.to_bytes(), std::domain_error);
+  // Empty input and leading zero bytes.
+  EXPECT_TRUE(BigInt::from_bytes({}).is_zero());
+  EXPECT_TRUE(BigInt::from_bytes(Bytes{0, 0, 0}).is_zero());
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0, 0, 0x12, 0x34}), BigInt{0x1234});
+  // Lengths around the 8-byte limb boundary, checked against hex parsing;
+  // a zero-padded copy decodes to the same value.
+  for (const std::size_t len : {1u, 7u, 8u, 9u, 16u, 17u}) {
+    Bytes b = rng.bytes(len);
+    b[0] |= 0x80;
+    const BigInt v = BigInt::from_bytes(b);
+    EXPECT_EQ(v, BigInt::from_hex(to_hex(b))) << len;
+    EXPECT_EQ(v.bit_length(), 8 * len) << len;
+    EXPECT_EQ(v.to_bytes(), b) << len;
+    Bytes padded(3, 0);
+    padded.insert(padded.end(), b.begin(), b.end());
+    EXPECT_EQ(BigInt::from_bytes(padded), v) << len;
+    EXPECT_EQ(v.to_bytes(len + 3), padded) << len;
+  }
 }
 
 TEST(BigInt, ToU64) {

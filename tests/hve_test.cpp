@@ -30,6 +30,50 @@ class HveTest : public ::testing::Test {
 TestRng* HveTest::rng_ = nullptr;
 HveKeys* HveTest::keys_ = nullptr;
 
+// Known answers for one hve_query hit and one miss under a fixed seed, in
+// both shipped groups, captured before the field kernels were templated on
+// the limb count. The miss value is C0 times a 6-term pairing product that
+// does not cancel, so every bit of it depends on the field arithmetic.
+void check_query_kat(const pairing::PairingPtr& pp, const char* hit,
+                     const char* miss) {
+  TestRng rng(0x68766b);
+  const HveKeys keys = hve_setup(pp, 4, rng);
+  const Fq2 msg = pp->random_gt(rng);
+  const HveCiphertext ct = hve_encrypt(keys.pk, {1, 0, 1, 1}, msg, rng);
+  const HveToken tok_hit = hve_gen_token(keys, {1, kWildcard, 1, 1}, rng);
+  const HveToken tok_miss = hve_gen_token(keys, {1, 1, kWildcard, 0}, rng);
+  const Fq2 got_hit = hve_query(*pp, tok_hit, ct);
+  EXPECT_EQ(got_hit, msg);
+  EXPECT_EQ(to_hex(pp->serialize_gt(got_hit)), hit);
+  EXPECT_EQ(to_hex(pp->serialize_gt(hve_query(*pp, tok_miss, ct))), miss);
+}
+
+TEST(HveKnownAnswer, TestGroup) {
+  check_query_kat(pairing::Pairing::test_pairing(),
+                  // hit
+                  "0d1f20e0d231239f8d6be2eb73b5a0a5459503373542a632ad018ee3"
+                  "bcbe79daf97b375afae36bcf",
+                  // miss
+                  "452cb1691c8bf84be63750c9a5630c462028827183a5f123b710a47d"
+                  "46307c65ad1437c583b7fa07");
+}
+
+TEST(HveKnownAnswer, PaperGroup) {
+  check_query_kat(pairing::Pairing::paper_pairing(),
+                  // hit
+                  "98cad631aace04cb6c8bfaaa6d7e21ba9f4e49aea7582552e1305b07"
+                  "ab7067676f503e33d7f95f3082654349a96715190c56373e792dd861"
+                  "52cc5103927bcd621be436bf22a19179b8148ccedb144a32e09277ef"
+                  "5cfdceed26fa34b19191c1cc4868586152ed06c953174a0cbc5c9fcc"
+                  "4756ea02d555178582c2a9b0a5c5fa02",
+                  // miss
+                  "4b9db3613551b2b29dd21ddd5d97c394787453d40a5128567631b03e"
+                  "6850ffbe9f422ddae52b2efa7179e9df229313dbf2adfb117fe750d6"
+                  "c0075ce7e67cf3132a8f84965a4607108d9bc8378efed8bd668dbf6e"
+                  "53c47578775d5a3db41fcc7d48be6515137f2ccc6d15a0ba77bfd100"
+                  "8244bed4d54bce8922ba0dc5790332fb");
+}
+
 TEST_F(HveTest, ExactMatchDecrypts) {
   const BitVector x = {1, 0, 1, 1, 0, 0, 1, 0};
   const Pattern w = {1, 0, 1, 1, 0, 0, 1, 0};

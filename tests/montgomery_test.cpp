@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "math/modular.hpp"
@@ -117,13 +121,28 @@ TEST(Montgomery, FermatViaMontgomery) {
   }
 }
 
+// Every fixed-limb kernel instance (one per limb count) against the BigInt
+// reference ops: for each limb count 1–8 a prime whose top limb has spare
+// bits and one with the top bit set (only those make a + b carry out of
+// the top limb), the moduli of TopBitSetModuliCarryLimb, the largest
+// operands n−1, and calls whose output aliases an input.
 TEST(Montgomery, FixedLimbApiMatchesBigIntOps) {
   TestRng rng(70);
-  for (const std::size_t bits : {128u, 256u, 512u}) {
-    const BigInt n = random_prime(rng, bits);
+  std::vector<BigInt> moduli;
+  for (std::size_t limbs = 1; limbs <= Montgomery::kMaxFixedLimbs; ++limbs) {
+    moduli.push_back(random_prime(rng, 64 * limbs - 4));
+    moduli.push_back(random_prime(rng, 64 * limbs));
+  }
+  for (const char* hex : {"ffffffffffffffc5", "e3779b97f4a7c15f",
+                          "ffffffffffffffffffffffffffffff61",
+                          "ffffffffffffffffffffffffffffffffffffffffffffff13"}) {
+    moduli.push_back(BigInt::from_hex(hex));
+  }
+  for (const BigInt& n : moduli) {
     const Montgomery mont(n);
     ASSERT_TRUE(mont.fits_fixed());
     const std::size_t k = mont.limb_count();
+    const std::string tag = n.to_hex();
     const auto pack = [&](const BigInt& v) {
       std::vector<std::uint64_t> out(k, 0);
       const auto& limbs = v.limbs();
@@ -133,21 +152,36 @@ TEST(Montgomery, FixedLimbApiMatchesBigIntOps) {
     const auto unpack = [](std::vector<std::uint64_t> limbs) {
       return BigInt::from_limbs_le(std::move(limbs));
     };
+    const BigInt nm1 = n - BigInt{1};
+    std::vector<std::pair<BigInt, BigInt>> operands{
+        {nm1, nm1}, {nm1, BigInt{1}}, {BigInt{}, nm1}, {BigInt{1}, nm1}};
     for (int i = 0; i < 20; ++i) {
-      const BigInt a = BigInt::random_below(rng, n);
-      const BigInt b = BigInt::random_below(rng, n);
+      operands.emplace_back(BigInt::random_below(rng, n),
+                            BigInt::random_below(rng, n));
+    }
+    for (const auto& [a, b] : operands) {
       std::vector<std::uint64_t> out(k, 0);
       const auto am = pack(mont.to_mont(a));
       const auto bm = pack(mont.to_mont(b));
       mont.mul_limbs(am.data(), bm.data(), out.data());
-      EXPECT_EQ(mont.from_mont(unpack(out)), mod_mul(a, b, n)) << bits;
+      EXPECT_EQ(mont.from_mont(unpack(out)), mod_mul(a, b, n)) << tag;
       // add/sub are domain-agnostic: plain-form inputs check them directly.
       const auto ap = pack(a);
       const auto bp = pack(b);
       mont.add_limbs(ap.data(), bp.data(), out.data());
-      EXPECT_EQ(unpack(out), mod_add(a, b, n)) << bits;
+      EXPECT_EQ(unpack(out), mod_add(a, b, n)) << tag;
       mont.sub_limbs(ap.data(), bp.data(), out.data());
-      EXPECT_EQ(unpack(out), mod_sub(a, b, n)) << bits;
+      EXPECT_EQ(unpack(out), mod_sub(a, b, n)) << tag;
+      // Aliased: out is the first input.
+      auto buf = am;
+      mont.mul_limbs(buf.data(), bm.data(), buf.data());
+      EXPECT_EQ(mont.from_mont(unpack(buf)), mod_mul(a, b, n)) << tag;
+      buf = ap;
+      mont.add_limbs(buf.data(), bp.data(), buf.data());
+      EXPECT_EQ(unpack(buf), mod_add(a, b, n)) << tag;
+      buf = ap;
+      mont.sub_limbs(buf.data(), bp.data(), buf.data());
+      EXPECT_EQ(unpack(buf), mod_sub(a, b, n)) << tag;
     }
   }
 }
@@ -169,6 +203,13 @@ TEST(Montgomery, WideModulusDoesNotFitFixed) {
   TestRng rng(72);
   const Montgomery mont(random_prime(rng, 576));
   EXPECT_FALSE(mont.fits_fixed());
+  std::vector<std::uint64_t> buf(mont.limb_count(), 1);
+  EXPECT_THROW(mont.mul_limbs(buf.data(), buf.data(), buf.data()),
+               std::logic_error);
+  EXPECT_THROW(mont.add_limbs(buf.data(), buf.data(), buf.data()),
+               std::logic_error);
+  EXPECT_THROW(mont.sub_limbs(buf.data(), buf.data(), buf.data()),
+               std::logic_error);
 }
 
 TEST(Montgomery, ModPowFastPathAgreesWithItself) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.hpp"
 #include "math/modular.hpp"
 #include "pairing/curve.hpp"
@@ -208,9 +210,46 @@ TEST_F(PairingTest, G1SerializationRoundTrip) {
 }
 
 TEST_F(PairingTest, G1DeserializationValidatesCurve) {
-  Bytes ser = pp_->serialize_g1(pp_->generator());
-  ser[5] ^= 1;  // corrupt x
-  EXPECT_THROW(pp_->deserialize_g1(ser), std::invalid_argument);
+  for (const PairingPtr& pp :
+       {Pairing::test_pairing(), Pairing::paper_pairing()}) {
+    const std::size_t qb = (pp->q().bit_length() + 7) / 8;
+    const Point& g = pp->generator();
+    const auto encode = [&](std::uint8_t flag, const BigInt& x,
+                            const BigInt& y) {
+      Bytes out{flag};
+      const Bytes xb = x.to_bytes(qb);
+      const Bytes yb = y.to_bytes(qb);
+      out.insert(out.end(), xb.begin(), xb.end());
+      out.insert(out.end(), yb.begin(), yb.end());
+      return out;
+    };
+    const auto rejects = [&](const Bytes& ser) {
+      EXPECT_THROW(pp->deserialize_g1(ser), std::invalid_argument)
+          << to_hex(ser);
+    };
+    Bytes ser = pp->serialize_g1(g);
+    ser[5] ^= 1;  // corrupt x
+    rejects(ser);
+    // One encoding per point: only flags 0 and 1, and 0 only with zeros.
+    rejects(encode(2, g.x, g.y));
+    rejects(encode(0xff, g.x, g.y));
+    Bytes inf = pp->serialize_g1(Point::at_infinity());
+    inf[1 + qb + 3] = 1;
+    rejects(inf);
+    // Coordinates must be below q, even where x = q would reduce to a
+    // curve point.
+    rejects(encode(1, pp->q(), g.y));
+    rejects(encode(1, g.x, pp->q()));
+    // In range but off the curve.
+    rejects(encode(1, g.x, mod(g.y + BigInt{1}, pp->q())));
+    rejects(encode(1, BigInt{1}, BigInt{1}));
+    // (0, 0) is the curve's 2-torsion point and stays accepted.
+    const Point zero = pp->deserialize_g1(encode(1, BigInt{}, BigInt{}));
+    EXPECT_FALSE(zero.infinity);
+    EXPECT_TRUE(zero.x.is_zero() && zero.y.is_zero());
+    EXPECT_EQ(pp->deserialize_g1(encode(1, g.x, g.y)), g);
+    EXPECT_TRUE(pp->deserialize_g1(encode(0, BigInt{}, BigInt{})).infinity);
+  }
 }
 
 TEST_F(PairingTest, GtSerializationRoundTrip) {
@@ -294,10 +333,15 @@ TEST_F(PairingTest, EciesCiphertextsAreRandomized) {
 // --- Fast path vs reference pins ---------------------------------------------
 
 TEST_F(PairingTest, FastPairMatchesReference) {
-  for (int i = 0; i < 5; ++i) {
-    const Point a = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
-    const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
-    EXPECT_EQ(pp_->pair(a, b), pp_->pair_reference(a, b));
+  // The paper group runs the 8-limb kernels; its BigInt reference pairing
+  // is slow, so it gets fewer inputs.
+  for (const auto& [pp, n] : {std::pair{Pairing::test_pairing(), 6},
+                              std::pair{Pairing::paper_pairing(), 2}}) {
+    for (int i = 0; i < n; ++i) {
+      const Point a = pp->mul(pp->generator(), pp->random_nonzero_scalar(rng_));
+      const Point b = pp->mul(pp->generator(), pp->random_nonzero_scalar(rng_));
+      EXPECT_EQ(pp->pair(a, b), pp->pair_reference(a, b));
+    }
   }
 }
 
@@ -410,6 +454,98 @@ TEST_F(PairingTest, HashToG1PinnedAcrossProcesses) {
   EXPECT_EQ(to_hex(pp_->serialize_g1(p)),
             "01187676234303dcc246ef3c4b5095faf5558dabe500adb012b1f2aa803f0aa5"
             "cedeca9184630e1972");
+}
+
+// --- Known-answer pins over both shipped groups ------------------------------
+// Values captured from the fixed-limb stack before its kernels were
+// templated on the limb count. The test group runs the 3-limb kernels and
+// the paper group the 8-limb ones, so a change that moves one output bit of
+// either shows here without a second implementation to compare against.
+
+struct GroupKat {
+  PairingPtr (*group)();
+  const char* egg;      // serialize_gt(e(g, g))
+  const char* product;  // 12-term pair_product == pair_product_precomp
+  const char* mul;      // serialize_g1(point_mul_mont(P, k1))
+  const char* fixed;    // serialize_g1(FixedBaseTable(P).mul(k2))
+};
+
+void check_group_kat(const GroupKat& kat) {
+  const PairingPtr pp = kat.group();
+  const Point& g = pp->generator();
+  EXPECT_EQ(to_hex(pp->serialize_gt(pp->pair(g, g))), kat.egg);
+
+  // The HVE match shape: 6 positions, two terms each, P from the
+  // ciphertext and Q from the token.
+  TestRng rng(0x6b6174);
+  std::vector<PairTerm> terms;
+  for (int i = 0; i < 12; ++i) {
+    const Point p = pp->mul(g, pp->random_nonzero_scalar(rng));
+    terms.push_back({p, pp->mul(g, pp->random_nonzero_scalar(rng))});
+  }
+  std::vector<MillerPrecomp> pre;
+  for (const PairTerm& t : terms) pre.push_back(pp->miller_precompute(t.p));
+  std::vector<PrecompPairTerm> pterms;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    pterms.push_back({&pre[i], terms[i].q});
+  }
+  EXPECT_EQ(to_hex(pp->serialize_gt(pp->pair_product(terms))), kat.product);
+  EXPECT_EQ(to_hex(pp->serialize_gt(pp->pair_product_precomp(pterms))),
+            kat.product);
+
+  const Point& base = terms[0].p;
+  const BigInt k1 = pp->random_scalar(rng);
+  const BigInt k2 = pp->random_scalar(rng);
+  EXPECT_EQ(to_hex(pp->serialize_g1(point_mul_mont(base, k1, pp->mont_q()))),
+            kat.mul);
+  const FixedBaseTable table(pp->mont_q(), base, pp->r().bit_length());
+  EXPECT_EQ(to_hex(pp->serialize_g1(table.mul(k2))), kat.fixed);
+}
+
+TEST(PairingKnownAnswer, TestGroup) {
+  check_group_kat({&Pairing::test_pairing,
+                   // egg
+                   "49c388f45974cbef1b678b8a48bbc579180e759b3bccff362c20ad71"
+                   "92fca0ec237ece228668612c",
+                   // product
+                   "1ccb1436eb3df056e600c8dd59f433dcb8bbdc63127cdfa496c71672"
+                   "8771c178a94ca8251f5172b9",
+                   // mul
+                   "018299095cd8180f8813f64e87051163d2b90c40405ee03243bbd9e2"
+                   "997d11d3ca3de75421cf8ff01a",
+                   // fixed
+                   "01149bc6872615dd460a92a8dd435aa621254cdae706b0eace9f09cb"
+                   "ec17589e"
+                   "69d05f2bf7ea281e50"});
+}
+
+TEST(PairingKnownAnswer, PaperGroup) {
+  check_group_kat({&Pairing::paper_pairing,
+                   // egg
+                   "92f75f2b269f44ad8da3323b90594b69569422fde99a6870bcb40bcd"
+                   "37664fd82ec829b600fde96748e5c9b29cf619f948d8aa4325cddfe4"
+                   "b434bb820a6fd0384fd6c19e81430f9971a50839ca958833a4998fa8"
+                   "4a9b899e393cc4c0fd013ce83ad754748af62bc4e1deda93e810d673"
+                   "cc5f3157fa5c878e6fd2f100d8c855fa",
+                   // product
+                   "382e497e72efe85294f720da2e1125a0856b3de5f2bed84a74c38d8a"
+                   "03ca0859e9e7f15628e5466ef0c33c8336213d124cbe7116da64b503"
+                   "b4ab8726d9b9d1aa649a17e9a8eec6324f21d072a1a481cf8b1ec6ed"
+                   "afc9f2b373a09d6bb02fd59d0894d5d64e10277cba6994fc884f3927"
+                   "ddfec0edbef2eb53ae95348c25021678",
+                   // mul
+                   "0128567759fa2e3ba8d03323adadeae3a0373ed6bdfc1bc210188a7f"
+                   "1919129c0747ba5129903bbc17443cad87aa9d1302b11db24628008b"
+                   "f919eacc59c894560c1017fd8853d0a66dea15686121d818e793ffde"
+                   "03380109b1f83a08cd878237a7c4c9c2415b1630537eb2490d604ead"
+                   "690c60e863f90bb1778086e9caba85da4c",
+                   // fixed
+                   "011acb4df485f261a0867994cc65811d71c2d1e327c8aaf18d3d05b0"
+                   "0132c5f7007ed89176306de93ef3a2a01d6a7c75f83aec41ceaae354"
+                   "41958367553fd33d26137e97232534886b48a0cd1bb68159eb959c45"
+                   "31a8b2d2591323bfb630fe563e47a65bbde50dc121d4f48b943760a6"
+                   "2d4da593e6d598fae6eb8290a1d3312d"
+                   "a7"});
 }
 
 TEST(PairingBaked, BakedParamsSatisfyCurveInvariants) {

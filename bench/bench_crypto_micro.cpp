@@ -31,16 +31,29 @@ void BM_Sha256_1KB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KB);
 
-void BM_AeadSeal_1KB(benchmark::State& state) {
+// AEAD at a 1 KiB record and at the bulk_fetch payload size (256 KiB).
+void BM_AeadSeal(benchmark::State& state) {
   TestRng rng(2);
   const Bytes key = rng.bytes(32);
-  const Bytes data = rng.bytes(1024);
+  const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::aead_encrypt(key, data, {}, rng));
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_AeadSeal_1KB);
+BENCHMARK(BM_AeadSeal)->Arg(1024)->Arg(262144);
+
+void BM_AeadOpen(benchmark::State& state) {
+  TestRng rng(2);
+  const Bytes key = rng.bytes(32);
+  const auto ct = crypto::aead_encrypt(
+      key, rng.bytes(static_cast<std::size_t>(state.range(0))), {}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::aead_decrypt(key, ct, {}));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_AeadOpen)->Arg(1024)->Arg(262144);
 
 void BM_G1_ScalarMul(benchmark::State& state) {
   TestRng rng(3);

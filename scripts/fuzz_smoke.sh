@@ -17,10 +17,10 @@ fuzz_time="${FUZZ_TIME:-60}"
 if [ ! -f "$build/CMakeCache.txt" ]; then
   cmake -B "$build" -S "$root"
 fi
-cmake --build "$build" -j"$(nproc)" --target fuzz_serial fuzz_frames
+cmake --build "$build" -j"$(nproc)" --target fuzz_serial fuzz_frames fuzz_aead
 
 status=0
-for name in fuzz_serial fuzz_frames; do
+for name in fuzz_serial fuzz_frames fuzz_aead; do
   bin="$build/fuzz/$name"
   corpus="$root/fuzz/corpus/${name#fuzz_}"
   if "$bin" -help=1 2>&1 | grep -q "libFuzzer"; then

@@ -1,5 +1,6 @@
 #include "crypto/aead.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "common/serial.hpp"
@@ -10,22 +11,27 @@
 namespace p3s::crypto {
 
 namespace {
-Bytes mac_input(BytesView aad, BytesView ct) {
-  Bytes m(aad.begin(), aad.end());
-  m.insert(m.end(), (16 - aad.size() % 16) % 16, 0);
-  m.insert(m.end(), ct.begin(), ct.end());
-  m.insert(m.end(), (16 - ct.size() % 16) % 16, 0);
-  for (std::uint64_t len : {static_cast<std::uint64_t>(aad.size()),
-                            static_cast<std::uint64_t>(ct.size())}) {
-    for (int i = 0; i < 8; ++i) m.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  return m;
-}
+constexpr std::size_t kTagSize = Poly1305::kTagSize;
 
-Bytes one_time_key(BytesView key, BytesView nonce) {
-  ChaCha20 c(key, nonce, 0);
-  const auto block = c.keystream_block();
-  return Bytes(block.begin(), block.begin() + 32);
+// RFC 8439 §2.8: Poly1305 under the first 32 bytes of block 0, over
+// aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ le64(|aad|) ‖ le64(|ciphertext|).
+std::array<std::uint8_t, kTagSize> aead_tag(BytesView key, BytesView nonce,
+                                            BytesView aad, BytesView ciphertext) {
+  Bytes otk(Poly1305::kKeySize, 0);
+  ChaCha20(key, nonce, 0).apply(otk);
+  Poly1305 mac(otk);
+  mac.update(aad);
+  mac.pad16();
+  mac.update(ciphertext);
+  mac.pad16();
+  std::array<std::uint8_t, 16> lengths{};
+  for (int i = 0; i < 8; ++i) {
+    lengths[i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(aad.size()) >> (8 * i));
+    lengths[8 + i] =
+        static_cast<std::uint8_t>(static_cast<std::uint64_t>(ciphertext.size()) >> (8 * i));
+  }
+  mac.update(lengths);
+  return mac.finish();
 }
 }  // namespace
 
@@ -45,7 +51,7 @@ AeadCiphertext AeadCiphertext::deserialize(BytesView data) {
   if (ct.nonce.size() != ChaCha20::kNonceSize) {
     throw std::invalid_argument("AeadCiphertext: bad nonce size");
   }
-  if (ct.body.size() < 16) {
+  if (ct.body.size() < kTagSize) {
     throw std::invalid_argument("AeadCiphertext: body shorter than tag");
   }
   return ct;
@@ -55,23 +61,22 @@ AeadCiphertext aead_encrypt(BytesView key, BytesView plaintext, BytesView aad,
                             Rng& rng) {
   AeadCiphertext out;
   out.nonce = rng.bytes(ChaCha20::kNonceSize);
-  out.body = ChaCha20::crypt(key, out.nonce, plaintext, 1);
-  const Bytes otk = one_time_key(key, out.nonce);
-  const Bytes tag = poly1305_tag(otk, mac_input(aad, out.body));
+  out.body.reserve(plaintext.size() + kTagSize);
+  out.body.assign(plaintext.begin(), plaintext.end());
+  ChaCha20(key, out.nonce, 1).apply(out.body);
+  const auto tag = aead_tag(key, out.nonce, aad, out.body);
   out.body.insert(out.body.end(), tag.begin(), tag.end());
   return out;
 }
 
 std::optional<Bytes> aead_decrypt(BytesView key, const AeadCiphertext& ct,
                                   BytesView aad) {
-  if (ct.body.size() < 16 || ct.nonce.size() != ChaCha20::kNonceSize) {
+  if (ct.body.size() < kTagSize || ct.nonce.size() != ChaCha20::kNonceSize) {
     return std::nullopt;
   }
-  const BytesView cipher(ct.body.data(), ct.body.size() - 16);
-  const BytesView tag(ct.body.data() + ct.body.size() - 16, 16);
-  const Bytes otk = one_time_key(key, ct.nonce);
-  const Bytes expected = poly1305_tag(otk, mac_input(aad, cipher));
-  if (!ct_equal(expected, tag)) return std::nullopt;
+  const BytesView cipher(ct.body.data(), ct.body.size() - kTagSize);
+  const BytesView tag(ct.body.data() + cipher.size(), kTagSize);
+  if (!ct_equal(aead_tag(key, ct.nonce, aad, cipher), tag)) return std::nullopt;
   return ChaCha20::crypt(key, ct.nonce, cipher, 1);
 }
 

@@ -1,6 +1,12 @@
 // ChaCha20-Poly1305 AEAD (RFC 8439). Every symmetric encryption in P3S —
 // payload super-encryption under Ks, secure-channel records, the hybrid
 // layers of CP-ABE and HVE — goes through this interface.
+//
+// Neither direction copies its input more than once. Seal copies the
+// plaintext into a body reserved with room for the tag, encrypts it in
+// place and appends the tag. Open checks the tag (ct_equal) before it
+// decrypts anything. Both stream Poly1305 over aad ‖ pad ‖ ciphertext ‖ pad
+// ‖ lengths instead of assembling that message.
 #pragma once
 
 #include <optional>

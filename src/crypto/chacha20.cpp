@@ -1,26 +1,74 @@
 #include "crypto/chacha20.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <stdexcept>
 
 namespace p3s::crypto {
 
 namespace {
-void quarter_round(std::array<std::uint32_t, 16>& s, int a, int b, int c, int d) {
-  s[a] += s[b];
-  s[d] = std::rotl(s[d] ^ s[a], 16);
-  s[c] += s[d];
-  s[b] = std::rotl(s[b] ^ s[c], 12);
-  s[a] += s[b];
-  s[d] = std::rotl(s[d] ^ s[a], 8);
-  s[c] += s[d];
-  s[b] = std::rotl(s[b] ^ s[c], 7);
-}
+using u32x4 = std::uint32_t __attribute__((vector_size(16)));
 
 std::uint32_t le32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+// `inline` matters here: without it GCC at -O2 keeps quarter_round out of
+// line and passes the vectors through memory.
+template <int N>
+inline u32x4 rotl(u32x4 v) {
+  return (v << N) | (v >> (32 - N));
+}
+
+inline void quarter_round(u32x4& a, u32x4& b, u32x4& c, u32x4& d) {
+  a += b;
+  d = rotl<16>(d ^ a);
+  c += d;
+  b = rotl<12>(b ^ c);
+  a += b;
+  d = rotl<8>(d ^ a);
+  c += d;
+  b = rotl<7>(b ^ c);
+}
+
+// XORs the keystream of the four blocks at counters state[12] .. state[12]+3
+// (mod 2^32) into the first `len` <= 256 bytes of `data`.
+void xor_four_blocks(const std::array<std::uint32_t, 16>& state, std::uint8_t* data,
+                     std::size_t len) {
+  const u32x4 lane = {0, 1, 2, 3};
+  u32x4 x[16];
+  for (int i = 0; i < 16; ++i) x[i] = u32x4{} + state[i];
+  x[12] += lane;
+  for (int round = 0; round < 10; ++round) {
+    quarter_round(x[0], x[4], x[8], x[12]);
+    quarter_round(x[1], x[5], x[9], x[13]);
+    quarter_round(x[2], x[6], x[10], x[14]);
+    quarter_round(x[3], x[7], x[11], x[15]);
+    quarter_round(x[0], x[5], x[10], x[15]);
+    quarter_round(x[1], x[6], x[11], x[12]);
+    quarter_round(x[2], x[7], x[8], x[13]);
+    quarter_round(x[3], x[4], x[9], x[14]);
+  }
+  for (int i = 0; i < 16; ++i) x[i] += u32x4{} + state[i];
+  x[12] += lane;
+
+  // Word w of the 256-byte keystream is word w % 16 of block w / 16.
+  const std::size_t words = len / 4;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint8_t* p = data + 4 * w;
+    store_le32(p, le32(p) ^ x[w % 16][w / 16]);
+  }
+  for (std::size_t j = 4 * words; j < len; ++j) {
+    data[j] ^= static_cast<std::uint8_t>(x[words % 16][words / 16] >> (8 * (j % 4)));
+  }
 }
 }  // namespace
 
@@ -38,42 +86,11 @@ ChaCha20::ChaCha20(BytesView key, BytesView nonce, std::uint32_t initial_counter
   for (int i = 0; i < 3; ++i) state_[13 + i] = le32(nonce.data() + 4 * i);
 }
 
-void ChaCha20::block(std::array<std::uint32_t, 16>& out) {
-  out = state_;
-  for (int round = 0; round < 10; ++round) {
-    quarter_round(out, 0, 4, 8, 12);
-    quarter_round(out, 1, 5, 9, 13);
-    quarter_round(out, 2, 6, 10, 14);
-    quarter_round(out, 3, 7, 11, 15);
-    quarter_round(out, 0, 5, 10, 15);
-    quarter_round(out, 1, 6, 11, 12);
-    quarter_round(out, 2, 7, 8, 13);
-    quarter_round(out, 3, 4, 9, 14);
-  }
-  for (int i = 0; i < 16; ++i) out[i] += state_[i];
-  ++state_[12];
-}
-
-std::array<std::uint8_t, 64> ChaCha20::keystream_block() {
-  std::array<std::uint32_t, 16> words;
-  block(words);
-  std::array<std::uint8_t, 64> out;
-  for (int i = 0; i < 16; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(words[i]);
-    out[4 * i + 1] = static_cast<std::uint8_t>(words[i] >> 8);
-    out[4 * i + 2] = static_cast<std::uint8_t>(words[i] >> 16);
-    out[4 * i + 3] = static_cast<std::uint8_t>(words[i] >> 24);
-  }
-  return out;
-}
-
 void ChaCha20::apply(Bytes& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const auto ks = keystream_block();
-    const std::size_t n = std::min<std::size_t>(64, data.size() - off);
-    for (std::size_t i = 0; i < n; ++i) data[off + i] ^= ks[i];
-    off += n;
+  for (std::size_t off = 0; off < data.size(); off += 256) {
+    const std::size_t n = std::min<std::size_t>(256, data.size() - off);
+    xor_four_blocks(state_, data.data() + off, n);
+    state_[12] += static_cast<std::uint32_t>((n + 63) / 64);
   }
 }
 

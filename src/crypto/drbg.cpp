@@ -23,21 +23,19 @@ Drbg::Drbg(BytesView seed) {
 }
 
 void Drbg::refill() {
-  // Fast key erasure: generate 16 blocks; block 0 becomes the next key,
-  // blocks 1..15 are the output pool. Nonce carries a monotonic counter so
-  // state never repeats even if key_ were to collide.
+  // Fast key erasure: generate 16 blocks (four ChaCha20 kernel calls); the
+  // first 32 bytes of block 0 become the next key, blocks 1..15 are the
+  // output pool. Nonce carries a monotonic counter so state never repeats
+  // even if key_ were to collide.
   Bytes nonce(ChaCha20::kNonceSize, 0);
   for (int i = 0; i < 8; ++i) {
     nonce[i] = static_cast<std::uint8_t>(counter_ >> (8 * i));
   }
   ++counter_;
-  ChaCha20 c(BytesView(key_.data(), key_.size()), nonce, 0);
-  const auto first = c.keystream_block();
-  std::copy(first.begin(), first.begin() + 32, key_.begin());
-  for (std::size_t blk = 0; blk < pool_.size() / 64; ++blk) {
-    const auto ks = c.keystream_block();
-    std::copy(ks.begin(), ks.end(), pool_.begin() + blk * 64);
-  }
+  Bytes stream(64 + pool_.size(), 0);
+  ChaCha20(BytesView(key_.data(), key_.size()), nonce, 0).apply(stream);
+  std::copy(stream.begin(), stream.begin() + 32, key_.begin());
+  std::copy(stream.begin() + 64, stream.end(), pool_.begin());
   pos_ = 0;
 }
 

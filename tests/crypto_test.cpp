@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
@@ -171,6 +174,24 @@ TEST(ChaCha20Cipher, RejectsBadSizes) {
   EXPECT_THROW(ChaCha20(Bytes(32), Bytes(11)), std::invalid_argument);
 }
 
+TEST(ChaCha20Cipher, CounterWrapsAt32Bits) {
+  // Five blocks from counter 0xfffffffe: the counter wraps to 0 and the
+  // nonce words stay as they are (no carry into them). Expected values from
+  // OpenSSL, one block per explicit counter.
+  const Bytes key = from_hex(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  const Bytes nonce = from_hex("000000000000004a00000000");
+  Bytes data(320);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 3);
+  }
+  const Bytes ct = ChaCha20::crypt(key, nonce, data, 0xfffffffe);
+  EXPECT_EQ(to_hex(BytesView(ct).subspan(128, 16)),
+            "2f8698c9372fa7dc19a90421ceb3a402");
+  EXPECT_EQ(to_hex(Sha256::digest(ct)),
+            "529cc3847bf779a40a52c0651bab2f755c7a76ac0348af9a0c664eb55476eaa1");
+}
+
 // --- Poly1305 (RFC 8439 §2.5.2) -------------------------------------------------
 
 TEST(Poly1305, Rfc8439Vector) {
@@ -190,6 +211,112 @@ TEST(Poly1305, EmptyMessage) {
 
 TEST(Poly1305, RejectsBadKeySize) {
   EXPECT_THROW(poly1305_tag(Bytes(16), {}), std::invalid_argument);
+}
+
+// Expected tags below come from OpenSSL's Poly1305 (Python `cryptography`).
+TEST(Poly1305, Rfc8439AppendixA3Vectors) {
+  // Vectors #5-#11: inputs whose accumulator reaches 2^130 - 5 or just
+  // above it, and the carries of the final "+ s".
+  struct Case {
+    const char* key;
+    const char* msg;
+    const char* tag;
+  };
+  const Case cases[] = {
+      {"02000000000000000000000000000000" "00000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff", "03000000000000000000000000000000"},
+      {"02000000000000000000000000000000" "ffffffffffffffffffffffffffffffff",
+       "02000000000000000000000000000000", "03000000000000000000000000000000"},
+      {"01000000000000000000000000000000" "00000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff" "f0ffffffffffffffffffffffffffffff"
+       "11000000000000000000000000000000",
+       "05000000000000000000000000000000"},
+      {"01000000000000000000000000000000" "00000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff" "fbfefefefefefefefefefefefefefefe"
+       "01010101010101010101010101010101",
+       "00000000000000000000000000000000"},
+      {"02000000000000000000000000000000" "00000000000000000000000000000000",
+       "fdffffffffffffffffffffffffffffff", "faffffffffffffffffffffffffffffff"},
+      {"01000000000000000400000000000000" "00000000000000000000000000000000",
+       "e33594d7505e43b90000000000000000" "3394d7505e4379cd0100000000000000"
+       "00000000000000000000000000000000" "01000000000000000000000000000000",
+       "14000000000000005500000000000000"},
+      {"01000000000000000400000000000000" "00000000000000000000000000000000",
+       "e33594d7505e43b90000000000000000" "3394d7505e4379cd0100000000000000"
+       "00000000000000000000000000000000",
+       "13000000000000000000000000000000"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(to_hex(poly1305_tag(from_hex(c.key), from_hex(c.msg))), c.tag) << c.msg;
+  }
+}
+
+TEST(Poly1305, AccumulatorAtOrJustAboveModulus) {
+  // r = 1 or 2 over 1-4 all-0xff blocks. Two blocks at r = 1, or one at
+  // r = 2, leave the accumulator at 2^130 - 2, just above 2^130 - 5, before
+  // the final reduction; s = all-0xff makes the final "+ s" carry through
+  // every word.
+  struct Case {
+    std::uint8_t r, s;
+    std::size_t blocks;
+    const char* tag;
+  };
+  const Case cases[] = {
+      {1, 0x00, 1, "ffffffffffffffffffffffffffffffff"},
+      {1, 0x00, 2, "03000000000000000000000000000000"},
+      {1, 0x00, 3, "02000000000000000000000000000000"},
+      {1, 0x00, 4, "06000000000000000000000000000000"},
+      {1, 0xff, 1, "feffffffffffffffffffffffffffffff"},
+      {1, 0xff, 2, "02000000000000000000000000000000"},
+      {1, 0xff, 3, "01000000000000000000000000000000"},
+      {1, 0xff, 4, "05000000000000000000000000000000"},
+      {2, 0x00, 1, "03000000000000000000000000000000"},
+      {2, 0x00, 2, "09000000000000000000000000000000"},
+      {2, 0x00, 3, "15000000000000000000000000000000"},
+      {2, 0x00, 4, "2d000000000000000000000000000000"},
+      {2, 0xff, 1, "02000000000000000000000000000000"},
+      {2, 0xff, 2, "08000000000000000000000000000000"},
+      {2, 0xff, 3, "14000000000000000000000000000000"},
+      {2, 0xff, 4, "2c000000000000000000000000000000"},
+  };
+  for (const Case& c : cases) {
+    Bytes key(32, 0);
+    key[0] = c.r;
+    std::fill(key.begin() + 16, key.end(), c.s);
+    EXPECT_EQ(to_hex(poly1305_tag(key, Bytes(16 * c.blocks, 0xff))), c.tag)
+        << int{c.r} << " " << int{c.s} << " " << c.blocks;
+  }
+}
+
+TEST(Poly1305, LargestClampedROverFfMessages) {
+  // The largest r the clamp allows, over 0xff messages of 1..64 bytes (full
+  // and partial final blocks); the 64 tags are pinned as one digest.
+  const Bytes r_max = from_hex("ffffff0ffcffff0ffcffff0ffcffff0f");
+  for (const auto& [s, digest] :
+       {std::pair<std::uint8_t, const char*>{
+            0x00, "197a057ae39de082651d645290a78b9686a74ade8e44f35645275fd2c3846866"},
+        std::pair<std::uint8_t, const char*>{
+            0xff, "cb46b7e926611b9481a373a4d461158c19810293056f367fba82b24f8e53db89"}}) {
+    Bytes key = r_max;
+    key.resize(32, s);
+    Sha256 tags;
+    for (std::size_t n = 1; n <= 64; ++n) tags.update(poly1305_tag(key, Bytes(n, 0xff)));
+    EXPECT_EQ(to_hex(tags.finish()), digest) << int{s};
+  }
+}
+
+TEST(Poly1305, StreamingSplitAtEveryOffsetMatchesOneShot) {
+  Bytes key(32), msg(300);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(0x20 + 5 * i);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(7 * i + 3);
+  const std::string expected = "716d65c3335cfe31db67a10d13e67aeb";
+  ASSERT_EQ(to_hex(poly1305_tag(key, msg)), expected);
+  for (std::size_t split = 0; split <= msg.size(); ++split) {
+    Poly1305 mac(key);
+    mac.update(BytesView(msg).first(split));
+    mac.update(BytesView(msg).subspan(split));
+    EXPECT_EQ(to_hex(mac.finish()), expected) << split;
+  }
 }
 
 // --- AEAD ----------------------------------------------------------------------
@@ -262,6 +389,107 @@ TEST(Aead, DeserializeRejectsGarbage) {
   EXPECT_THROW(AeadCiphertext::deserialize(Bytes{1, 2, 3}), std::exception);
 }
 
+// Expected outputs below come from OpenSSL's ChaCha20Poly1305 (Python
+// `cryptography`). The seal side gets its nonce from a ReplayRng.
+TEST(Aead, Rfc8439Section282Vector) {
+  const Bytes key = from_hex(
+      "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f");
+  const Bytes nonce = from_hex("070000004041424344454647");
+  const Bytes aad = from_hex("50515253c0c1c2c3c4c5c6c7");
+  const Bytes pt = str_to_bytes(
+      "Ladies and Gentlemen of the class of '99: If I could offer you only "
+      "one tip for the future, sunscreen would be it.");
+  const std::string body =
+      "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+      "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+      "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+      "3ff4def08e4b7a9de576d26586cec64b6116"
+      "1ae10b594f09e26a7e902ecbd0600691";
+
+  ReplayRng rng(nonce);
+  const AeadCiphertext ct = aead_encrypt(key, pt, aad, rng);
+  EXPECT_EQ(ct.nonce, nonce);
+  EXPECT_EQ(to_hex(ct.body), body);
+
+  const auto out = aead_decrypt(key, AeadCiphertext{nonce, from_hex(body)}, aad);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, pt);
+}
+
+TEST(Aead, KnownAnswerLengthSweep) {
+  // Plaintext lengths around the 16-, 64- and 256-byte edges and up to the
+  // bulk payload size, each under three aad lengths. Bodies of up to 17
+  // plaintext bytes are pinned in hex, longer ones as SHA-256 of the body.
+  struct Case {
+    std::size_t pt_len, aad_len;
+    const char* body;
+  };
+  const Case cases[] = {
+      {0, 0, "a0784d7a4716f3feb4f64e7f4b39bf04"},
+      {0, 12, "ac3591a2bcac44b8b67c0f876bcbbfd9"},
+      {0, 17, "c71b8959a650528ffde1e32b45000c8d"},
+      {1, 0, "9fbb758e737cb56e18df4748421b085bb0"},
+      {1, 12, "9f4e6f55fd8e1b3ef2a66f8a2f8677828f"},
+      {1, 17, "9f3893c04c6068181999a7e56090fe6376"},
+      {15, 0, "9ff8efd40d72522f0d79915a12262048d75a80100473534381bd1100b8e127"},
+      {15, 12, "9ff8efd40d72522f0d79915a122620dbd0210a236a422d0ba9fffe6a270907"},
+      {15, 17, "9ff8efd40d72522f0d79915a122620c5f48c59f4b61c54fde05a3075aeeaed"},
+      {16, 0, "9ff8efd40d72522f0d79915a1226200331e8b6976b989258e5581c2fffc96761"},
+      {16, 12, "9ff8efd40d72522f0d79915a12262003bfe17d217efe6132ad805e1c6a398f40"},
+      {16, 17, "9ff8efd40d72522f0d79915a12262003ae05e9704f4b3c599fb8b94d74c07027"},
+      {17, 0, "9ff8efd40d72522f0d79915a12262003f16f0ce66b28c2c3e5be4386859a466fd5"},
+      {17, 12, "9ff8efd40d72522f0d79915a12262003f1de9297cc2b0a95094fd4e122fb39b0f3"},
+      {17, 17, "9ff8efd40d72522f0d79915a12262003f14cd9b0821796fa3ae7bed6b86b71e884"},
+      {63, 0, "9c89926442f9efcd4d1914c20aeb2fe9e51666198d55b89314fda6aa0433c204"},
+      {63, 12, "c54de63427747730c03164280469ba96553412121766506c39cce9114c4f95e1"},
+      {63, 17, "4f26e43615e27036baa329ee96c7224d911fc536859d5b4ef4ffb0f5f29f9d7d"},
+      {64, 0, "0ebc76138b6efa793cd6400b07e15372ea22a3f0011f4a519c180247453e3c06"},
+      {64, 12, "12e9751129258c5a027db0946110c59dcc1d445ccc2e8789403519dc6fe1702e"},
+      {64, 17, "c4da6f99a60f133fcd223ca33c8d56d4b7df8da9e84160cfc05a52393bc9927e"},
+      {65, 0, "3180db7d187114f4a04a2bb82652b5ff336a272a5e59dcd5c3109e9eaa966552"},
+      {65, 12, "7d5c60c89791e7310be9815e8d4ebe3a6ca1346b3a315fd6c60066f1615caef2"},
+      {65, 17, "d05cddbb2eed84904800e99adcdf16b799118d448c326a7f677118861466ebbc"},
+      {255, 0, "990773308ae669353761443b13542a6b30de033969bb07398775b493ba269135"},
+      {255, 12, "02a43dd8eb451438119cbf809df2f1a4e7859f5e37cdfd3ab333157e5fd62f5a"},
+      {255, 17, "cca44fe356f327953e7bc9e3edce44b76dde15317e03abe096f36ebea30f8708"},
+      {256, 0, "465cc50186898d5890992ea4d366787979d500b60ccff1981ea97e7b3e3fe57d"},
+      {256, 12, "18357f10dccad3d8e0a1ddbc8d8fcc8b5a91fa0b6cf415a939c4403dd98469ad"},
+      {256, 17, "01cd9812fd19e953b08f3a74a78c7d5362043eb0cb5cc9e0cc9430d5c69ee055"},
+      {257, 0, "79bca55ab4bc4eb596e7828c312c0d0db9c53f4798a2799593e2f764084dae92"},
+      {257, 12, "5942d73d273ab52f1f8aa2c4784d9372600dfe5e6f61c4ec73558d3266ba4386"},
+      {257, 17, "52616087d1766ea9b43a827091b48bda77df1e3eca034e0be33361180760e956"},
+      {1023, 0, "d050c484ce9d22daf5abad6c14f4eb0dbf992f3659b944c5777df92558526127"},
+      {1023, 12, "4376db5a26b51344cc08e24a6c56c394fc600b8d669d9c71cc113be3e102f84e"},
+      {1023, 17, "5ab255e8aaff3b61a3c40573034dce1672dbff328d5553d7a84e3805be68e535"},
+      {4097, 0, "45bf5fb95ba2c5d36d6c07b9ac5171dcc07513160819ddf7fc7c0c4348e8776a"},
+      {4097, 12, "df948b64521c5fbb471c9533cf40f9f7b07994dc8542c05c13baf15c5f98ff70"},
+      {4097, 17, "e77566566a1911d4c905582ab604540a38d3c16f9fffac71f7ab6a7f4623e6f6"},
+      {262145, 0, "add635113610d0170ae647a1f1d06b34050e1f530474a9bb4c3c1f3df1e925e4"},
+      {262145, 12, "83994527479b565beeb2bfae7c329e744b52fd08ac68ff07ba56087b2669afaa"},
+      {262145, 17, "2fb5c437b9ce2088334cdd649c7e4396966acd5ea0395bc6b8ae0fa70cfc5483"},
+  };
+  const Bytes key = from_hex(
+      "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f");
+  const Bytes nonce = from_hex("070000004041424344454647");
+  for (const Case& c : cases) {
+    Bytes pt(c.pt_len), aad(c.aad_len);
+    for (std::size_t i = 0; i < pt.size(); ++i) {
+      pt[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8));
+    }
+    for (std::size_t i = 0; i < aad.size(); ++i) aad[i] = static_cast<std::uint8_t>(0x50 + i);
+
+    ReplayRng rng(nonce);
+    const AeadCiphertext ct = aead_encrypt(key, pt, aad, rng);
+    ASSERT_EQ(ct.body.size(), c.pt_len + 16);
+    EXPECT_EQ(c.pt_len <= 17 ? to_hex(ct.body) : to_hex(Sha256::digest(ct.body)), c.body)
+        << c.pt_len << "/" << c.aad_len;
+
+    const auto out = aead_decrypt(key, ct, aad);
+    ASSERT_TRUE(out.has_value()) << c.pt_len << "/" << c.aad_len;
+    EXPECT_EQ(*out, pt);
+  }
+}
+
 // --- DRBG ------------------------------------------------------------------------
 
 TEST(Drbg, DeterministicWithSeed) {
@@ -281,6 +509,14 @@ TEST(Drbg, StreamsDoNotRepeatAcrossRefills) {
   const Bytes first = a.bytes(960);
   const Bytes second = a.bytes(960);
   EXPECT_NE(first, second);
+}
+
+TEST(Drbg, KnownAnswerAcrossRefills) {
+  // 2048 bytes cross two refills of the 960-byte pool. Expected value from
+  // OpenSSL's ChaCha20 following the refill construction in drbg.cpp.
+  Drbg d(str_to_bytes("seed"));
+  EXPECT_EQ(to_hex(Sha256::digest(d.bytes(2048))),
+            "65daffa73a4ac64154f8b4b364a212e9d15a7085cda59bf9493656467a6d851d");
 }
 
 TEST(Drbg, SystemSeededProducesDistinctStreams) {

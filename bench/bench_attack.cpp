@@ -4,6 +4,7 @@
 // time per publish round and wire bytes, vulnerable baseline vs hardened.
 // Epilogue: BENCH_attack.json with the p3s.attack.* / p3s.anon.* counters.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "attack/attacks.hpp"
@@ -36,7 +37,7 @@ RunResult run_frequency(bool hardened, std::uint64_t seed, int rounds) {
       sc.publish("finance");
       sc.publish("tech");
     }
-    sc.drain();
+    if (!sc.drain()) throw std::runtime_error("scenario failed to drain");
   });
   out.publishes = static_cast<std::size_t>(rounds) * 2;
   const attack::EavesdropperObserver& obs = sc.observer();

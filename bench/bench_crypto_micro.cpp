@@ -21,6 +21,12 @@ using namespace p3s;  // NOLINT
 
 pairing::PairingPtr pp() { return pairing::Pairing::test_pairing(); }
 
+// The shipped group whose F_q takes `limbs` 64-bit limbs: 3 for the test
+// group (160-bit q), 8 for the paper group (512-bit q).
+pairing::PairingPtr group_with_limbs(std::int64_t limbs) {
+  return limbs == 8 ? pairing::Pairing::paper_pairing() : pp();
+}
+
 void BM_Sha256_1KB(benchmark::State& state) {
   TestRng rng(1);
   const Bytes data = rng.bytes(1024);
@@ -55,6 +61,34 @@ void BM_AeadOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadOpen)->Arg(1024)->Arg(262144);
 
+// One F_q Montgomery product, chained so each waits for the last: the
+// kernel's latency at the test group's and the paper group's limb count.
+void BM_FeMul(benchmark::State& state) {
+  TestRng rng(14);
+  const auto p = group_with_limbs(state.range(0));
+  const math::Montgomery& mq = p->mont_q();
+  namespace fqm = pairing::fqm;
+  fqm::Fe x = fqm::fe_from(mq, math::BigInt::random_below(rng, p->q()));
+  const fqm::Fe y = fqm::fe_from(mq, math::BigInt::random_below(rng, p->q()));
+  for (auto _ : state) {
+    fqm::fe_mul(mq, x, y, x);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeMul)->Arg(3)->Arg(8);
+
+// The ciphertext-side Miller chain of one G1 point (hve_match_prepare runs
+// one per ciphertext point on every broadcast).
+void BM_MillerPrecompute(benchmark::State& state) {
+  TestRng rng(15);
+  const auto p = group_with_limbs(state.range(0));
+  const auto pt = p->random_g1(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p->miller_precompute(pt));
+  }
+}
+BENCHMARK(BM_MillerPrecompute)->Arg(3)->Arg(8);
+
 void BM_G1_ScalarMul(benchmark::State& state) {
   TestRng rng(3);
   const auto p = pp();
@@ -65,6 +99,17 @@ void BM_G1_ScalarMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_G1_ScalarMul);
+
+void BM_G1_ScalarMul_Paper(benchmark::State& state) {
+  TestRng rng(3);
+  const auto p = pairing::Pairing::paper_pairing();
+  const auto pt = p->random_g1(rng);
+  const auto k = p->random_scalar(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p->mul(pt, k));
+  }
+}
+BENCHMARK(BM_G1_ScalarMul_Paper);
 
 void BM_G1_ScalarMul_Reference(benchmark::State& state) {
   TestRng rng(3);

@@ -136,7 +136,7 @@ int main() {
 
   if (const char* skip = std::getenv("P3S_SKIP_PAPER_SCALE");
       skip == nullptr || skip[0] != '1') {
-    std::printf("generating paper-scale (512-bit) pairing group...\n");
+    std::printf("paper-scale pass (baked 512-bit-q pairing group)...\n");
     const Measured paper_scale = measure(pairing::Pairing::paper_pairing(), 1);
     print_measured("(paper scale: 160-bit r, 512-bit q)", paper_scale);
   }

@@ -77,10 +77,10 @@ std::vector<u64> Montgomery::mont_mul_limbs(const std::vector<u64>& a,
 
 namespace {
 // The fixed-limb kernels, one instance per limb count K. Every loop has a
-// compile-time trip count; `#pragma GCC unroll` unrolls the carry chains
-// fully at -O2 too, so t[] lives in registers. The algorithms are exactly
-// those of mont_mul_limbs and the BigInt mod_add/mod_sub, so results are
-// bit-identical.
+// compile-time trip count; `#pragma GCC unroll` unrolls them fully at -O2
+// too, so the accumulator and the carry chains live in registers. Every
+// kernel returns the unique representative in [0, n), so the results equal
+// mont_mul_limbs and the BigInt mod_add/mod_sub bit for bit.
 
 // True iff a >= b (little-endian).
 template <std::size_t K>
@@ -117,38 +117,56 @@ u64 sub_borrow_k(const u64* a, const u64* b, u64* out) {
   return borrow;
 }
 
+// (top:acc) += x·y on the three-word column accumulator.
+inline void mac(u128& acc, u64& top, u64 x, u64 y) {
+  const u128 p = static_cast<u128>(x) * y;
+  acc += p;
+  top += acc < p ? 1 : 0;
+}
+
+// Drops the accumulator's low word (it is zero or an output word).
+inline void shift_word(u128& acc, u64& top) {
+  acc = (acc >> 64) | (static_cast<u128>(top) << 64);
+  top = 0;
+}
+
+// Montgomery product by finely integrated product scanning (FIPS, Koç et
+// al.): column i of a·b + m·n is summed in one pass, m_i chosen so that
+// column i < K ends in a zero word, and the upper K columns are the result.
+// A column holds at most 2K + 1 products' worth (< 2^133 at K = 8), so
+// 192 accumulator bits never overflow.
 template <std::size_t K>
 void mul_k(const u64* a, const u64* b, const u64* n, u64 n0_inv, u64* out) {
-  u64 t[K + 2] = {};
+  u64 m[K];
+  u64 t[K + 1];
+  u128 acc = 0;
+  u64 top = 0;
   #pragma GCC unroll 8
   for (std::size_t i = 0; i < K; ++i) {
-    const u128 ai = a[i];
-    u64 carry = 0;
     #pragma GCC unroll 8
-    for (std::size_t j = 0; j < K; ++j) {
-      const u128 cur = static_cast<u128>(t[j]) + ai * b[j] + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
+    for (std::size_t j = 0; j < i; ++j) {
+      mac(acc, top, a[j], b[i - j]);
+      mac(acc, top, m[j], n[i - j]);
     }
-    u128 cur = static_cast<u128>(t[K]) + carry;
-    t[K] = static_cast<u64>(cur);
-    t[K + 1] = static_cast<u64>(cur >> 64);
-
-    const u64 m = t[0] * n0_inv;
-    u128 acc = static_cast<u128>(t[0]) + static_cast<u128>(m) * n[0];
-    carry = static_cast<u64>(acc >> 64);
-    #pragma GCC unroll 8
-    for (std::size_t j = 1; j < K; ++j) {
-      acc = static_cast<u128>(t[j]) + static_cast<u128>(m) * n[j] + carry;
-      t[j - 1] = static_cast<u64>(acc);
-      carry = static_cast<u64>(acc >> 64);
-    }
-    acc = static_cast<u128>(t[K]) + carry;
-    t[K - 1] = static_cast<u64>(acc);
-    t[K] = t[K + 1] + static_cast<u64>(acc >> 64);
+    mac(acc, top, a[i], b[0]);
+    m[i] = static_cast<u64>(acc) * n0_inv;
+    mac(acc, top, m[i], n[0]);
+    shift_word(acc, top);
   }
-  // Result < 2n with a possible carry limb in t[K]; one conditional
-  // subtraction normalizes into [0, n).
+  #pragma GCC unroll 8
+  for (std::size_t i = K; i + 1 < 2 * K; ++i) {
+    #pragma GCC unroll 8
+    for (std::size_t j = i + 1 - K; j < K; ++j) {
+      mac(acc, top, a[j], b[i - j]);
+      mac(acc, top, m[j], n[i - j]);
+    }
+    t[i - K] = static_cast<u64>(acc);
+    shift_word(acc, top);
+  }
+  t[K - 1] = static_cast<u64>(acc);
+  t[K] = static_cast<u64>(acc >> 64);
+  // (a·b + m·n)/R < 2n, so t[K] is the only possible carry bit and one
+  // conditional subtraction normalizes into [0, n).
   if (t[K] != 0 || ge_k<K>(t, n)) sub_borrow_k<K>(t, n, t);
   #pragma GCC unroll 8
   for (std::size_t i = 0; i < K; ++i) out[i] = t[i];

@@ -1,8 +1,9 @@
-// Montgomery-form modular arithmetic for a fixed odd modulus (CIOS
-// multiplication), in two forms: a BigInt API for any width (modular
-// exponentiation, Miller–Rabin, domain conversion) and the fixed-limb API
-// the whole pairing stack runs on (field elements, Miller loop, final
-// exponentiation, scalar multiplication), with one kernel per limb count.
+// Montgomery-form modular arithmetic for a fixed odd modulus, in two forms:
+// a BigInt API for any width (modular exponentiation, Miller–Rabin, domain
+// conversion; CIOS multiplication) and the fixed-limb API the whole pairing
+// stack runs on (field elements, Miller loop, final exponentiation, scalar
+// multiplication; product-scanning multiplication), with one kernel per
+// limb count.
 //
 // R = 2^(64·k) where k is the modulus limb count. Values in "Montgomery
 // form" are a·R mod n; mul() computes a·b·R⁻¹ mod n.
@@ -45,13 +46,14 @@ class Montgomery {
   // allocation; outputs may alias inputs. Only valid when fits_fixed();
   // std::logic_error otherwise. Each call switches once on limb_count() to
   // a kernel instance compiled for that many limbs (1..kMaxFixedLimbs), so
-  // the CIOS and carry loops run fully unrolled; results equal the BigInt
-  // mul()/mod_add/mod_sub bit for bit.
+  // the product-scanning and carry loops run fully unrolled; results equal
+  // the BigInt mul()/mod_add/mod_sub bit for bit.
 
   std::size_t limb_count() const { return n_limbs_.size(); }
   bool fits_fixed() const { return n_limbs_.size() <= kMaxFixedLimbs; }
 
-  /// CIOS product a·b·R⁻¹ mod n into out (all limb_count() words).
+  /// Montgomery product a·b·R⁻¹ mod n into out (all limb_count() words),
+  /// by finely integrated product scanning.
   void mul_limbs(const std::uint64_t* a, const std::uint64_t* b,
                  std::uint64_t* out) const;
   /// (a + b) mod n into out.

@@ -1,5 +1,6 @@
 #include "pairing/curve.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace p3s::pairing {
@@ -127,25 +128,31 @@ Point point_mul(const Point& p, const BigInt& k, const BigInt& q) {
   return jac_to_affine(acc, q);
 }
 
-std::vector<std::int8_t> wnaf4(const BigInt& k) {
-  if (k.is_negative()) throw std::invalid_argument("wnaf4: negative scalar");
+namespace {
+// Width-(w+1) signed-digit recoding of k >= 0, least-significant first:
+// every nonzero digit is odd, lies in (−2^w, 2^w) and is followed by at
+// least w zeros.
+std::vector<std::int8_t> signed_digits(const BigInt& k, unsigned w) {
+  if (k.is_negative()) throw std::invalid_argument("wnaf: negative scalar");
+  const std::uint64_t mod = 2ull << w;  // digits are k mod 2^(w+1)
   std::vector<std::uint64_t> v = k.limbs();
   std::vector<std::int8_t> digits;
   digits.reserve(k.bit_length() + 1);
   const auto is_zero = [&v] {
-    for (const std::uint64_t w : v) {
-      if (w != 0) return false;
+    for (const std::uint64_t x : v) {
+      if (x != 0) return false;
     }
     return true;
   };
   while (!is_zero()) {
     std::int8_t d = 0;
     if (v[0] & 1) {
-      const unsigned u = static_cast<unsigned>(v[0] & 31);  // k mod 2^(w+1)
-      if (u > 16) {
-        d = static_cast<std::int8_t>(static_cast<int>(u) - 32);
-        // v += (32 - u)
-        std::uint64_t carry = 32 - u;
+      const std::uint64_t u = v[0] & (mod - 1);
+      if (u > mod / 2) {
+        d = static_cast<std::int8_t>(static_cast<int>(u) -
+                                     static_cast<int>(mod));
+        // v += (mod - u)
+        std::uint64_t carry = mod - u;
         for (std::size_t i = 0; carry != 0 && i < v.size(); ++i) {
           const std::uint64_t s = v[i] + carry;
           carry = s < v[i] ? 1 : 0;
@@ -154,7 +161,7 @@ std::vector<std::int8_t> wnaf4(const BigInt& k) {
         if (carry != 0) v.push_back(carry);
       } else {
         d = static_cast<std::int8_t>(u);
-        // v -= u (u <= 15 < v, since v is odd and >= u here)
+        // v -= u (no underflow: v ≡ u mod 2^(w+1) and v > 0)
         std::uint64_t borrow = u;
         for (std::size_t i = 0; borrow != 0 && i < v.size(); ++i) {
           const std::uint64_t r = v[i] - borrow;
@@ -171,6 +178,11 @@ std::vector<std::int8_t> wnaf4(const BigInt& k) {
   }
   return digits;
 }
+}  // namespace
+
+std::vector<std::int8_t> wnaf4(const BigInt& k) { return signed_digits(k, 4); }
+
+std::vector<std::int8_t> naf(const BigInt& k) { return signed_digits(k, 1); }
 
 namespace {
 using fqm::Fe;
@@ -257,9 +269,43 @@ JacM jacm_add_affine(const Montgomery& m, const JacM& p, const AffM& a) {
   return {xp, yp, zp};
 }
 
-AffM affm_neg(const Montgomery& m, const AffM& a) {
-  if (a.inf) return a;
-  return {a.x, fqm::fe_neg(m, a.y), false};
+// Full Jacobian addition p + a, both with arbitrary Z (either may be the
+// identity): U1 = X1·Z2², U2 = X2·Z1², S1 = Y1·Z2³, S2 = Y2·Z1³,
+// H = U2 − U1, r = S2 − S1.
+JacM jacm_add(const Montgomery& m, const JacM& p, const JacM& a) {
+  if (jacm_is_inf(m, a)) return p;
+  if (jacm_is_inf(m, p)) return a;
+  Fe z1z1, z2z2, u1, u2, s1, s2, h, rr, t;
+  fqm::fe_sqr(m, p.z, z1z1);
+  fqm::fe_sqr(m, a.z, z2z2);
+  fqm::fe_mul(m, p.x, z2z2, u1);
+  fqm::fe_mul(m, a.x, z1z1, u2);
+  fqm::fe_mul(m, a.z, z2z2, t);
+  fqm::fe_mul(m, p.y, t, s1);
+  fqm::fe_mul(m, p.z, z1z1, t);
+  fqm::fe_mul(m, a.y, t, s2);
+  fqm::fe_sub(m, u2, u1, h);
+  fqm::fe_sub(m, s2, s1, rr);
+  const std::size_t k = m.limb_count();
+  if (fqm::fe_is_zero(h, k)) {
+    if (fqm::fe_is_zero(rr, k)) return jacm_double(m, p);
+    return jacm_infinity();  // a == -p
+  }
+  Fe h2, h3, uh2, xp, yp, zp;
+  fqm::fe_sqr(m, h, h2);
+  fqm::fe_mul(m, h2, h, h3);
+  fqm::fe_mul(m, u1, h2, uh2);
+  fqm::fe_sqr(m, rr, xp);
+  fqm::fe_sub(m, xp, h3, xp);
+  fqm::fe_add(m, uh2, uh2, t);
+  fqm::fe_sub(m, xp, t, xp);  // X' = r² − H³ − 2·U1·H²
+  fqm::fe_sub(m, uh2, xp, t);
+  fqm::fe_mul(m, rr, t, yp);
+  fqm::fe_mul(m, s1, h3, t);
+  fqm::fe_sub(m, yp, t, yp);  // Y' = r(U1·H² − X') − S1·H³
+  fqm::fe_mul(m, p.z, a.z, zp);
+  fqm::fe_mul(m, zp, h, zp);  // Z' = Z1·Z2·H
+  return {xp, yp, zp};
 }
 
 Point jacm_to_point(const Montgomery& m, const JacM& p) {
@@ -314,34 +360,31 @@ Point point_mul_mont(const Point& p, const BigInt& k,
   if (p.infinity || k.is_zero()) return Point::at_infinity();
   if (!mq.fits_fixed()) return point_mul(p, k, mq.modulus());
 
-  // Odd-multiple table {1, 3, ..., 15}·P: chain mixed additions of an
-  // affine 2P, then normalize the chain with one shared inversion.
-  const AffM pa{fqm::fe_from(mq, p.x), fqm::fe_from(mq, p.y), false};
-  const JacM p2j =
-      jacm_double(mq, JacM{pa.x, pa.y, fqm::fe_from(mq, BigInt{1})});
-  if (jacm_is_inf(mq, p2j)) {
+  // Odd-multiple table {1, 3, ..., 15}·P, kept Jacobian: entries are
+  // only ever added, so they never need the inversions of a normalization,
+  // and the final jacm_to_point is the multiplication's only inversion.
+  const JacM p1{fqm::fe_from(mq, p.x), fqm::fe_from(mq, p.y),
+                fqm::fe_from(mq, BigInt{1})};
+  const JacM p2 = jacm_double(mq, p1);
+  if (jacm_is_inf(mq, p2)) {
     // 2P = identity (P has order <= 2): k·P depends only on k mod 2.
     return k.bit(0) ? p : Point::at_infinity();
   }
-  std::vector<JacM> chain(8);
-  chain[0] = {pa.x, pa.y, fqm::fe_from(mq, BigInt{1})};
-  const AffM p2 = jacm_batch_normalize(mq, {p2j})[0];
-  for (std::size_t i = 1; i < 8; ++i) {
-    chain[i] = jacm_add_affine(mq, chain[i - 1], p2);
+  std::array<JacM, 8> table;
+  table[0] = p1;
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    table[i] = jacm_add(mq, table[i - 1], p2);
   }
-  const std::vector<AffM> table = jacm_batch_normalize(mq, chain);
 
   const std::vector<std::int8_t> digits = wnaf4(k);
   JacM acc = jacm_infinity();
   for (std::size_t i = digits.size(); i-- > 0;) {
     acc = jacm_double(mq, acc);
     const std::int8_t d = digits[i];
-    if (d > 0) {
-      acc = jacm_add_affine(mq, acc, table[static_cast<std::size_t>(d) / 2]);
-    } else if (d < 0) {
-      acc = jacm_add_affine(
-          mq, acc, affm_neg(mq, table[static_cast<std::size_t>(-d) / 2]));
-    }
+    if (d == 0) continue;
+    JacM entry = table[static_cast<std::size_t>(d > 0 ? d : -d) / 2];
+    if (d < 0) entry.y = fqm::fe_neg(mq, entry.y);
+    acc = jacm_add(mq, acc, entry);
   }
   return jacm_to_point(mq, acc);
 }

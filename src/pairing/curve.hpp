@@ -36,8 +36,9 @@ Point point_double(const Point& p, const BigInt& q);
 Point point_mul(const Point& p, const BigInt& k, const BigInt& q);
 
 /// k·p with k >= 0 on the Montgomery-domain fast path: 4-bit wNAF over
-/// Jacobian coordinates with CIOS field multiplication (zero heap traffic
-/// per group operation). Falls back to the reference path when the modulus
+/// Jacobian coordinates with a Jacobian odd-multiple table, so the final
+/// conversion to affine is its only field inversion (zero heap traffic per
+/// group operation). Falls back to the reference path when the modulus
 /// exceeds math::Montgomery::kMaxFixedLimbs.
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq);
@@ -46,6 +47,10 @@ Point point_mul_mont(const Point& p, const BigInt& k,
 /// digits are odd and in [-15, 15]; at most one in any 4 consecutive
 /// positions.
 std::vector<std::int8_t> wnaf4(const BigInt& k);
+
+/// Non-adjacent form of k >= 0, least-significant first: digits −1/0/1,
+/// no two adjacent digits nonzero (the Miller-loop schedule).
+std::vector<std::int8_t> naf(const BigInt& k);
 
 /// Precomputed fixed-base table: all w-bit window multiples
 /// d·2^{jw}·B (d in [1, 2^w), j over the scalar windows), stored as affine

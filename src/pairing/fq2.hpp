@@ -33,7 +33,7 @@ Fq2 fq2_sqr(const Fq2& x, const BigInt& q);
 Fq2 fq2_conj(const Fq2& x, const BigInt& q);
 /// Multiplicative inverse; throws std::domain_error on zero.
 Fq2 fq2_inv(const Fq2& x, const BigInt& q);
-/// x^e with e >= 0. Routes through the Montgomery/CIOS window
+/// x^e with e >= 0. Routes through the Montgomery-form window
 /// exponentiation for odd q at pairing sizes; plain square-and-multiply
 /// otherwise.
 Fq2 fq2_pow(const Fq2& x, const BigInt& e, const BigInt& q);

@@ -90,7 +90,7 @@ inline Fe fe_neg(const Montgomery& m, const Fe& x) {
   return out;
 }
 
-/// x⁻¹ = x^(q−2) (Fermat; q must be prime). ~1.3·log₂q CIOS multiplications
+/// x⁻¹ = x^(q−2) (Fermat; q must be prime). ~1.5·log₂q F_q multiplications
 /// with no heap traffic — several times cheaper than the BigInt
 /// extended-gcd inverse for the field sizes here. Throws std::domain_error
 /// on zero.
@@ -109,7 +109,7 @@ inline bool fe2_is_zero(const Fe2& x, std::size_t k) {
   return fe_is_zero(x.a, k) && fe_is_zero(x.b, k);
 }
 
-/// Karatsuba-style product: 3 CIOS multiplications. out must not alias x/y.
+/// Karatsuba-style product: 3 F_q multiplications. out must not alias x/y.
 inline void fe2_mul(const Montgomery& m, const Fe2& x, const Fe2& y, Fe2& out) {
   Fe t0, t1, sx, sy, t2;
   fe_mul(m, x.a, y.a, t0);
@@ -122,7 +122,7 @@ inline void fe2_mul(const Montgomery& m, const Fe2& x, const Fe2& y, Fe2& out) {
   fe_sub(m, t2, t1, out.b);
 }
 
-/// (a + bi)² = (a+b)(a−b) + 2ab·i: 2 CIOS multiplications. out may alias x.
+/// (a + bi)² = (a+b)(a−b) + 2ab·i: 2 F_q multiplications. out may alias x.
 inline void fe2_sqr(const Montgomery& m, const Fe2& x, Fe2& out) {
   Fe s, d, t0, t1;
   fe_add(m, x.a, x.b, s);

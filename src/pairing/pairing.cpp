@@ -93,6 +93,7 @@ Pairing::Pairing(Params params)
     throw std::invalid_argument("Pairing: q % 4 != 3");
   }
   final_exp_ = (params_.q * params_.q - BigInt{1}) / params_.r;
+  naf_r_ = naf(params_.r);
   q_bytes_ = (params_.q.bit_length() + 7) / 8;
   if (montq_.fits_fixed()) {
     mont_r2_ = fqm::fe_pack(montq_.to_mont(montq_.to_mont(BigInt{1})));
@@ -281,8 +282,8 @@ Point Pairing::deserialize_g1(BytesView data) const {
   }
   bool on = false;
   if (montq_.fits_fixed()) {
-    // y² = x³ + x on plain-form limbs. Each CIOS product carries one R⁻¹,
-    // and x·(x·R²·R⁻¹)·R⁻¹ = x² is plain again, so the test reads
+    // y² = x³ + x on plain-form limbs. Each Montgomery product carries one
+    // R⁻¹, and x·(x·R²·R⁻¹)·R⁻¹ = x² is plain again, so the test reads
     // y·y·R⁻¹ == x·(x² + 1)·R⁻¹.
     const fqm::Fe x = fqm::fe_pack(p.x);
     const fqm::Fe y = fqm::fe_pack(p.y);
@@ -460,13 +461,154 @@ Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
 namespace {
 using fqm::Fe;
 using fqm::Fe2;
+using Line = MillerPrecomp::Slot;
+
+// The running point V of one Miller loop, Jacobian (z == 0 → V = O).
+struct MillerV {
+  Fe x, y, z;
+};
+
+// Tangent line at V scaled by 2YZ³ — A = M·Z², B = M·X − 2Y², C = 2YZ³
+// with M = 3X² + Z⁴ (curve coefficient a = 1) — then V ← 2V. The
+// fixed-limb port of pair_reference's doubling step.
+void miller_double(const math::Montgomery& mq, MillerV& v, Line& line) {
+  if (fqm::fe_is_zero(v.z, mq.limb_count())) {
+    line.skip = true;
+    return;
+  }
+  Fe x2, z2, z4, m, y2, two_y2, yz, s, xp, y4, yp, u;
+  fqm::fe_sqr(mq, v.x, x2);
+  fqm::fe_sqr(mq, v.z, z2);
+  fqm::fe_sqr(mq, z2, z4);
+  fqm::fe_add(mq, x2, x2, m);
+  fqm::fe_add(mq, m, x2, m);
+  fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
+  fqm::fe_sqr(mq, v.y, y2);
+  fqm::fe_add(mq, y2, y2, two_y2);
+  fqm::fe_mul(mq, v.y, v.z, yz);
+  fqm::fe_add(mq, yz, yz, line.c);
+  fqm::fe_mul(mq, line.c, z2, line.c);  // 2YZ³
+  fqm::fe_mul(mq, m, z2, line.a);
+  fqm::fe_mul(mq, m, v.x, line.b);
+  fqm::fe_sub(mq, line.b, two_y2, line.b);
+
+  fqm::fe_mul(mq, v.x, y2, s);
+  fqm::fe_dbl(mq, s, s);
+  fqm::fe_dbl(mq, s, s);  // S = 4XY²
+  fqm::fe_sqr(mq, m, xp);
+  fqm::fe_add(mq, s, s, u);
+  fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
+  fqm::fe_sqr(mq, y2, y4);
+  fqm::fe_dbl(mq, y4, y4);
+  fqm::fe_dbl(mq, y4, y4);
+  fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
+  fqm::fe_sub(mq, s, xp, u);
+  fqm::fe_mul(mq, m, u, yp);
+  fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
+  v.x = xp;
+  v.y = yp;
+  fqm::fe_add(mq, yz, yz, v.z);  // Z' = 2YZ (0 iff Y was 0 → V = O)
+}
+
+// Line through V and the affine point (ax, ay) = ±P scaled by Z·H —
+// A = R, B = R·ax − ay·Z·H, C = Z·H — then V ← V + (ax, ay) by mixed
+// addition, with the V == O and V == ±(ax, ay) corner cases.
+void miller_add(const math::Montgomery& mq, const BigInt& q, MillerV& v,
+                const Fe& ax, const Fe& ay, Line& line) {
+  const std::size_t k = mq.limb_count();
+  if (fqm::fe_is_zero(v.z, k)) {
+    line.skip = true;
+    v = {ax, ay, fqm::fe_from(mq, BigInt{1})};
+    return;
+  }
+  Fe z2, u2, s2, hh, rr, u;
+  fqm::fe_sqr(mq, v.z, z2);
+  fqm::fe_mul(mq, ax, z2, u2);
+  fqm::fe_mul(mq, z2, v.z, s2);
+  fqm::fe_mul(mq, ay, s2, s2);
+  fqm::fe_sub(mq, u2, v.x, hh);
+  fqm::fe_sub(mq, s2, v.y, rr);
+  if (fqm::fe_is_zero(hh, k)) {
+    if (!fqm::fe_is_zero(rr, k)) {
+      // V == −(ax, ay): vertical line (eliminated); the sum is O.
+      line.skip = true;
+      v.z = Fe{};
+      return;
+    }
+    // V == (ax, ay): the tangent there, scaled by its denominator 2ay:
+    // A = 3ax² + 1, B = A·ax − 2ay·ay, C = 2ay. Cold, like the branch above.
+    const Fe one_m = fqm::fe_from(mq, BigInt{1});
+    Fe x2;
+    fqm::fe_sqr(mq, ax, x2);
+    fqm::fe_add(mq, x2, x2, line.a);
+    fqm::fe_add(mq, line.a, x2, line.a);
+    fqm::fe_add(mq, line.a, one_m, line.a);
+    fqm::fe_add(mq, ay, ay, line.c);
+    fqm::fe_mul(mq, line.a, ax, line.b);
+    fqm::fe_mul(mq, line.c, ay, u);
+    fqm::fe_sub(mq, line.b, u, line.b);
+    // V ← 2·(ax, ay) via the plain-domain path (cold corner case).
+    const Point dbl =
+        point_double({fqm::fe_to(mq, ax), fqm::fe_to(mq, ay), false}, q);
+    v = dbl.infinity ? MillerV{}
+                     : MillerV{fqm::fe_from(mq, dbl.x), fqm::fe_from(mq, dbl.y),
+                               one_m};
+    return;
+  }
+  Fe zh;
+  fqm::fe_mul(mq, v.z, hh, zh);
+  line.a = rr;
+  fqm::fe_mul(mq, rr, ax, line.b);
+  fqm::fe_mul(mq, ay, zh, u);
+  fqm::fe_sub(mq, line.b, u, line.b);
+  line.c = zh;
+
+  Fe h2, h3, uh2, xp, yp;
+  fqm::fe_sqr(mq, hh, h2);
+  fqm::fe_mul(mq, h2, hh, h3);
+  fqm::fe_mul(mq, v.x, h2, uh2);
+  fqm::fe_sqr(mq, rr, xp);
+  fqm::fe_sub(mq, xp, h3, xp);
+  fqm::fe_add(mq, uh2, uh2, u);
+  fqm::fe_sub(mq, xp, u, xp);  // X' = R² − H³ − 2·X·H²
+  fqm::fe_sub(mq, uh2, xp, u);
+  fqm::fe_mul(mq, rr, u, yp);
+  fqm::fe_mul(mq, v.y, h3, u);
+  fqm::fe_sub(mq, yp, u, yp);  // Y' = R(X·H² − X') − Y·H³
+  v = {xp, yp, zh};
+}
+
+// f ← f · line(φ(Q)) for Q = (qx, qy).
+void miller_eval(const math::Montgomery& mq, const Line& line, const Fe& qx,
+                 const Fe& qy, Fe2& f) {
+  if (line.skip) return;
+  Fe2 l, tmp;
+  Fe u;
+  fqm::fe_mul(mq, line.a, qx, u);
+  fqm::fe_add(mq, u, line.b, l.a);
+  fqm::fe_mul(mq, line.c, qy, l.b);
+  fqm::fe2_mul(mq, f, l, tmp);
+  f = tmp;
+}
 
 // Per-term Miller-loop state on the allocation-free fixed-limb field
-// representation: affine P and Q plus the running Jacobian V.
+// representation: affine P (and −P's y) and Q plus the running V, which
+// miller_product starts at P.
 struct MillerTermM {
-  Fe px, py, qx, qy;
-  Fe vx, vy, vz;  // vz == 0 → V = O
+  Fe px, py, neg_py, qx, qy;
+  MillerV v;
 };
+
+MillerTermM miller_term(const math::Montgomery& mq, const Point& p,
+                        const Point& q) {
+  MillerTermM t;
+  t.px = fqm::fe_from(mq, p.x);
+  t.py = fqm::fe_from(mq, p.y);
+  t.neg_py = fqm::fe_neg(mq, t.py);
+  t.qx = fqm::fe_from(mq, q.x);
+  t.qy = fqm::fe_from(mq, q.y);
+  return t;
+}
 
 // The shared final exponentiation f^((q²−1)/r) = (conj(f)·f⁻¹)^h since
 // (q²−1)/r = (q−1)·h and f^q = conj(f) in F_q².
@@ -488,148 +630,33 @@ Fq2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
   return Fq2{fqm::fe_to(mq, res.a), fqm::fe_to(mq, res.b)};
 }
 
-// Interleaved Miller loops computing ∏ f_{r,P_i}(φ(Q_i)): one shared F_q²
-// accumulator (a single squaring per bit regardless of the term count)
-// followed by ONE final exponentiation f^((q²−1)/r) = (conj(f)·f⁻¹)^h.
-// The line/double/add formulas are the fixed-limb port of pair_reference;
-// see the comments there for the derivations.
+// Interleaved Miller loops computing ∏ f_{r,P_i}(φ(Q_i)) over the NAF of r:
+// one shared F_q² accumulator (a single squaring per digit regardless of
+// the term count) followed by ONE final exponentiation. Against r's binary
+// expansion the NAF drops vertical lines at −1 digits and changes the
+// Jacobian scale factors; all of them lie in F_q*, which the final
+// exponent (a multiple of q − 1) kills, so every GT value is unchanged.
 Fq2 miller_product(const math::Montgomery& mq, const Params& params,
+                   const std::vector<std::int8_t>& naf_r,
                    std::vector<MillerTermM>& terms) {
-  const std::size_t k = mq.limb_count();
-  const BigInt& r = params.r;
   const Fe one_m = fqm::fe_from(mq, BigInt{1});
+  for (auto& t : terms) t.v = {t.px, t.py, one_m};
   Fe2 f = fqm::fe2_one(mq);
-  Fe2 tmp;
-
-  for (auto& t : terms) {
-    t.vx = t.px;
-    t.vy = t.py;
-    t.vz = one_m;
-  }
-
-  for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
+  for (std::size_t i = naf_r.size() - 1; i-- > 0;) {
     fqm::fe2_sqr(mq, f, f);
     for (auto& t : terms) {
-      if (fqm::fe_is_zero(t.vz, k)) continue;
-      // Tangent line at V scaled by 2YZ³, then V ← 2V (a = 1).
-      Fe x2, z2, z4, m, y2, two_y2, yz, two_yz3, s, xp, y4, yp, u;
-      fqm::fe_sqr(mq, t.vx, x2);
-      fqm::fe_sqr(mq, t.vz, z2);
-      fqm::fe_sqr(mq, z2, z4);
-      fqm::fe_add(mq, x2, x2, m);
-      fqm::fe_add(mq, m, x2, m);
-      fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
-      fqm::fe_sqr(mq, t.vy, y2);
-      fqm::fe_add(mq, y2, y2, two_y2);
-      fqm::fe_mul(mq, t.vy, t.vz, yz);
-      fqm::fe_add(mq, yz, yz, two_yz3);
-      fqm::fe_mul(mq, two_yz3, z2, two_yz3);  // 2YZ³
-      Fe2 line;
-      fqm::fe_mul(mq, m, z2, u);
-      fqm::fe_mul(mq, u, t.qx, u);  // M·Z²·xQ
-      fqm::fe_mul(mq, m, t.vx, line.a);
-      fqm::fe_add(mq, line.a, u, line.a);
-      fqm::fe_sub(mq, line.a, two_y2, line.a);
-      fqm::fe_mul(mq, two_yz3, t.qy, line.b);
-      fqm::fe2_mul(mq, f, line, tmp);
-      f = tmp;
-
-      fqm::fe_mul(mq, t.vx, y2, s);
-      fqm::fe_dbl(mq, s, s);
-      fqm::fe_dbl(mq, s, s);  // S = 4XY²
-      fqm::fe_sqr(mq, m, xp);
-      fqm::fe_add(mq, s, s, u);
-      fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
-      fqm::fe_sqr(mq, y2, y4);
-      fqm::fe_dbl(mq, y4, y4);
-      fqm::fe_dbl(mq, y4, y4);
-      fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
-      fqm::fe_sub(mq, s, xp, u);
-      fqm::fe_mul(mq, m, u, yp);
-      fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
-      t.vx = xp;
-      t.vy = yp;
-      fqm::fe_add(mq, yz, yz, t.vz);  // Z' = 2YZ (0 iff Y was 0 → V = O)
+      Line line;
+      miller_double(mq, t.v, line);
+      miller_eval(mq, line, t.qx, t.qy, f);
     }
-
-    if (!r.bit(i)) continue;
+    if (naf_r[i] == 0) continue;
     for (auto& t : terms) {
-      if (fqm::fe_is_zero(t.vz, k)) {
-        t.vx = t.px;
-        t.vy = t.py;
-        t.vz = one_m;
-        continue;
-      }
-      // V + P (mixed addition) with the V == ±P corner cases.
-      Fe z2, u2, s2, hh, rr, u;
-      fqm::fe_sqr(mq, t.vz, z2);
-      fqm::fe_mul(mq, t.px, z2, u2);
-      fqm::fe_mul(mq, z2, t.vz, s2);
-      fqm::fe_mul(mq, t.py, s2, s2);
-      fqm::fe_sub(mq, u2, t.vx, hh);
-      fqm::fe_sub(mq, s2, t.vy, rr);
-      if (fqm::fe_is_zero(hh, k)) {
-        if (fqm::fe_is_zero(rr, k)) {
-          // V == P: tangent at the affine point, scaled by its denominator.
-          Fe x2p, num, den;
-          fqm::fe_sqr(mq, t.px, x2p);
-          fqm::fe_add(mq, x2p, x2p, num);
-          fqm::fe_add(mq, num, x2p, num);
-          fqm::fe_add(mq, num, one_m, num);  // 3xP² + 1
-          fqm::fe_add(mq, t.py, t.py, den);  // 2yP
-          Fe2 line;
-          fqm::fe_add(mq, t.qx, t.px, u);
-          fqm::fe_mul(mq, num, u, line.a);
-          fqm::fe_mul(mq, den, t.py, u);
-          fqm::fe_sub(mq, line.a, u, line.a);
-          fqm::fe_mul(mq, den, t.qy, line.b);
-          fqm::fe2_mul(mq, f, line, tmp);
-          f = tmp;
-          // V ← 2P via the plain-domain path (cold corner case).
-          const Point pa{fqm::fe_to(mq, t.px), fqm::fe_to(mq, t.py), false};
-          const Point dbl = point_double(pa, params.q);
-          if (dbl.infinity) {
-            t.vz = Fe{};
-          } else {
-            t.vx = fqm::fe_from(mq, dbl.x);
-            t.vy = fqm::fe_from(mq, dbl.y);
-            t.vz = one_m;
-          }
-        } else {
-          t.vz = Fe{};  // V == −P: vertical line (eliminated); V + P = O
-        }
-        continue;
-      }
-      Fe zh;
-      fqm::fe_mul(mq, t.vz, hh, zh);
-      Fe2 line;
-      fqm::fe_add(mq, t.qx, t.px, u);
-      fqm::fe_mul(mq, rr, u, line.a);
-      fqm::fe_mul(mq, t.py, zh, u);
-      fqm::fe_sub(mq, line.a, u, line.a);  // R·(xQ + xP) − yP·Z·H
-      fqm::fe_mul(mq, zh, t.qy, line.b);
-      fqm::fe2_mul(mq, f, line, tmp);
-      f = tmp;
-
-      Fe h2, h3, uh2, xp, yp;
-      fqm::fe_sqr(mq, hh, h2);
-      fqm::fe_mul(mq, h2, hh, h3);
-      fqm::fe_mul(mq, t.vx, h2, uh2);
-      fqm::fe_sqr(mq, rr, xp);
-      fqm::fe_sub(mq, xp, h3, xp);
-      fqm::fe_add(mq, uh2, uh2, u);
-      fqm::fe_sub(mq, xp, u, xp);
-      fqm::fe_sub(mq, uh2, xp, u);
-      fqm::fe_mul(mq, rr, u, yp);
-      fqm::fe_mul(mq, t.vy, h3, u);
-      fqm::fe_sub(mq, yp, u, yp);
-      t.vx = xp;
-      t.vy = yp;
-      t.vz = zh;
+      Line line;
+      miller_add(mq, params.q, t.v, t.px, naf_r[i] > 0 ? t.py : t.neg_py,
+                 line);
+      miller_eval(mq, line, t.qx, t.qy, f);
     }
   }
-
-  // The single shared final exponentiation.
   return final_exponentiation_m(mq, params, f);
 }
 }  // namespace
@@ -638,12 +665,8 @@ Fq2 Pairing::pair(const Point& p, const Point& qpt) const {
   probe::ScopedTimer timer(pair_probe_);
   if (p.infinity || qpt.infinity) return fq2_one();
   if (!montq_.fits_fixed()) return pair_reference(p, qpt);
-  std::vector<MillerTermM> terms(1);
-  terms[0].px = fqm::fe_from(montq_, p.x);
-  terms[0].py = fqm::fe_from(montq_, p.y);
-  terms[0].qx = fqm::fe_from(montq_, qpt.x);
-  terms[0].qy = fqm::fe_from(montq_, qpt.y);
-  return miller_product(montq_, params_, terms);
+  std::vector<MillerTermM> terms{miller_term(montq_, p, qpt)};
+  return miller_product(montq_, params_, naf_r_, terms);
 }
 
 Fq2 Pairing::pair_product(std::span<const PairTerm> in) const {
@@ -662,14 +685,9 @@ Fq2 Pairing::pair_product(std::span<const PairTerm> in) const {
   terms.reserve(in.size());
   for (const PairTerm& t : in) {
     if (t.p.infinity || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
-    MillerTermM m;
-    m.px = fqm::fe_from(montq_, t.p.x);
-    m.py = fqm::fe_from(montq_, t.p.y);
-    m.qx = fqm::fe_from(montq_, t.q.x);
-    m.qy = fqm::fe_from(montq_, t.q.y);
-    terms.push_back(m);
+    terms.push_back(miller_term(montq_, t.p, t.q));
   }
-  return miller_product(montq_, params_, terms);
+  return miller_product(montq_, params_, naf_r_, terms);
 }
 
 MillerPrecomp Pairing::miller_precompute(const Point& p) const {
@@ -681,143 +699,22 @@ MillerPrecomp Pairing::miller_precompute(const Point& p) const {
   }
   if (!montq_.fits_fixed()) return pre;  // consumers use the point_ fallback
   const math::Montgomery& mq = montq_;
-  const std::size_t k = mq.limb_count();
-  const BigInt& r = params_.r;
-  const Fe one_m = fqm::fe_from(mq, BigInt{1});
   const Fe px = fqm::fe_from(mq, p.x);
   const Fe py = fqm::fe_from(mq, p.y);
-  Fe vx = px, vy = py, vz = one_m;
+  const Fe neg_py = fqm::fe_neg(mq, py);
+  MillerV v{px, py, fqm::fe_from(mq, BigInt{1})};
 
-  const std::size_t bits = r.bit_length();
-  std::size_t set_bits = 0;
-  for (std::size_t i = 0; i + 1 < bits; ++i) set_bits += r.bit(i) ? 1 : 0;
-  pre.slots_.reserve((bits - 1) + set_bits);
-
+  const std::size_t additions = static_cast<std::size_t>(
+      std::count_if(naf_r_.begin(), naf_r_.end() - 1,
+                    [](std::int8_t d) { return d != 0; }));
+  pre.slots_.reserve(naf_r_.size() - 1 + additions);
   // Walk the exact V-chain of miller_product, recording each line's
   // (A, B, C) instead of evaluating it against a Q.
-  for (std::size_t i = bits - 1; i-- > 0;) {
-    {
-      MillerPrecomp::Slot slot;
-      if (fqm::fe_is_zero(vz, k)) {
-        slot.skip = true;
-        pre.slots_.push_back(slot);
-      } else {
-        // Tangent at V scaled by 2YZ³: A = M·Z², B = M·X − 2Y², C = 2YZ³.
-        Fe x2, z2, z4, m, y2, two_y2, yz, two_yz3, s, xp, y4, yp, u;
-        fqm::fe_sqr(mq, vx, x2);
-        fqm::fe_sqr(mq, vz, z2);
-        fqm::fe_sqr(mq, z2, z4);
-        fqm::fe_add(mq, x2, x2, m);
-        fqm::fe_add(mq, m, x2, m);
-        fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
-        fqm::fe_sqr(mq, vy, y2);
-        fqm::fe_add(mq, y2, y2, two_y2);
-        fqm::fe_mul(mq, vy, vz, yz);
-        fqm::fe_add(mq, yz, yz, two_yz3);
-        fqm::fe_mul(mq, two_yz3, z2, two_yz3);  // 2YZ³
-        fqm::fe_mul(mq, m, z2, slot.a);
-        fqm::fe_mul(mq, m, vx, slot.b);
-        fqm::fe_sub(mq, slot.b, two_y2, slot.b);
-        slot.c = two_yz3;
-        pre.slots_.push_back(slot);
-
-        // V ← 2V (a = 1), identical update to miller_product.
-        fqm::fe_mul(mq, vx, y2, s);
-        fqm::fe_dbl(mq, s, s);
-        fqm::fe_dbl(mq, s, s);  // S = 4XY²
-        fqm::fe_sqr(mq, m, xp);
-        fqm::fe_add(mq, s, s, u);
-        fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
-        fqm::fe_sqr(mq, y2, y4);
-        fqm::fe_dbl(mq, y4, y4);
-        fqm::fe_dbl(mq, y4, y4);
-        fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
-        fqm::fe_sub(mq, s, xp, u);
-        fqm::fe_mul(mq, m, u, yp);
-        fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
-        vx = xp;
-        vy = yp;
-        fqm::fe_add(mq, yz, yz, vz);  // Z' = 2YZ
-      }
-    }
-
-    if (!r.bit(i)) continue;
-    MillerPrecomp::Slot slot;
-    if (fqm::fe_is_zero(vz, k)) {
-      slot.skip = true;
-      pre.slots_.push_back(slot);
-      vx = px;
-      vy = py;
-      vz = one_m;
-      continue;
-    }
-    // V + P (mixed addition) with the V == ±P corner cases.
-    Fe z2, u2, s2, hh, rr, u;
-    fqm::fe_sqr(mq, vz, z2);
-    fqm::fe_mul(mq, px, z2, u2);
-    fqm::fe_mul(mq, z2, vz, s2);
-    fqm::fe_mul(mq, py, s2, s2);
-    fqm::fe_sub(mq, u2, vx, hh);
-    fqm::fe_sub(mq, s2, vy, rr);
-    if (fqm::fe_is_zero(hh, k)) {
-      if (fqm::fe_is_zero(rr, k)) {
-        // V == P: tangent at the affine point. A = 3xP² + 1,
-        // B = A·xP − 2yP·yP... kept literally in sync with miller_product:
-        // B = num·xP − den·yP, C = den = 2yP.
-        Fe x2p, num, den;
-        fqm::fe_sqr(mq, px, x2p);
-        fqm::fe_add(mq, x2p, x2p, num);
-        fqm::fe_add(mq, num, x2p, num);
-        fqm::fe_add(mq, num, one_m, num);  // 3xP² + 1
-        fqm::fe_add(mq, py, py, den);      // 2yP
-        slot.a = num;
-        fqm::fe_mul(mq, num, px, slot.b);
-        fqm::fe_mul(mq, den, py, u);
-        fqm::fe_sub(mq, slot.b, u, slot.b);
-        slot.c = den;
-        pre.slots_.push_back(slot);
-        // V ← 2P via the plain-domain path (cold corner case).
-        const Point pa{fqm::fe_to(mq, px), fqm::fe_to(mq, py), false};
-        const Point dbl = point_double(pa, params_.q);
-        if (dbl.infinity) {
-          vz = Fe{};
-        } else {
-          vx = fqm::fe_from(mq, dbl.x);
-          vy = fqm::fe_from(mq, dbl.y);
-          vz = one_m;
-        }
-      } else {
-        // V == −P: vertical line (eliminated); V + P = O.
-        slot.skip = true;
-        pre.slots_.push_back(slot);
-        vz = Fe{};
-      }
-      continue;
-    }
-    Fe zh;
-    fqm::fe_mul(mq, vz, hh, zh);
-    slot.a = rr;  // line = R·xQ + (R·xP − yP·Z·H) + i·(Z·H·yQ)
-    fqm::fe_mul(mq, rr, px, slot.b);
-    fqm::fe_mul(mq, py, zh, u);
-    fqm::fe_sub(mq, slot.b, u, slot.b);
-    slot.c = zh;
-    pre.slots_.push_back(slot);
-
-    Fe h2, h3, uh2, xp, yp;
-    fqm::fe_sqr(mq, hh, h2);
-    fqm::fe_mul(mq, h2, hh, h3);
-    fqm::fe_mul(mq, vx, h2, uh2);
-    fqm::fe_sqr(mq, rr, xp);
-    fqm::fe_sub(mq, xp, h3, xp);
-    fqm::fe_add(mq, uh2, uh2, u);
-    fqm::fe_sub(mq, xp, u, xp);
-    fqm::fe_sub(mq, uh2, xp, u);
-    fqm::fe_mul(mq, rr, u, yp);
-    fqm::fe_mul(mq, vy, h3, u);
-    fqm::fe_sub(mq, yp, u, yp);
-    vx = xp;
-    vy = yp;
-    vz = zh;
+  for (std::size_t i = naf_r_.size() - 1; i-- > 0;) {
+    miller_double(mq, v, pre.slots_.emplace_back());
+    if (naf_r_[i] == 0) continue;
+    miller_add(mq, params_.q, v, px, naf_r_[i] > 0 ? py : neg_py,
+               pre.slots_.emplace_back());
   }
   return pre;
 }
@@ -850,30 +747,18 @@ Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
     terms.push_back(s);
   }
 
-  const math::Montgomery& mq = montq_;
-  const BigInt& r = params_.r;
-  Fe2 f = fqm::fe2_one(mq);
-  Fe2 tmp;
-  Fe u;
   // Same interleaved loop shape as miller_product: one shared squaring per
-  // bit, then every term consumes its next slot. Because fe_add/fe_sub/
-  // fe_mul always produce the canonical representative in [0, q), the
-  // regrouped evaluation A·xQ + B yields limbs identical to the inline
-  // chain, so the product is bit-identical to the PairTerm overload.
+  // digit, then every term evaluates its next slot, so the product is
+  // bit-identical to the PairTerm overload.
+  const math::Montgomery& mq = montq_;
+  Fe2 f = fqm::fe2_one(mq);
   auto eval = [&](TermState& t) {
-    const MillerPrecomp::Slot& slot = t.pre->slots_[t.cursor++];
-    if (slot.skip) return;
-    Fe2 line;
-    fqm::fe_mul(mq, slot.a, t.qx, u);
-    fqm::fe_add(mq, u, slot.b, line.a);
-    fqm::fe_mul(mq, slot.c, t.qy, line.b);
-    fqm::fe2_mul(mq, f, line, tmp);
-    f = tmp;
+    miller_eval(mq, t.pre->slots_[t.cursor++], t.qx, t.qy, f);
   };
-  for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
+  for (std::size_t i = naf_r_.size() - 1; i-- > 0;) {
     fqm::fe2_sqr(mq, f, f);
     for (auto& t : terms) eval(t);
-    if (!r.bit(i)) continue;
+    if (naf_r_[i] == 0) continue;
     for (auto& t : terms) eval(t);
   }
   return final_exponentiation_m(mq, params_, f);

@@ -54,20 +54,24 @@ struct PairTerm {
 /// plain pair_product on the same (P, Q) inputs.
 class MillerPrecomp {
  public:
+  /// One Miller-loop line: at φ(Q) it is (a·xQ + b) + i·(c·yQ), up to a
+  /// factor in F_q* that the final exponentiation removes.
+  struct Slot {
+    fqm::Fe a, b, c;
+    bool skip = false;  // V at O or a vertical line: no GT multiplication
+  };
+
   bool infinity() const { return infinity_; }
   std::size_t memory_bytes() const { return slots_.size() * sizeof(Slot); }
 
  private:
   friend class Pairing;
-  struct Slot {
-    fqm::Fe a, b, c;    // line = (a·xQ + b) + i·(c·yQ)
-    bool skip = false;  // V at O or a vertical line: no GT multiplication
-  };
   bool infinity_ = false;
   Point point_;  // original P, for the oversized-modulus reference fallback
-  // Fixed schedule over r's bits: one slot per doubling iteration plus one
-  // per set bit (mixed addition), so every precomp of the same pairing
-  // walks in lockstep with the interleaved product loop.
+  // Fixed schedule over the non-adjacent form of r: one slot per doubling
+  // plus one per nonzero digit below the top (an addition of ±P), so every
+  // precomp of the same pairing walks in lockstep with the interleaved
+  // product loop: 106 slots in the test group, 210 in the paper group.
   std::vector<Slot> slots_;
 };
 
@@ -173,6 +177,9 @@ class Pairing {
  private:
   Params params_;
   BigInt final_exp_;  // (q² − 1) / r
+  // NAF(r), least-significant digit first: the schedule of every Miller
+  // loop (a −1 digit adds −P = (x_P, −y_P)).
+  std::vector<std::int8_t> naf_r_;
   std::size_t q_bytes_;
   math::Montgomery montq_;  // Montgomery context for F_q (pairing hot path)
   fqm::Fe mont_r2_;         // R² mod q: fe_mul by it enters Montgomery form

@@ -83,15 +83,36 @@ TEST(Montgomery, PowEdgeCases) {
 }
 
 // Moduli with the top bit of the top limb set maximize the transient carry
-// limb t[k] in CIOS and make the final conditional subtraction load-bearing
-// — the shape where a dropped carry or a shift-width slip in the reduction
-// loop shows up. Checked against the plain mod(a*b, n) reference.
+// limb t[k] of the reduction and make the final conditional subtraction
+// load-bearing — the shape where a dropped carry or a shift-width slip in
+// the reduction loop shows up. The largest prime below 2^(64k) for each
+// limb count ("max") also makes n−1 all-ones limbs but the lowest, so
+// (n−1)² fills every product-scanning column to its widest.
+constexpr const char* kTopBitSetModuli[] = {
+    "ffffffffffffffc5",                                  // 1 limb, max
+    "e3779b97f4a7c15f",                                  // 1 limb
+    "ffffffffffffffffffffffffffffff61",                  // 2 limbs, max
+    "ffffffffffffffffffffffffffffffffffffffffffffff13",  // 3 limbs, max
+    // 2^256 − 189, 4 limbs, max
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff43",
+    // 2^320 − 197, 5 limbs, max
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+    "ffffffffffffff3b",
+    // 2^384 − 317, 6 limbs, max
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+    "fffffffffffffffffffffffffffffec3",
+    // 2^448 − 203, 7 limbs, max
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+    "ffffffffffffffffffffffffffffffffffffffffffffff35",
+    // 2^512 − 569, 8 limbs, max
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffdc7",
+};
+
+// Checked against the plain mod(a*b, n) reference.
 TEST(Montgomery, TopBitSetModuliCarryLimb) {
   TestRng rng(67);
-  for (const char* hex : {"ffffffffffffffc5",                    // 1 limb, max
-                          "e3779b97f4a7c15f",                    // 1 limb
-                          "ffffffffffffffffffffffffffffff61",    // 2 limbs, max
-                          "ffffffffffffffffffffffffffffffffffffffffffffff13"}) {
+  for (const char* hex : kTopBitSetModuli) {
     const BigInt n = BigInt::from_hex(hex);
     const Montgomery mont(n);
     const BigInt nm1 = n - BigInt{1};
@@ -133,9 +154,7 @@ TEST(Montgomery, FixedLimbApiMatchesBigIntOps) {
     moduli.push_back(random_prime(rng, 64 * limbs - 4));
     moduli.push_back(random_prime(rng, 64 * limbs));
   }
-  for (const char* hex : {"ffffffffffffffc5", "e3779b97f4a7c15f",
-                          "ffffffffffffffffffffffffffffff61",
-                          "ffffffffffffffffffffffffffffffffffffffffffffff13"}) {
+  for (const char* hex : kTopBitSetModuli) {
     moduli.push_back(BigInt::from_hex(hex));
   }
   for (const BigInt& n : moduli) {

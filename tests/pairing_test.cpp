@@ -380,24 +380,35 @@ TEST_F(PairingTest, PairProductNegationCancels) {
   EXPECT_TRUE(fq2_is_one(pp_->pair_product(terms)));
 }
 
+// In both groups. k = r ends the wNAF loop adding the negation of the
+// accumulator (the full addition's infinity branch); r − 26 in the test
+// group and r + 30 in the paper group end it adding the accumulator itself
+// (its doubling branch), as a simulation of wNAF-4 over r shows.
 TEST_F(PairingTest, MontScalarMulMatchesReferenceOnEdgeScalars) {
-  const BigInt& r = pp_->r();
-  const math::Montgomery& mq = pp_->mont_q();
-  std::vector<BigInt> scalars{BigInt{},        BigInt{1}, BigInt{2},
-                              r - BigInt{1},   r,         r + BigInt{1},
-                              r * r + BigInt{7}};
-  for (int i = 0; i < 4; ++i) scalars.push_back(BigInt::random_below(rng_, r));
-  const Point base =
-      pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
-  const FixedBaseTable table(mq, base, r.bit_length());
-  for (const BigInt& k : scalars) {
-    const Point ref = point_mul(base, k, pp_->q());
-    EXPECT_EQ(point_mul_mont(base, k, mq), ref) << k.to_dec();
-    EXPECT_EQ(table.mul(k), ref) << k.to_dec();
+  const std::pair<PairingPtr, BigInt> groups[] = {
+      {pp_, pp_->r() - BigInt{26}},
+      {Pairing::paper_pairing(), Pairing::paper_pairing()->r() + BigInt{30}}};
+  for (const auto& [pp, doubling] : groups) {
+    const BigInt& r = pp->r();
+    const math::Montgomery& mq = pp->mont_q();
+    std::vector<BigInt> scalars{BigInt{},      BigInt{1}, BigInt{2},
+                                r - BigInt{1}, r,         r + BigInt{1},
+                                r * r + BigInt{7},        doubling};
+    for (int i = 0; i < 4; ++i) {
+      scalars.push_back(BigInt::random_below(rng_, r));
+    }
+    const Point base =
+        pp->mul(pp->generator(), pp->random_nonzero_scalar(rng_));
+    const FixedBaseTable table(mq, base, r.bit_length());
+    for (const BigInt& k : scalars) {
+      const Point ref = point_mul(base, k, pp->q());
+      EXPECT_EQ(point_mul_mont(base, k, mq), ref) << k.to_dec();
+      EXPECT_EQ(table.mul(k), ref) << k.to_dec();
+    }
+    EXPECT_THROW(point_mul_mont(base, BigInt{-1}, mq), std::invalid_argument);
+    EXPECT_THROW(table.mul(BigInt{-1}), std::invalid_argument);
+    EXPECT_TRUE(point_mul_mont(Point::at_infinity(), BigInt{5}, mq).infinity);
   }
-  EXPECT_THROW(point_mul_mont(base, BigInt{-1}, mq), std::invalid_argument);
-  EXPECT_THROW(table.mul(BigInt{-1}), std::invalid_argument);
-  EXPECT_TRUE(point_mul_mont(Point::at_infinity(), BigInt{5}, mq).infinity);
 }
 
 TEST_F(PairingTest, Wnaf4DigitsReconstructScalar) {
@@ -417,6 +428,30 @@ TEST_F(PairingTest, Wnaf4DigitsReconstructScalar) {
     }
     EXPECT_EQ(acc, k);
   }
+}
+
+TEST_F(PairingTest, NafDigitsAreNonAdjacentAndReconstructScalar) {
+  std::vector<BigInt> scalars{BigInt{1}, BigInt{3}, pp_->r(),
+                              Pairing::paper_pairing()->r()};
+  for (int i = 0; i < 8; ++i) {
+    scalars.push_back(BigInt::random_bits(rng_, 8 + 21 * i));
+  }
+  for (const BigInt& k : scalars) {
+    const auto digits = naf(k);
+    BigInt acc{};
+    BigInt pow{1};
+    for (std::size_t i = 0; i < digits.size(); ++i) {
+      EXPECT_LE(digits[i], 1);
+      EXPECT_GE(digits[i], -1);
+      EXPECT_FALSE(i > 0 && digits[i] != 0 && digits[i - 1] != 0);
+      acc = acc + pow * BigInt{digits[i]};
+      pow = pow + pow;
+    }
+    EXPECT_EQ(acc, k) << k.to_dec();
+    EXPECT_EQ(digits.back(), 1) << k.to_dec();
+  }
+  EXPECT_TRUE(naf(BigInt{}).empty());
+  EXPECT_THROW(naf(BigInt{-1}), std::invalid_argument);
 }
 
 TEST_F(PairingTest, GtFixedBaseMatchesGenericPow) {
@@ -461,6 +496,8 @@ TEST_F(PairingTest, HashToG1PinnedAcrossProcesses) {
 // templated on the limb count. The test group runs the 3-limb kernels and
 // the paper group the 8-limb ones, so a change that moves one output bit of
 // either shows here without a second implementation to compare against.
+// precomp_bytes pins the Miller schedule: one 200-byte slot per doubling
+// and per nonzero digit below the top of NAF(r).
 
 struct GroupKat {
   PairingPtr (*group)();
@@ -468,6 +505,7 @@ struct GroupKat {
   const char* product;  // 12-term pair_product == pair_product_precomp
   const char* mul;      // serialize_g1(point_mul_mont(P, k1))
   const char* fixed;    // serialize_g1(FixedBaseTable(P).mul(k2))
+  std::size_t precomp_bytes;  // miller_precompute(P).memory_bytes()
 };
 
 void check_group_kat(const GroupKat& kat) {
@@ -492,6 +530,7 @@ void check_group_kat(const GroupKat& kat) {
   EXPECT_EQ(to_hex(pp->serialize_gt(pp->pair_product(terms))), kat.product);
   EXPECT_EQ(to_hex(pp->serialize_gt(pp->pair_product_precomp(pterms))),
             kat.product);
+  EXPECT_EQ(pre[0].memory_bytes(), kat.precomp_bytes);
 
   const Point& base = terms[0].p;
   const BigInt k1 = pp->random_scalar(rng);
@@ -516,7 +555,9 @@ TEST(PairingKnownAnswer, TestGroup) {
                    // fixed
                    "01149bc6872615dd460a92a8dd435aa621254cdae706b0eace9f09cb"
                    "ec17589e"
-                   "69d05f2bf7ea281e50"});
+                   "69d05f2bf7ea281e50",
+                   // precomp_bytes: 80 doublings + 26 additions
+                   21200});
 }
 
 TEST(PairingKnownAnswer, PaperGroup) {
@@ -545,7 +586,9 @@ TEST(PairingKnownAnswer, PaperGroup) {
                    "41958367553fd33d26137e97232534886b48a0cd1bb68159eb959c45"
                    "31a8b2d2591323bfb630fe563e47a65bbde50dc121d4f48b943760a6"
                    "2d4da593e6d598fae6eb8290a1d3312d"
-                   "a7"});
+                   "a7",
+                   // precomp_bytes: 160 doublings + 50 additions
+                   42000});
 }
 
 TEST(PairingBaked, BakedParamsSatisfyCurveInvariants) {

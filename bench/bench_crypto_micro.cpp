@@ -205,6 +205,17 @@ void BM_HashToG1(benchmark::State& state) {
 }
 BENCHMARK(BM_HashToG1);
 
+void BM_HashToG1_Paper(benchmark::State& state) {
+  const auto p = pairing::Pairing::paper_pairing();
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    Writer w;
+    w.u64(i++);
+    benchmark::DoNotOptimize(p->hash_to_g1(w.data()));
+  }
+}
+BENCHMARK(BM_HashToG1_Paper);
+
 void BM_Ecies_Encrypt(benchmark::State& state) {
   TestRng rng(5);
   const auto p = pp();
@@ -241,20 +252,6 @@ void BM_Hve_Encrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Hve_Encrypt)->Arg(8)->Arg(20)->Arg(40);
-
-void BM_Hve_Encrypt_Precomp(benchmark::State& state) {
-  TestRng rng(7);
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  const auto keys = pbe::hve_setup(pp(), width, rng);
-  const pbe::HvePrecomp pre = pbe::hve_precompute(keys.pk);
-  pbe::BitVector x(width);
-  for (auto& b : x) b = static_cast<std::uint8_t>(rng.uniform(2));
-  const auto m = keys.pk.pairing->random_gt(rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pbe::hve_encrypt(keys.pk, x, m, rng, &pre));
-  }
-}
-BENCHMARK(BM_Hve_Encrypt_Precomp)->Arg(8)->Arg(20)->Arg(40);
 
 void BM_Hve_Match(benchmark::State& state) {
   TestRng rng(8);

@@ -105,22 +105,4 @@ BigInt mod_sqrt_3mod4(const BigInt& a, const BigInt& p) {
   return r;
 }
 
-bool is_quadratic_residue(const BigInt& a, const Montgomery& mp) {
-  if (a.is_zero()) return true;
-  const BigInt e = (mp.modulus() - BigInt{1}) >> 1;
-  return mp.pow(a, e) == BigInt{1};
-}
-
-BigInt mod_sqrt_3mod4(const BigInt& a, const Montgomery& mp) {
-  const BigInt& p = mp.modulus();
-  if ((p % BigInt{4}) != BigInt{3}) {
-    throw std::domain_error("mod_sqrt_3mod4: p % 4 != 3");
-  }
-  const BigInt r = mp.pow(a, (p + BigInt{1}) >> 2);
-  if (mod_mul(r, r, p) != mod(a, p)) {
-    throw std::domain_error("mod_sqrt_3mod4: not a quadratic residue");
-  }
-  return r;
-}
-
 }  // namespace p3s::math

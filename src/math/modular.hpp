@@ -6,8 +6,6 @@
 
 namespace p3s::math {
 
-class Montgomery;
-
 /// a mod m, normalized into [0, m).
 BigInt mod(const BigInt& a, const BigInt& m);
 
@@ -38,11 +36,5 @@ bool is_quadratic_residue(const BigInt& a, const BigInt& p);
 /// pairing curve needs): returns r with r^2 = a (mod p). Throws
 /// std::domain_error if a is not a residue or p % 4 != 3.
 BigInt mod_sqrt_3mod4(const BigInt& a, const BigInt& p);
-
-/// Same predicates on a prebuilt Montgomery context for p: callers that
-/// already hold one (the pairing stack) skip the per-call context setup and
-/// get CIOS exponentiation for any modulus size.
-bool is_quadratic_residue(const BigInt& a, const Montgomery& mp);
-BigInt mod_sqrt_3mod4(const BigInt& a, const Montgomery& mp);
 
 }  // namespace p3s::math

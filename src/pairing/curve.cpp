@@ -189,7 +189,7 @@ using fqm::Fe;
 using math::Montgomery;
 
 // Jacobian point with Montgomery-form fixed-width coordinates; z == 0 is
-// the identity. All functions here assume mq.fits_fixed().
+// the identity.
 struct JacM {
   Fe x, y, z;
 };
@@ -358,7 +358,6 @@ Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq) {
   if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
   if (p.infinity || k.is_zero()) return Point::at_infinity();
-  if (!mq.fits_fixed()) return point_mul(p, k, mq.modulus());
 
   // Odd-multiple table {1, 3, ..., 15}·P, kept Jacobian: entries are
   // only ever added, so they never need the inversions of a normalization,
@@ -392,7 +391,7 @@ Point point_mul_mont(const Point& p, const BigInt& k,
 FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
                                std::size_t scalar_bits)
     : mq_(mq), base_(base), scalar_bits_(scalar_bits) {
-  if (!mq.fits_fixed() || base.infinity || scalar_bits == 0) return;
+  if (base.infinity || scalar_bits == 0) return;
   windows_ = (scalar_bits + kWindow - 1) / kWindow;
   constexpr std::size_t kPerWindow = (1u << kWindow) - 1;  // 15
 

@@ -32,14 +32,14 @@ Point point_neg(const Point& p, const BigInt& q);
 Point point_add(const Point& p1, const Point& p2, const BigInt& q);
 Point point_double(const Point& p, const BigInt& q);
 /// k·p with k >= 0. Reference double-and-add (division-based reduction);
-/// kept as the correctness pin for the Montgomery/wNAF fast path below.
+/// kept as the correctness pin for the Montgomery/wNAF path below.
 Point point_mul(const Point& p, const BigInt& k, const BigInt& q);
 
-/// k·p with k >= 0 on the Montgomery-domain fast path: 4-bit wNAF over
+/// k·p with k >= 0 on fixed Montgomery-domain limbs: 4-bit wNAF over
 /// Jacobian coordinates with a Jacobian odd-multiple table, so the final
 /// conversion to affine is its only field inversion (zero heap traffic per
-/// group operation). Falls back to the reference path when the modulus
-/// exceeds math::Montgomery::kMaxFixedLimbs.
+/// group operation). Throws std::logic_error when the modulus exceeds
+/// math::Montgomery::kMaxFixedLimbs limbs.
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq);
 
@@ -64,20 +64,21 @@ std::vector<std::int8_t> naf(const BigInt& k);
 /// DESIGN.md §7).
 ///
 /// The table borrows `mq`; it must outlive the table (the owning Pairing
-/// guarantees this for its own tables).
+/// guarantees this for its own tables). Throws std::logic_error when the
+/// modulus exceeds math::Montgomery::kMaxFixedLimbs limbs.
 class FixedBaseTable {
  public:
   static constexpr unsigned kWindow = 4;
 
   /// Build the table for scalars of at most `scalar_bits` bits. Larger
-  /// scalars (and oversized moduli) fall back to point_mul internally.
+  /// scalars, and bases of tiny order, go through point_mul_mont instead.
   FixedBaseTable(const math::Montgomery& mq, const Point& base,
                  std::size_t scalar_bits);
 
   const Point& base() const { return base_; }
   /// k·base for k >= 0.
   Point mul(const BigInt& k) const;
-  /// Table footprint in bytes (0 when the fallback path is active).
+  /// Table footprint in bytes (0 for a base of tiny order).
   std::size_t memory_bytes() const {
     return (xs_.size() + ys_.size()) * sizeof(fqm::Fe);
   }
@@ -87,7 +88,8 @@ class FixedBaseTable {
   Point base_;
   std::size_t scalar_bits_ = 0;
   std::size_t windows_ = 0;
-  // Entry j·(2^w − 1) + (d − 1) holds d·2^{jw}·B; empty when falling back.
+  // Entry j·(2^w − 1) + (d − 1) holds d·2^{jw}·B; empty for a tiny-order
+  // base.
   std::vector<fqm::Fe> xs_, ys_;
 };
 

@@ -62,15 +62,8 @@ Fq2 fq2_inv(const Fq2& x, const BigInt& q) {
 
 Fq2 fq2_pow(const Fq2& x, const BigInt& e, const BigInt& q) {
   if (e.is_negative()) throw std::invalid_argument("fq2_pow: negative exponent");
-  // Montgomery fast path mirrors math::mod_pow's heuristic: for odd q and
-  // long exponents the one-off context setup amortizes well below the
-  // division-based reduction cost.
-  if (q.is_odd() && q.bit_length() >= 128 && e.bit_length() >= 64) {
-    return fq2_pow(x, e, math::Montgomery(q));
-  }
   Fq2 acc = fq2_one();
-  const std::size_t bits = e.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
     acc = fq2_sqr(acc, q);
     if (e.bit(i)) acc = fq2_mul(acc, x, q);
   }
@@ -79,16 +72,6 @@ Fq2 fq2_pow(const Fq2& x, const BigInt& e, const BigInt& q) {
 
 Fq2 fq2_pow(const Fq2& x, const BigInt& e, const math::Montgomery& mq) {
   if (e.is_negative()) throw std::invalid_argument("fq2_pow: negative exponent");
-  if (!mq.fits_fixed()) {
-    // Oversized modulus: plain square-and-multiply reference path.
-    const BigInt& q = mq.modulus();
-    Fq2 acc = fq2_one();
-    for (std::size_t i = e.bit_length(); i-- > 0;) {
-      acc = fq2_sqr(acc, q);
-      if (e.bit(i)) acc = fq2_mul(acc, x, q);
-    }
-    return acc;
-  }
   const fqm::Fe2 xm{fqm::fe_from(mq, x.a), fqm::fe_from(mq, x.b)};
   const fqm::Fe2 r = fqm::fe2_pow(mq, xm, e);
   return {fqm::fe_to(mq, r.a), fqm::fe_to(mq, r.b)};

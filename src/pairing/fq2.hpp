@@ -33,12 +33,13 @@ Fq2 fq2_sqr(const Fq2& x, const BigInt& q);
 Fq2 fq2_conj(const Fq2& x, const BigInt& q);
 /// Multiplicative inverse; throws std::domain_error on zero.
 Fq2 fq2_inv(const Fq2& x, const BigInt& q);
-/// x^e with e >= 0. Routes through the Montgomery-form window
-/// exponentiation for odd q at pairing sizes; plain square-and-multiply
-/// otherwise.
+/// x^e with e >= 0 by plain square-and-multiply, for any width of q: the
+/// reference the Montgomery overload below is tested against.
 Fq2 fq2_pow(const Fq2& x, const BigInt& e, const BigInt& q);
-/// x^e with e >= 0 on a prebuilt Montgomery context for q (no per-call
-/// context setup; allocation-free when mq.fits_fixed()).
+/// x^e with e >= 0 by 4-bit window exponentiation on fixed Montgomery-domain
+/// limbs over a prebuilt context for q (no per-call context setup, no
+/// allocation). Throws std::logic_error when q exceeds
+/// math::Montgomery::kMaxFixedLimbs limbs.
 Fq2 fq2_pow(const Fq2& x, const BigInt& e, const math::Montgomery& mq);
 
 }  // namespace p3s::pairing

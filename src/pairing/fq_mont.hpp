@@ -1,14 +1,15 @@
 // Fixed-width Montgomery-domain elements of F_q and F_q² — the
-// representation the pairing fast path runs on. A value is a flat array of
-// math::Montgomery::kMaxFixedLimbs 64-bit limbs; only the context's
-// limb_count() low limbs are significant (3 in the test group, 8 in the
-// paper group) and the rest stay zero. Every operation below ends in
+// representation every pairing-group operation runs on. A value is a flat
+// array of math::Montgomery::kMaxFixedLimbs 64-bit limbs; only the
+// context's limb_count() low limbs are significant (3 in the test group, 8
+// in the paper group) and the rest stay zero. Every operation below ends in
 // Montgomery::mul_limbs/add_limbs/sub_limbs, which pick a kernel compiled
 // for the context's limb count, so the Miller loop, wNAF and fixed-base
 // scalar multiplication, and GT exponentiation run unrolled limb loops
 // with zero heap allocations; BigInt appears only at the boundaries.
-// Callers must check Montgomery::fits_fixed() and fall back to the BigInt
-// reference paths for oversized moduli.
+// There is no fallback for wider moduli: Pairing refuses a q wider than
+// 512 bits, and fe_pack, where every BigInt enters an Fe, throws
+// std::logic_error on a value wider than kMaxLimbs limbs.
 #pragma once
 
 #include <array>
@@ -42,9 +43,13 @@ inline bool fe_is_zero(const Fe& x, std::size_t k) {
 }
 
 /// Pack a BigInt already reduced into [0, q) without domain conversion.
+/// Throws std::logic_error if it has more than kMaxLimbs limbs.
 inline Fe fe_pack(const BigInt& v) {
   Fe out;
   const auto& limbs = v.limbs();
+  if (limbs.size() > kMaxLimbs) {
+    throw std::logic_error("fe_pack: value wider than the fixed limbs");
+  }
   for (std::size_t i = 0; i < limbs.size(); ++i) out.w[i] = limbs[i];
   return out;
 }
@@ -90,19 +95,23 @@ inline Fe fe_neg(const Montgomery& m, const Fe& x) {
   return out;
 }
 
-/// x⁻¹ = x^(q−2) (Fermat; q must be prime). ~1.5·log₂q F_q multiplications
-/// with no heap traffic — several times cheaper than the BigInt
-/// extended-gcd inverse for the field sizes here. Throws std::domain_error
-/// on zero.
-inline Fe fe_inv(const Montgomery& m, const Fe& x) {
-  if (fe_is_zero(x, m.limb_count())) throw std::domain_error("fe_inv: zero");
-  const BigInt e = m.modulus() - BigInt{2};
+/// x^e (e >= 0) by square-and-multiply: ~1.5·log₂e F_q multiplications
+/// with no heap traffic.
+inline Fe fe_pow(const Montgomery& m, const Fe& x, const BigInt& e) {
   Fe acc = fe_from(m, BigInt{1});
   for (std::size_t bit = e.bit_length(); bit-- > 0;) {
     fe_sqr(m, acc, acc);
     if (e.bit(bit)) fe_mul(m, acc, x, acc);
   }
   return acc;
+}
+
+/// x⁻¹ = x^(q−2) (Fermat; q must be prime) — several times cheaper than
+/// the BigInt extended-gcd inverse for the field sizes here. Throws
+/// std::domain_error on zero.
+inline Fe fe_inv(const Montgomery& m, const Fe& x) {
+  if (fe_is_zero(x, m.limb_count())) throw std::domain_error("fe_inv: zero");
+  return fe_pow(m, x, m.modulus() - BigInt{2});
 }
 
 inline bool fe2_is_zero(const Fe2& x, std::size_t k) {

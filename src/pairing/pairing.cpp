@@ -83,6 +83,9 @@ Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits) {
 
 Pairing::Pairing(Params params)
     : params_(std::move(params)), montq_(params_.q) {
+  if (!montq_.fits_fixed()) {
+    throw std::invalid_argument("Pairing: q wider than 512 bits");
+  }
   if (!on_curve(params_.g, params_.q) || params_.g.infinity) {
     throw std::invalid_argument("Pairing: invalid generator");
   }
@@ -95,9 +98,8 @@ Pairing::Pairing(Params params)
   final_exp_ = (params_.q * params_.q - BigInt{1}) / params_.r;
   naf_r_ = naf(params_.r);
   q_bytes_ = (params_.q.bit_length() + 7) / 8;
-  if (montq_.fits_fixed()) {
-    mont_r2_ = fqm::fe_pack(montq_.to_mont(montq_.to_mont(BigInt{1})));
-  }
+  mont_r2_ = fqm::fe_pack(montq_.to_mont(montq_.to_mont(BigInt{1})));
+  sqrt_exp_ = (params_.q + BigInt{1}) >> 2;
 
   // Same spellings as src/obs/catalog.hpp (metric-vocab lint enforces it);
   // duplicated here because the hermetic pairing layer cannot include obs.
@@ -233,17 +235,25 @@ Point Pairing::hash_to_g1(BytesView data) const {
     info.u32(ctr);
     const Bytes xm = crypto::hkdf_expand(prk, info.data(), q_bytes_ + 16);
     const BigInt x = mod(BigInt::from_bytes(xm), params_.q);
-    const BigInt t =
-        mod_add(mod_mul(mod_mul(x, x, params_.q), x, params_.q), x, params_.q);
-    if (!math::is_quadratic_residue(t, montq_)) continue;
-    BigInt y = mod_sqrt_3mod4(t, montq_);
+    // t = x³ + x. Since q ≡ 3 (mod 4), y = t^((q+1)/4) has y² = ±t, with
+    // +t exactly when t is a square: one exponentiation tests the
+    // candidate and gives its root.
+    const fqm::Fe xf = fqm::fe_from(montq_, x);
+    fqm::Fe t, y2;
+    fqm::fe_sqr(montq_, xf, t);
+    fqm::fe_mul(montq_, t, xf, t);
+    fqm::fe_add(montq_, t, xf, t);
+    fqm::Fe y = fqm::fe_pow(montq_, t, sqrt_exp_);
+    fqm::fe_sqr(montq_, y, y2);
+    if (y2.w != t.w) continue;
     // Use one more derived bit to pick the root deterministically.
     Writer winfo;
     winfo.u32(ctr);
     winfo.u8(0xff);
     const Bytes sign = crypto::hkdf_expand(prk, winfo.data(), 1);
-    if ((sign[0] & 1) != 0) y = mod_sub(BigInt{}, y, params_.q);
-    const Point g = point_mul_mont(Point{x, y, false}, params_.h, montq_);
+    if ((sign[0] & 1) != 0) y = fqm::fe_neg(montq_, y);
+    const Point g = point_mul_mont(Point{x, fqm::fe_to(montq_, y), false},
+                                   params_.h, montq_);
     if (!g.infinity) return g;
   }
 }
@@ -280,25 +290,21 @@ Point Pairing::deserialize_g1(BytesView data) const {
   if (p.x >= params_.q || p.y >= params_.q) {
     throw std::invalid_argument("deserialize_g1: coordinate not below q");
   }
-  bool on = false;
-  if (montq_.fits_fixed()) {
-    // y² = x³ + x on plain-form limbs. Each Montgomery product carries one
-    // R⁻¹, and x·(x·R²·R⁻¹)·R⁻¹ = x² is plain again, so the test reads
-    // y·y·R⁻¹ == x·(x² + 1)·R⁻¹.
-    const fqm::Fe x = fqm::fe_pack(p.x);
-    const fqm::Fe y = fqm::fe_pack(p.y);
-    fqm::Fe one, t, lhs, rhs;
-    one.w[0] = 1;
-    fqm::fe_mul(montq_, x, mont_r2_, t);
-    fqm::fe_mul(montq_, x, t, t);
-    fqm::fe_add(montq_, t, one, t);
-    fqm::fe_mul(montq_, x, t, rhs);
-    fqm::fe_sqr(montq_, y, lhs);
-    on = lhs.w == rhs.w;
-  } else {
-    on = on_curve(p, params_.q);
+  // y² = x³ + x on plain-form limbs. Each Montgomery product carries one
+  // R⁻¹, and x·(x·R²·R⁻¹)·R⁻¹ = x² is plain again, so the test reads
+  // y·y·R⁻¹ == x·(x² + 1)·R⁻¹.
+  const fqm::Fe x = fqm::fe_pack(p.x);
+  const fqm::Fe y = fqm::fe_pack(p.y);
+  fqm::Fe one, t, lhs, rhs;
+  one.w[0] = 1;
+  fqm::fe_mul(montq_, x, mont_r2_, t);
+  fqm::fe_mul(montq_, x, t, t);
+  fqm::fe_add(montq_, t, one, t);
+  fqm::fe_mul(montq_, x, t, rhs);
+  fqm::fe_sqr(montq_, y, lhs);
+  if (lhs.w != rhs.w) {
+    throw std::invalid_argument("deserialize_g1: point not on curve");
   }
-  if (!on) throw std::invalid_argument("deserialize_g1: point not on curve");
   return p;
 }
 
@@ -513,8 +519,8 @@ void miller_double(const math::Montgomery& mq, MillerV& v, Line& line) {
 // Line through V and the affine point (ax, ay) = ±P scaled by Z·H —
 // A = R, B = R·ax − ay·Z·H, C = Z·H — then V ← V + (ax, ay) by mixed
 // addition, with the V == O and V == ±(ax, ay) corner cases.
-void miller_add(const math::Montgomery& mq, const BigInt& q, MillerV& v,
-                const Fe& ax, const Fe& ay, Line& line) {
+void miller_add(const math::Montgomery& mq, MillerV& v, const Fe& ax,
+                const Fe& ay, Line& line) {
   const std::size_t k = mq.limb_count();
   if (fqm::fe_is_zero(v.z, k)) {
     line.skip = true;
@@ -535,24 +541,9 @@ void miller_add(const math::Montgomery& mq, const BigInt& q, MillerV& v,
       v.z = Fe{};
       return;
     }
-    // V == (ax, ay): the tangent there, scaled by its denominator 2ay:
-    // A = 3ax² + 1, B = A·ax − 2ay·ay, C = 2ay. Cold, like the branch above.
-    const Fe one_m = fqm::fe_from(mq, BigInt{1});
-    Fe x2;
-    fqm::fe_sqr(mq, ax, x2);
-    fqm::fe_add(mq, x2, x2, line.a);
-    fqm::fe_add(mq, line.a, x2, line.a);
-    fqm::fe_add(mq, line.a, one_m, line.a);
-    fqm::fe_add(mq, ay, ay, line.c);
-    fqm::fe_mul(mq, line.a, ax, line.b);
-    fqm::fe_mul(mq, line.c, ay, u);
-    fqm::fe_sub(mq, line.b, u, line.b);
-    // V ← 2·(ax, ay) via the plain-domain path (cold corner case).
-    const Point dbl =
-        point_double({fqm::fe_to(mq, ax), fqm::fe_to(mq, ay), false}, q);
-    v = dbl.infinity ? MillerV{}
-                     : MillerV{fqm::fe_from(mq, dbl.x), fqm::fe_from(mq, dbl.y),
-                               one_m};
+    // V == (ax, ay): the chord through V and V is the tangent at V, and
+    // V + V = 2V, so this is a doubling step.
+    miller_double(mq, v, line);
     return;
   }
   Fe zh;
@@ -652,8 +643,7 @@ Fq2 miller_product(const math::Montgomery& mq, const Params& params,
     if (naf_r[i] == 0) continue;
     for (auto& t : terms) {
       Line line;
-      miller_add(mq, params.q, t.v, t.px, naf_r[i] > 0 ? t.py : t.neg_py,
-                 line);
+      miller_add(mq, t.v, t.px, naf_r[i] > 0 ? t.py : t.neg_py, line);
       miller_eval(mq, line, t.qx, t.qy, f);
     }
   }
@@ -664,7 +654,6 @@ Fq2 miller_product(const math::Montgomery& mq, const Params& params,
 Fq2 Pairing::pair(const Point& p, const Point& qpt) const {
   probe::ScopedTimer timer(pair_probe_);
   if (p.infinity || qpt.infinity) return fq2_one();
-  if (!montq_.fits_fixed()) return pair_reference(p, qpt);
   std::vector<MillerTermM> terms{miller_term(montq_, p, qpt)};
   return miller_product(montq_, params_, naf_r_, terms);
 }
@@ -672,15 +661,6 @@ Fq2 Pairing::pair(const Point& p, const Point& qpt) const {
 Fq2 Pairing::pair_product(std::span<const PairTerm> in) const {
   probe::ScopedTimer timer(pair_product_probe_);
   probe::observe(pair_product_pairs_probe_, static_cast<double>(in.size()));
-  if (!montq_.fits_fixed()) {
-    // Oversized modulus: independent reference pairings (one final
-    // exponentiation each); the product is identical, just slower.
-    Fq2 acc = fq2_one();
-    for (const PairTerm& t : in) {
-      acc = fq2_mul(acc, pair_reference(t.p, t.q), params_.q);
-    }
-    return acc;
-  }
   std::vector<MillerTermM> terms;
   terms.reserve(in.size());
   for (const PairTerm& t : in) {
@@ -692,12 +672,10 @@ Fq2 Pairing::pair_product(std::span<const PairTerm> in) const {
 
 MillerPrecomp Pairing::miller_precompute(const Point& p) const {
   MillerPrecomp pre;
-  pre.point_ = p;
   if (p.infinity) {
     pre.infinity_ = true;
     return pre;
   }
-  if (!montq_.fits_fixed()) return pre;  // consumers use the point_ fallback
   const math::Montgomery& mq = montq_;
   const Fe px = fqm::fe_from(mq, p.x);
   const Fe py = fqm::fe_from(mq, p.y);
@@ -713,7 +691,7 @@ MillerPrecomp Pairing::miller_precompute(const Point& p) const {
   for (std::size_t i = naf_r_.size() - 1; i-- > 0;) {
     miller_double(mq, v, pre.slots_.emplace_back());
     if (naf_r_[i] == 0) continue;
-    miller_add(mq, params_.q, v, px, naf_r_[i] > 0 ? py : neg_py,
+    miller_add(mq, v, px, naf_r_[i] > 0 ? py : neg_py,
                pre.slots_.emplace_back());
   }
   return pre;
@@ -722,13 +700,6 @@ MillerPrecomp Pairing::miller_precompute(const Point& p) const {
 Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
   probe::ScopedTimer timer(pair_product_probe_);
   probe::observe(pair_product_pairs_probe_, static_cast<double>(in.size()));
-  if (!montq_.fits_fixed()) {
-    Fq2 acc = fq2_one();
-    for (const PrecompPairTerm& t : in) {
-      acc = fq2_mul(acc, pair_reference(t.p->point_, t.q), params_.q);
-    }
-    return acc;
-  }
 
   // Live term state: the precomputed slot stream plus Q in Montgomery form.
   struct TermState {
@@ -767,7 +738,7 @@ Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
 GtFixedBase::GtFixedBase(const math::Montgomery& mq, const Fq2& base,
                          std::size_t exp_bits)
     : mq_(mq), base_(base) {
-  if (!mq.fits_fixed() || exp_bits == 0) return;
+  if (exp_bits == 0) return;
   windows_ = (exp_bits + 3) / 4;
   table_.reserve(windows_ * 15);
   Fe2 cur{fqm::fe_from(mq, base.a), fqm::fe_from(mq, base.b)};

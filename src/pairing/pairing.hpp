@@ -67,7 +67,6 @@ class MillerPrecomp {
  private:
   friend class Pairing;
   bool infinity_ = false;
-  Point point_;  // original P, for the oversized-modulus reference fallback
   // Fixed schedule over the non-adjacent form of r: one slot per doubling
   // plus one per nonzero digit below the top (an addition of ±P), so every
   // precomp of the same pairing walks in lockstep with the interleaved
@@ -85,7 +84,8 @@ struct PrecompPairTerm {
 /// base^(d·16^j) for 4-bit windows j and digits d, so pow() costs one F_q²
 /// multiplication per nonzero nibble of the exponent and no squarings.
 /// Borrows `mq`; the owner must keep it alive (the Pairing guarantees this
-/// for its own table, HvePrecomp holds the PairingPtr).
+/// for its own table). Throws std::logic_error when the modulus exceeds
+/// math::Montgomery::kMaxFixedLimbs limbs.
 class GtFixedBase {
  public:
   GtFixedBase(const math::Montgomery& mq, const Fq2& base,
@@ -110,6 +110,9 @@ class GtFixedBase {
 /// objects bound to the same group.
 class Pairing {
  public:
+  /// Validates the group; throws std::invalid_argument on bad parameters,
+  /// including a q wider than 512 bits (math::Montgomery::kMaxFixedLimbs
+  /// limbs), which the fixed-limb field arithmetic cannot hold.
   explicit Pairing(Params params);
 
   /// Small deterministic parameters (80-bit r, 160-bit q) for fast tests.
@@ -123,7 +126,7 @@ class Pairing {
   const Params& params() const { return params_; }
   const BigInt& q() const { return params_.q; }
   const BigInt& r() const { return params_.r; }
-  /// Montgomery context for F_q — the pairing stack's fast-path engine.
+  /// Montgomery context for F_q — the engine of every group operation.
   const math::Montgomery& mont_q() const { return montq_; }
 
   // --- Zr -----------------------------------------------------------------
@@ -136,7 +139,8 @@ class Pairing {
   Point add(const Point& a, const Point& b) const;
   Point neg(const Point& p) const;
   Point random_g1(Rng& rng) const;                // nonidentity
-  /// Deterministic hash onto the order-r subgroup (try-and-increment).
+  /// Deterministic hash onto the order-r subgroup (try-and-increment; one
+  /// F_q exponentiation per candidate both tests it and gives the root).
   Point hash_to_g1(BytesView data) const;
   Bytes serialize_g1(const Point& p) const;
   /// Validates curve membership; throws std::invalid_argument on bad input.
@@ -144,8 +148,8 @@ class Pairing {
   std::size_t g1_bytes() const { return 1 + 2 * q_bytes_; }
 
   // --- GT -----------------------------------------------------------------
-  /// The pairing itself (Montgomery/fixed-limb Miller loop when the modulus
-  /// fits; pair_reference otherwise).
+  /// The pairing itself: the fixed-limb Miller loop over NAF(r) and one
+  /// final exponentiation.
   Fq2 pair(const Point& p, const Point& q) const;
   /// ∏ e(P_i, Q_i) via one interleaved Miller loop sharing a single F_q²
   /// accumulator and a SINGLE final exponentiation. Divisions fold in as
@@ -183,6 +187,7 @@ class Pairing {
   std::size_t q_bytes_;
   math::Montgomery montq_;  // Montgomery context for F_q (pairing hot path)
   fqm::Fe mont_r2_;         // R² mod q: fe_mul by it enters Montgomery form
+  BigInt sqrt_exp_;         // (q + 1) / 4: t^sqrt_exp_ is √t for a residue t
   Fq2 e_gg_;
   // Fixed-base tables for the bases every operation reuses: the group
   // generator (mul/random_g1/hash-derived keys) and e(g,g) (gt_pow/

@@ -185,24 +185,6 @@ HveKeys HveKeys::deserialize(PairingPtr pairing, BytesView data) {
 
 // --- Core scheme --------------------------------------------------------------------
 
-HvePrecomp hve_precompute(const HvePublicKey& pk) {
-  const pairing::Pairing& p = *pk.pairing;
-  const std::size_t bits = p.r().bit_length();
-  HvePrecomp pre;
-  pre.pairing = pk.pairing;
-  auto build = [&](const std::vector<Point>& bases,
-                   std::vector<pairing::FixedBaseTable>& tables) {
-    tables.reserve(bases.size());
-    for (const Point& b : bases) tables.emplace_back(p.mont_q(), b, bits);
-  };
-  build(pk.t, pre.t);
-  build(pk.v, pre.v);
-  build(pk.r, pre.r);
-  build(pk.m, pre.m);
-  pre.omega.emplace(p.mont_q(), pk.omega, bits);
-  return pre;
-}
-
 HveKeys hve_setup(PairingPtr pairing, std::size_t width, Rng& rng) {
   if (width == 0) throw std::invalid_argument("hve_setup: zero width");
   const pairing::Pairing& p = *pairing;
@@ -228,36 +210,22 @@ HveKeys hve_setup(PairingPtr pairing, std::size_t width, Rng& rng) {
 }
 
 HveCiphertext hve_encrypt(const HvePublicKey& pk, const BitVector& x,
-                          const Fq2& message, Rng& rng,
-                          const HvePrecomp* precomp) {
+                          const Fq2& message, Rng& rng) {
   const pairing::Pairing& p = *pk.pairing;
   if (x.size() != pk.width()) {
     throw std::invalid_argument("hve_encrypt: width mismatch");
   }
-  if (precomp != nullptr && precomp->width() != pk.width()) {
-    throw std::invalid_argument("hve_encrypt: precomp width mismatch");
-  }
   const BigInt s = p.random_nonzero_scalar(rng);
 
   HveCiphertext ct;
-  const Fq2 omega_s =
-      precomp != nullptr ? precomp->omega->pow(s) : p.gt_pow(pk.omega, s);
-  ct.c0 = p.gt_mul(message, p.gt_inv(omega_s));
+  ct.c0 = p.gt_mul(message, p.gt_inv(p.gt_pow(pk.omega, s)));
   ct.x.reserve(x.size());
   ct.w.reserve(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (x[i] > 1) throw std::invalid_argument("hve_encrypt: non-binary bit");
     const BigInt si = p.random_scalar(rng);
     const BigInt s_minus_si = mod_sub(s, si, p.r());
-    if (precomp != nullptr) {
-      if (x[i] == 1) {
-        ct.x.push_back(precomp->t[i].mul(s_minus_si));
-        ct.w.push_back(precomp->v[i].mul(si));
-      } else {
-        ct.x.push_back(precomp->r[i].mul(s_minus_si));
-        ct.w.push_back(precomp->m[i].mul(si));
-      }
-    } else if (x[i] == 1) {
+    if (x[i] == 1) {
       ct.x.push_back(p.mul(pk.t[i], s_minus_si));
       ct.w.push_back(p.mul(pk.v[i], si));
     } else {

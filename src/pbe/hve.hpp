@@ -100,31 +100,13 @@ struct HveToken {
   static HveToken deserialize(const pairing::Pairing& pairing, BytesView data);
 };
 
-/// Publisher-side precomputation for one public key: fixed-base windowed
-/// tables for every per-position base (T/V/R/M) plus the Ω power table, so
-/// repeated hve_encrypt calls pay one table-driven multiplication per
-/// component instead of generic double-and-add. Build once per key
-/// (~width·4 tables); holds the PairingPtr so the borrowed Montgomery
-/// context stays alive.
-struct HvePrecomp {
-  PairingPtr pairing;
-  std::vector<pairing::FixedBaseTable> t, v, r, m;  // per position
-  std::optional<pairing::GtFixedBase> omega;        // Ω = e(g,g)^y
-
-  std::size_t width() const { return t.size(); }
-};
-
-HvePrecomp hve_precompute(const HvePublicKey& pk);
-
 /// Run by the PBE-TS operator (in P3S, keying material is provisioned by the
 /// ARA and the PBE-TS holds the master key).
 HveKeys hve_setup(PairingPtr pairing, std::size_t width, Rng& rng);
 
 /// Encrypt a GT element under attribute vector x. x.size() must equal width.
-/// Pass the key's HvePrecomp to take the fixed-base fast path.
 HveCiphertext hve_encrypt(const HvePublicKey& pk, const BitVector& x,
-                          const Fq2& message, Rng& rng,
-                          const HvePrecomp* precomp = nullptr);
+                          const Fq2& message, Rng& rng);
 
 /// Generate the token for pattern w (performed by the PBE-TS on the
 /// subscriber's plaintext predicate). Throws std::invalid_argument if the

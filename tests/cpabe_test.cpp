@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "abe/cpabe.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 
 namespace p3s::abe {
 namespace {
@@ -31,6 +36,91 @@ class CpabeTest : public ::testing::Test {
 
 TestRng* CpabeTest::rng_ = nullptr;
 CpabeKeys* CpabeTest::keys_ = nullptr;
+
+// Known answers in both shipped groups, at 2 and 10 policy leaves. The
+// ciphertext embeds one hash_to_g1 per leaf, G1 multiplications of the
+// generator, of h = g^β and of every hashed attribute, and a fixed-base GT
+// power; its SHA-256 pins all of them. The 10-leaf key holds 4 of the first
+// gate's 5 leaves and decryption takes the first three, so it interpolates
+// at the non-contiguous indices 1, 2 and 4.
+struct CpabeKat {
+  const char* policy;
+  const char* ct_sha256;  // SHA-256 of the serialized ciphertext
+  const char* plain;      // serialize_gt(cpabe_decrypt(...))
+};
+
+void check_cpabe_kat(const pairing::PairingPtr& pp, const CpabeKat& kat,
+                     const std::set<std::string>& attributes) {
+  const PolicyNode policy = parse_policy(kat.policy);
+  TestRng rng(0x61626b00 + policy.leaf_count());
+  const CpabeKeys keys = cpabe_setup(pp, rng);
+  const CpabeSecretKey sk = cpabe_keygen(keys, attributes, rng);
+  const Fq2 msg = pp->random_gt(rng);
+  const CpabeCiphertext ct = cpabe_encrypt(keys.pk, msg, policy, rng);
+  EXPECT_EQ(to_hex(crypto::Sha256::digest(ct.serialize(*pp))), kat.ct_sha256)
+      << kat.policy;
+  const auto out = cpabe_decrypt(keys.pk, sk, ct);
+  ASSERT_TRUE(out.has_value()) << kat.policy;
+  EXPECT_EQ(*out, msg) << kat.policy;
+  EXPECT_EQ(to_hex(pp->serialize_gt(*out)), kat.plain) << kat.policy;
+}
+
+const char* const kTwoLeaves = "a0 and a1";
+const char* const kTenLeaves =
+    "2 of (3 of (a0, a1, a2, a3, a4), (a5 or a6 or a7), (a8 and a9))";
+const std::set<std::string> kTwoLeafKey{"a0", "a1"};
+const std::set<std::string> kTenLeafKey{"a0", "a1", "a3", "a4",
+                                        "a6", "a8", "a9"};
+
+TEST(CpabeKnownAnswer, TestGroup) {
+  const pairing::PairingPtr pp = pairing::Pairing::test_pairing();
+  check_cpabe_kat(pp,
+                  {kTwoLeaves,
+                   // ct_sha256
+                   "6ef469c4aed5478fa44d63d0ce231d35"
+                   "f4da84c101262cf6e24ca21e6b0b524a",
+                   // plain
+                   "5de0b123e9689e6ac212070d6fdff3e1babea2ae1554bf6b36f738a1"
+                   "8447beaa010a96a325232714"},
+                  kTwoLeafKey);
+  check_cpabe_kat(pp,
+                  {kTenLeaves,
+                   // ct_sha256
+                   "1db2a015d05cec6a7f8cadeb243d66ee"
+                   "90d56b3a71f09abb464b18b4c91a195d",
+                   // plain
+                   "2a3f9cb33f84903dd7608b1480ed78a683bc68260cdcf013b23decf6"
+                   "5d404c2f7bf2988b60fe1c1d"},
+                  kTenLeafKey);
+}
+
+TEST(CpabeKnownAnswer, PaperGroup) {
+  const pairing::PairingPtr pp = pairing::Pairing::paper_pairing();
+  check_cpabe_kat(pp,
+                  {kTwoLeaves,
+                   // ct_sha256
+                   "aafdd0a1bc0d46e946752f169ff03a80"
+                   "5905e053ea4f93759cf29900d8215042",
+                   // plain
+                   "0a249f0549e244f4fba08988873d41123b69f1c5c5d5ae56d6635484"
+                   "a96cdfa1bd5f631ce618e279fb405a62eb5d3f06150075404205441f"
+                   "5cab145f6a0501002ba2aae47967f9ff53f024d0c5a854e03e7561ae"
+                   "b40613867fa86baec39af8f70c29454596fc3ab8325ef0420e1b693d"
+                   "de4aef793b3759169244536ef8fd2b0b"},
+                  kTwoLeafKey);
+  check_cpabe_kat(pp,
+                  {kTenLeaves,
+                   // ct_sha256
+                   "69846e4e4906c981724674553caba7f3"
+                   "c21c6da03746ae253fda32c75eb934dc",
+                   // plain
+                   "1704fe27f382d7de76e9cb35ffb89c5fc1436e5d79ada4e22bbefc7c"
+                   "471a2143fb315d354219c5694247c498316917a2f531791226772113"
+                   "6cf22b4f20bfdf7c59dd1e9b55ff1b006c9c8243095a3b2fe3a7fe3b"
+                   "e3590d682474b58646546240f70a6a3ac19e1ce77917ddf76d3d092c"
+                   "a86db3b9ede099728c1d78e5e729f511"},
+                  kTenLeafKey);
+}
 
 TEST_F(CpabeTest, DecryptsWhenPolicySatisfied) {
   const auto sk = cpabe_keygen(*keys_, attrs({"analyst", "org:us"}), *rng_);

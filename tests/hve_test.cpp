@@ -121,35 +121,6 @@ TEST_F(HveTest, QueryMatchesReferenceEvaluation) {
   }
 }
 
-TEST_F(HveTest, PrecomputedEncryptMatchesPlainEncrypt) {
-  // Both paths consume the RNG identically, so from equal seeds they must
-  // produce byte-identical ciphertexts.
-  const HvePrecomp pre = hve_precompute(keys_->pk);
-  ASSERT_EQ(pre.width(), kWidth);
-  const BitVector x = {0, 1, 1, 0, 1, 0, 0, 1};
-  const auto m = keys_->pk.pairing->random_gt(*rng_);
-  TestRng rng_a(0x9e11), rng_b(0x9e11);
-  const auto plain = hve_encrypt(keys_->pk, x, m, rng_a);
-  const auto fast = hve_encrypt(keys_->pk, x, m, rng_b, &pre);
-  EXPECT_EQ(plain.serialize(*keys_->pk.pairing),
-            fast.serialize(*keys_->pk.pairing));
-  // And the precomputed ciphertext round-trips through a real query.
-  const Pattern w = {0, 1, kWildcard, kWildcard, 1, kWildcard, kWildcard, 1};
-  const auto tok = hve_gen_token(*keys_, w, *rng_);
-  EXPECT_EQ(hve_query(*keys_->pk.pairing, tok, fast), m);
-}
-
-TEST_F(HveTest, PrecompWidthMismatchRejected) {
-  const HvePrecomp pre = hve_precompute(keys_->pk);
-  TestRng rng(1);
-  const auto narrow =
-      hve_setup(keys_->pk.pairing, kWidth - 1, rng);
-  const BitVector x(kWidth - 1, 1);
-  const auto m = keys_->pk.pairing->random_gt(rng);
-  EXPECT_THROW(hve_encrypt(narrow.pk, x, m, rng, &pre),
-               std::invalid_argument);
-}
-
 TEST_F(HveTest, SingleBitOffMismatches) {
   const BitVector x = {1, 1, 1, 1, 1, 1, 1, 1};
   for (std::size_t flip = 0; flip < kWidth; ++flip) {

@@ -2,7 +2,6 @@
 
 #include "common/rng.hpp"
 #include "math/modular.hpp"
-#include "math/montgomery.hpp"
 #include "math/prime.hpp"
 
 namespace p3s::math {
@@ -105,30 +104,6 @@ TEST(Modular, SqrtRejectsNonResidue) {
   const BigInt p{23};
   EXPECT_THROW(mod_sqrt_3mod4(BigInt{5}, p), std::domain_error);
   EXPECT_THROW(mod_sqrt_3mod4(BigInt{4}, BigInt{13}), std::domain_error);  // 13%4==1
-}
-
-TEST(Modular, MontgomeryQrAndSqrtOverloadsMatchBigIntPath) {
-  TestRng rng(25);
-  BigInt p;
-  do {
-    p = random_prime(rng, 192);
-  } while ((p % BigInt{4}) != BigInt{3});
-  const Montgomery mont(p);
-  int residues = 0;
-  for (int i = 0; i < 30; ++i) {
-    const BigInt a = BigInt::random_below(rng, p);
-    const bool qr = is_quadratic_residue(a, p);
-    EXPECT_EQ(is_quadratic_residue(a, mont), qr);
-    if (qr && !a.is_zero()) {
-      ++residues;
-      EXPECT_EQ(mod_sqrt_3mod4(a, mont), mod_sqrt_3mod4(a, p));
-    } else if (!qr) {
-      EXPECT_THROW(mod_sqrt_3mod4(a, mont), std::domain_error);
-    }
-  }
-  EXPECT_GT(residues, 0);  // the sweep actually exercised the sqrt path
-  EXPECT_THROW(mod_sqrt_3mod4(BigInt{4}, Montgomery(BigInt{13})),
-               std::domain_error);  // 13 % 4 == 1
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "math/modular.hpp"
@@ -292,6 +295,22 @@ TEST(PairingGen, FreshParamsSatisfyInvariants) {
             pairing.gt_pow(pairing.gt_generator(), a));
 }
 
+// A q wider than 512 bits takes 9 limbs, more than an fqm::Fe holds: the
+// Pairing refuses the group, and the fixed-limb free functions refuse the
+// Montgomery context instead of writing past an Fe.
+TEST(PairingGen, WideModulusIsRejected) {
+  TestRng rng(101);
+  const Params p = generate_params(rng, 40, 520);
+  EXPECT_THROW(Pairing{p}, std::invalid_argument);
+  const math::Montgomery mq(p.q);
+  ASSERT_EQ(mq.limb_count(), 9u);
+  EXPECT_THROW(point_mul_mont(p.g, BigInt{5}, mq), std::logic_error);
+  EXPECT_THROW(FixedBaseTable(mq, p.g, p.r.bit_length()), std::logic_error);
+  const Fq2 x{p.g.x, p.g.y};
+  EXPECT_THROW(GtFixedBase(mq, x, p.r.bit_length()), std::logic_error);
+  EXPECT_THROW(fq2_pow(x, BigInt{5}, mq), std::logic_error);
+}
+
 // --- ECIES ---------------------------------------------------------------------
 
 TEST_F(PairingTest, EciesRoundTrip) {
@@ -369,6 +388,40 @@ TEST_F(PairingTest, PairProductEmptyAndInfinityTerms) {
   const std::vector<PairTerm> terms{
       {Point::at_infinity(), b}, {a, b}, {a, Point::at_infinity()}};
   EXPECT_EQ(pp_->pair_product(terms), pp_->pair(a, b));
+}
+
+// The Miller loop's V == ±P corner: h = 2²·11·71·…, so the test group also
+// has points of order 11 and 71. For such a P the chain V = [m]P meets ±P
+// whenever m ≡ ±1 mod ℓ before an addition step, which sends miller_add
+// into its tangent branch. Points of 2-power order never get there.
+TEST_F(PairingTest, SmallOrderPointsMatchReference) {
+  const Params& prm = pp_->params();
+  for (const int order : {11, 71}) {
+    const BigInt ell{order};
+    ASSERT_TRUE((prm.h % ell).is_zero()) << order;
+    const BigInt cofactor = prm.r * (prm.h / ell);
+    for (int n = 0; n < 2;) {
+      const BigInt x = BigInt::random_below(rng_, prm.q);
+      const BigInt t = math::mod_add(
+          math::mod_mul(math::mod_mul(x, x, prm.q), x, prm.q), x, prm.q);
+      if (!math::is_quadratic_residue(t, prm.q)) continue;
+      const Point r{x, math::mod_sqrt_3mod4(t, prm.q), false};
+      const Point p = point_mul(r, cofactor, prm.q);
+      if (p.infinity) continue;
+      ASSERT_TRUE(point_mul(p, ell, prm.q).infinity) << order;
+      ++n;
+      const Point q = pp_->random_g1(rng_);
+      const Fq2 e_pq = pp_->pair_reference(p, q);
+      const Fq2 product = pp_->gt_mul(e_pq, pp_->pair_reference(q, p));
+      EXPECT_EQ(pp_->pair(p, q), e_pq) << order;
+      const std::vector<PairTerm> terms{{p, q}, {q, p}};
+      EXPECT_EQ(pp_->pair_product(terms), product) << order;
+      const MillerPrecomp pre_p = pp_->miller_precompute(p);
+      const MillerPrecomp pre_q = pp_->miller_precompute(q);
+      const std::vector<PrecompPairTerm> pterms{{&pre_p, q}, {&pre_q, p}};
+      EXPECT_EQ(pp_->pair_product_precomp(pterms), product) << order;
+    }
+  }
 }
 
 TEST_F(PairingTest, PairProductNegationCancels) {
@@ -497,7 +550,10 @@ TEST_F(PairingTest, HashToG1PinnedAcrossProcesses) {
 // the paper group the 8-limb ones, so a change that moves one output bit of
 // either shows here without a second implementation to compare against.
 // precomp_bytes pins the Miller schedule: one 200-byte slot per doubling
-// and per nonzero digit below the top of NAF(r).
+// and per nonzero digit below the top of NAF(r). The hash values were
+// captured while hash_to_g1 still tested residuosity and took the root as
+// two BigInt exponentiations; in each group the three inputs between them
+// reject a non-residue candidate and take both root signs.
 
 struct GroupKat {
   PairingPtr (*group)();
@@ -506,6 +562,8 @@ struct GroupKat {
   const char* mul;      // serialize_g1(point_mul_mont(P, k1))
   const char* fixed;    // serialize_g1(FixedBaseTable(P).mul(k2))
   std::size_t precomp_bytes;  // miller_precompute(P).memory_bytes()
+  // serialize_g1(hash_to_g1("p3s hash_to_g1 kat <n>")) for n = 0, 1, 2
+  std::array<const char*, 3> hash;
 };
 
 void check_group_kat(const GroupKat& kat) {
@@ -539,6 +597,12 @@ void check_group_kat(const GroupKat& kat) {
             kat.mul);
   const FixedBaseTable table(pp->mont_q(), base, pp->r().bit_length());
   EXPECT_EQ(to_hex(pp->serialize_g1(table.mul(k2))), kat.fixed);
+
+  for (std::size_t n = 0; n < kat.hash.size(); ++n) {
+    const Point h = pp->hash_to_g1(
+        str_to_bytes("p3s hash_to_g1 kat " + std::to_string(n)));
+    EXPECT_EQ(to_hex(pp->serialize_g1(h)), kat.hash[n]) << n;
+  }
 }
 
 TEST(PairingKnownAnswer, TestGroup) {
@@ -557,7 +621,15 @@ TEST(PairingKnownAnswer, TestGroup) {
                    "ec17589e"
                    "69d05f2bf7ea281e50",
                    // precomp_bytes: 80 doublings + 26 additions
-                   21200});
+                   21200,
+                   // hash: accepted at candidate 0, 2, 0; root negated,
+                   // kept, kept
+                   {"018d1f3cc9a658ca636adc4633191218383c65c64870a2a1db7ffb44"
+                    "07e93a5f7f27e120181f1b849c",
+                    "011fcda616775b7b06c57ac11d5b81fd1c46b606d20b80dd502f0eca"
+                    "76c468aaaf21f55aab72382594",
+                    "01450c86e6226b705e0fdbf4614d52c94e5eddef3f3b578307d1664a"
+                    "7d7626400f1d37066f5f0c8071"}});
 }
 
 TEST(PairingKnownAnswer, PaperGroup) {
@@ -588,7 +660,24 @@ TEST(PairingKnownAnswer, PaperGroup) {
                    "2d4da593e6d598fae6eb8290a1d3312d"
                    "a7",
                    // precomp_bytes: 160 doublings + 50 additions
-                   42000});
+                   42000,
+                   // hash: accepted at candidate 1, 1, 1; root kept,
+                   // negated, negated
+                   {"01637a6529c92d223fc63246d2d33efdc148553a985ccf9a1ae99116"
+                    "556ec8d4976f459ae49b221f1ee5b49bf11ed23f8e1505081557a204"
+                    "af6c4e2d2fcbdb57c360e7240c59eea79c909daa63653e037026b7bc"
+                    "2f73a485885cd2de3c75fa48958d131ca23eabf2ddf57fb6bba6bf1f"
+                    "dd38cd7f16f63921569a73395acf1abd13",
+                    "0150cc0c505ba63530a1297b0e5af616c4bf9f37b68323cbbbcaccb1"
+                    "a00cae79cdf53f1bd3b3fa409744cf4c14c504723fa5889cd21b9bb3"
+                    "156bef5972043bcc27706cb0a9759030a6c0c8cbb5b10ee2b47e7169"
+                    "c3dba17d1d6abad0b0d6f43c7c72c4d3a8d84f1da3bd3ac200c4c8d3"
+                    "2b49b1358a13abc6856eb0ff05fd052a11",
+                    "013cef6fbe16053585070195c7c38f197fee466c35bb8318c2e9996b"
+                    "abaa11de8c0e1d12471989b0b06f0a9305c6463fb87854cbe203ab9f"
+                    "62d966c22d643dc0e1a34c917dcfbdd89f09302ad53ad0d0a8cdeb60"
+                    "774ca4ce8b1455fbe6dc77b307ee47dc2555d6562a268cd29f1c3969"
+                    "27f409e9b0f4d8f4b1b38587ac154ca3ff"}});
 }
 
 TEST(PairingBaked, BakedParamsSatisfyCurveInvariants) {

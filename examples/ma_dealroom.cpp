@@ -4,10 +4,11 @@
 //
 // Three investment banks watch different targets through the same P3S
 // deployment. A market-data provider publishes updates. We then inspect
-// every third party's curious log to show that nobody — not the
+// what reached every third party to show that nobody — not the
 // dissemination server, not the repository, not even the token server —
 // can tell WHICH bank watches WHICH target.
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,19 @@ int main() {
   });
 
   net::DirectNetwork network;
+  // A wire tap counts the frames that reach each endpoint, by sender;
+  // received("ds") reads them back as e.g. "pub x4, sub x2".
+  std::map<std::string, std::map<std::string, std::size_t>> inbound;
+  network.set_tap([&inbound](const net::TrafficRecord& rec) {
+    ++inbound[std::string(rec.to)][std::string(rec.from)];
+  });
+  const auto received = [&inbound](const std::string& endpoint) {
+    std::string out;
+    for (const auto& [from, n] : inbound[endpoint]) {
+      out += (out.empty() ? "" : ", ") + from + " x" + std::to_string(n);
+    }
+    return out;
+  };
   core::P3sConfig config;
   config.pairing = pairing::Pairing::test_pairing();
   config.schema = schema;
@@ -93,18 +107,17 @@ int main() {
 
   // The privacy ledger: what each third party could write down.
   std::printf("third-party visibility (the paper's §6.1 claims, live):\n");
-  std::printf("  PBE-TS: saw %zu plaintext predicates — every one from '%s';\n"
-              "          it knows SOMEONE watches lehman, not WHO.\n",
-              p3s.token_server().seen_predicates().size(),
-              p3s.token_server().seen_predicates()[0].network_from.c_str());
-  std::printf("  DS:     relayed %zu encrypted frames; all targets/events opaque.\n",
-              p3s.ds().observations().size());
-  std::printf("  RS:     stored 4 ciphertexts; request counts per GUID: ");
-  for (const auto& [guid, n] : p3s.rs().request_counts()) {
-    std::printf("%zu ", n);
-  }
-  std::printf("\n          (it can count fetches — allowed leakage — but cannot\n"
-              "          link them to banks: all requests arrive from 'anon').\n");
+  std::printf("  PBE-TS: received %s;\n"
+              "          it sees which pseudonym watches lehman, not which\n"
+              "          bank holds that pseudonym or sent the request.\n",
+              received(p3s.token_server().name()).c_str());
+  std::printf("  DS:     received %s;\n"
+              "          all targets/events opaque.\n",
+              received(p3s.ds().name()).c_str());
+  std::printf("  RS:     stored 4 ciphertexts; received %s\n"
+              "          (it can count fetches — allowed leakage — but cannot\n"
+              "          link them to banks: all requests arrive from 'anon').\n",
+              received(p3s.rs().name()).c_str());
   std::printf("  feed:   received zero feedback; it cannot tell whether anyone\n"
               "          matched its lehman bombshell.\n");
   return 0;

@@ -6,7 +6,8 @@
 //     pub <name>                           register+connect a publisher
 //     interest <sub> <k>=<v>[,<k>=<v>...]  subscribe
 //     publish <pub> <k>=<v>,... | <policy> | <payload text>
-//     stats [json]                         curious logs + metrics snapshot
+//     stats [json]                         frames each service received,
+//                                          by sender + metrics snapshot
 //     gc                                   run the RS garbage collector
 //     help / quit
 #include <cstdio>
@@ -52,11 +53,16 @@ std::set<std::string> parse_set(const std::string& text) {
 struct Console {
   crypto::Drbg rng{str_to_bytes("p3s-repl")};
   net::DirectNetwork network;
+  // Frames that reached each endpoint, by sender (counted by a wire tap).
+  std::map<std::string, std::map<std::string, std::size_t>> inbound;
   std::unique_ptr<core::P3sSystem> system;
   std::map<std::string, std::unique_ptr<core::Subscriber>> subs;
   std::map<std::string, std::unique_ptr<core::Publisher>> pubs;
 
   Console() {
+    network.set_tap([this](const net::TrafficRecord& rec) {
+      ++inbound[std::string(rec.to)][std::string(rec.from)];
+    });
     core::P3sConfig config;
     config.pairing = pairing::Pairing::test_pairing();
     config.schema = pbe::MetadataSchema({
@@ -134,11 +140,16 @@ struct Console {
                       s->match_count(), s->delivery_count(),
                       s->undecryptable_payloads());
         }
-        std::printf("  rs: stored=%zu; pbe-ts predicates seen=%zu; "
-                    "ds frames=%zu\n",
-                    system->rs().stored_items(),
-                    system->token_server().seen_predicates().size(),
-                    system->ds().observations().size());
+        std::printf("  rs: stored=%zu\n", system->rs().stored_items());
+        for (const std::string& service :
+             {system->ds().name(), system->rs().name(),
+              system->token_server().name()}) {
+          std::printf("  %s received:", service.c_str());
+          for (const auto& [from, n] : inbound[service]) {
+            std::printf(" %s x%zu", from.c_str(), n);
+          }
+          std::printf("\n");
+        }
         std::printf("metrics ('stats json' for the JSON form):\n%s",
                     obs::render_text(obs::Registry::global(),
                                      /*max_spans=*/5)

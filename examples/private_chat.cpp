@@ -7,6 +7,7 @@
 // infrastructure relays every message but never learns who is in which
 // room, and room transcripts are only decryptable by members.
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "abe/policy.hpp"
@@ -62,6 +63,19 @@ int main() {
   });
 
   net::DirectNetwork network;
+  // A wire tap counts the frames that reach each endpoint, by sender;
+  // received("ds") reads them back as e.g. "pub x4, sub x2".
+  std::map<std::string, std::map<std::string, std::size_t>> inbound;
+  network.set_tap([&inbound](const net::TrafficRecord& rec) {
+    ++inbound[std::string(rec.to)][std::string(rec.from)];
+  });
+  const auto received = [&inbound](const std::string& endpoint) {
+    std::string out;
+    for (const auto& [from, n] : inbound[endpoint]) {
+      out += (out.empty() ? "" : ", ") + from + " x" + std::to_string(n);
+    }
+    return out;
+  };
   core::P3sConfig config;
   config.pairing = pairing::Pairing::test_pairing();
   config.schema = schema;
@@ -94,8 +108,11 @@ int main() {
   std::printf("  frank: %zu messages received (matched=%zu — frank never even\n"
               "        matched the ops or incident rooms, let alone decrypted)\n",
               frank.rx->delivery_count(), frank.rx->match_count());
-  std::printf("\ninfrastructure view: DS relayed %zu frames, RS stored %zu\n"
-              "ciphertexts; neither can name a single room membership.\n",
-              p3s.ds().observations().size(), p3s.rs().stored_items());
+  std::printf("\ninfrastructure view: DS received %s;\n"
+              "RS received %s and stored %zu ciphertexts;\n"
+              "neither can name a single room membership.\n",
+              received(p3s.ds().name()).c_str(),
+              received(p3s.rs().name()).c_str(),
+              p3s.rs().stored_items());
   return 0;
 }

@@ -6,6 +6,8 @@
 // Build & run:  cmake -B build -G Ninja && cmake --build build
 //               ./build/examples/quickstart
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "abe/policy.hpp"
 #include "crypto/drbg.hpp"
@@ -28,6 +30,19 @@ int main() {
 
   // 2. Deploy the P3S services: ARA, DS, RS, PBE-TS and the anonymizer.
   net::DirectNetwork network;
+  // A wire tap counts the frames that reach each endpoint, by sender;
+  // received("ds") reads them back as e.g. "pub x4, sub x2".
+  std::map<std::string, std::map<std::string, std::size_t>> inbound;
+  network.set_tap([&inbound](const net::TrafficRecord& rec) {
+    ++inbound[std::string(rec.to)][std::string(rec.from)];
+  });
+  const auto received = [&inbound](const std::string& endpoint) {
+    std::string out;
+    for (const auto& [from, n] : inbound[endpoint]) {
+      out += (out.empty() ? "" : ", ") + from + " x" + std::to_string(n);
+    }
+    return out;
+  };
   core::P3sConfig config;
   config.pairing = pairing::Pairing::test_pairing();
   config.schema = schema;
@@ -44,7 +59,8 @@ int main() {
   std::printf("registered: alice (trader), bob (analyst), reuters (publisher)\n");
 
   // 4. Subscribe. The predicate goes to the PBE-TS in plaintext but through
-  //    the anonymizer — the PBE-TS cannot tell WHO is interested in markets.
+  //    the anonymizer — the PBE-TS reads the pseudonym on each certificate,
+  //    but cannot tell which endpoint is interested in markets.
   alice->subscribe({{"topic", "markets"}});
   bob->subscribe({{"topic", "markets"}, {"region", "us"}});
   std::printf("subscribed: alice{topic=markets}, bob{topic=markets, region=us}\n");
@@ -73,11 +89,12 @@ int main() {
               alice->undecryptable_payloads());
   std::printf("  bob:   matched=%zu delivered=%zu  (matched and authorized)\n",
               bob->match_count(), bob->delivery_count());
-  std::printf("  PBE-TS saw %zu plaintext predicates, all from '%s'\n",
-              p3s.token_server().seen_predicates().size(),
-              p3s.token_server().seen_predicates()[0].network_from.c_str());
-  std::printf("  DS forwarded %zu encrypted frames; it never saw a topic, a\n"
-              "  predicate, or a payload byte in the clear.\n",
-              p3s.ds().observations().size());
+  std::printf("  PBE-TS received %s: no request came from a subscriber's "
+              "endpoint\n",
+              received(p3s.token_server().name()).c_str());
+  std::printf("  DS received %s;\n"
+              "  it never saw a topic, a predicate, or a payload byte in the "
+              "clear.\n",
+              received(p3s.ds().name()).c_str());
   return 0;
 }

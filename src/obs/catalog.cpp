@@ -93,7 +93,7 @@ void register_catalog(Registry& r) {
               "CP-ABE decryption of a fetched payload", lat);
   r.counter(kSubDeliveriesTotal, {}, "1", "payloads decrypted and delivered");
   r.counter(kSubFetchFailuresTotal, {}, "1",
-            "matched items the RS no longer had");
+            "matched items whose fetch returned no payload");
   r.counter(kSubUndecryptableTotal, {}, "1",
             "fetched payloads the attribute key could not decrypt");
   r.counter(kSubTokenRequestsTotal, {}, "1", "token requests sent");

@@ -151,7 +151,6 @@ void Anonymizer::on_frame(const std::string& from, BytesView data) {
       TaggedBody body = read_tagged(rr);
       const std::uint64_t tag = next_tag_++;
       pending_[tag] = Pending{from, body.tag};
-      observations_.push_back({from, dest, request.size()});
       AnonMetrics& metrics = anon_metrics();
       metrics.forwarded.inc();
       metrics.pending.set(static_cast<std::int64_t>(pending_.size()));

@@ -52,17 +52,6 @@ class Anonymizer {
   /// Requests currently held for the next batch flush.
   std::size_t held_count() const { return held_.size(); }
 
-  /// Curious log — what an HBC anonymizer could remember: who asked to
-  /// reach which service (but nothing about content). Decoys are the
-  /// relay's own noise, not observations of anyone. Exposed for the
-  /// privacy tests.
-  struct Observation {
-    std::string requester;
-    std::string destination;
-    std::size_t size;
-  };
-  const std::vector<Observation>& observations() const { return observations_; }
-
  private:
   struct Held {
     std::string destination;
@@ -101,7 +90,6 @@ class Anonymizer {
   std::vector<Held> held_;                    // batch awaiting flush
   std::optional<double> flush_deadline_;
   std::optional<Cover> cover_;
-  std::vector<Observation> observations_;
 };
 
 }  // namespace p3s::core

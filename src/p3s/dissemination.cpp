@@ -331,8 +331,6 @@ void DisseminationServer::handle_inner(const std::string& from,
                                        BytesView inner) {
   Reader r(inner);
   const FrameType type = read_frame_type(r);
-  observations_.push_back(
-      {from, inner.size(), static_cast<std::uint8_t>(type)});
 
   DsMetrics& metrics = ds_metrics();
   switch (type) {

@@ -1,7 +1,8 @@
 // Dissemination Server (paper §4.1): terminates the secure channels
 // ("TLS tunnels") to publishers and subscribers, fans PBE-encrypted metadata
 // out to every registered subscriber, and forwards CP-ABE-encrypted payloads
-// to the RS. Sees only ciphertext and sizes (curious log asserts this).
+// to the RS. Sees only ciphertext and sizes: the privacy tests open every
+// record it receives with its own keys and find nothing else.
 //
 // Reliable path (DESIGN.md "Reliability"): a kPublishRequest is stored on
 // the RS first (kStoreRequest/kStoreAck) and only then fanned out and acked
@@ -58,15 +59,6 @@ class DisseminationServer {
   /// Broadcasts queued for the next batched flush.
   std::size_t queued_broadcast_count() const { return pending_fanout_.size(); }
 
-  /// Curious log: per-source frame sizes. The privacy tests check that no
-  /// plaintext metadata/payload/interest ever reaches the DS.
-  struct Observation {
-    std::string from;
-    std::size_t inner_size;
-    std::uint8_t inner_type;
-  };
-  const std::vector<Observation>& observations() const { return observations_; }
-
   /// Simulate a crash: drop all sessions, registrations, the metadata replay
   /// ring, and in-flight publish state (long-term key survives, as it would
   /// on disk). Clients must re-register (paper §6.1: "A restarted DS needs
@@ -115,7 +107,6 @@ class DisseminationServer {
   std::map<std::string, net::SecureSession> sessions_;
   std::set<std::string> subscribers_;
   std::set<std::string> publishers_;
-  std::vector<Observation> observations_;
 
   // --- reliable-layer state ------------------------------------------------
   // Incarnation is a restart counter, not a secret: it only has to differ

@@ -69,7 +69,6 @@ void RepositoryServer::on_frame(const std::string& from, BytesView data) {
   try {
     Reader r(data);
     const FrameType type = read_frame_type(r);
-    sources_.push_back(from);
 
     if (type == FrameType::kStoreContent ||
         type == FrameType::kStoreRequest) {
@@ -122,8 +121,6 @@ void RepositoryServer::on_frame(const std::string& from, BytesView data) {
       const Bytes ks = pr.bytes();
       const Guid guid = Guid::from_bytes(pr.raw(Guid::kSize));
       pr.expect_done();
-
-      ++request_counts_[guid];
 
       Writer inner;
       const auto it = store_.find(guid);

@@ -9,7 +9,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/guid.hpp"
 #include "net/network.hpp"
@@ -27,6 +26,7 @@ class RepositoryServer {
 
   const std::string& name() const { return name_; }
   const pairing::Point& public_key() const { return keys_.public_key; }
+  const pairing::EciesKeyPair& identity() const { return keys_; }
 
   /// Delete all items past TTL_pub + T_G (the paper's garbage collector).
   /// Returns how many items were collected.
@@ -42,16 +42,6 @@ class RepositoryServer {
   std::size_t response_pad_bucket() const { return response_pad_bucket_; }
 
   std::size_t stored_items() const { return store_.size(); }
-
-  /// --- Curious log (paper §6.1: what the HBC RS can know) ---------------
-  /// Request count per GUID ("can keep track of whether a payload has ever
-  /// been requested and how many requests have been received").
-  const std::map<Guid, std::size_t>& request_counts() const {
-    return request_counts_;
-  }
-  /// Sizes of stored ciphertexts (visible), publisher identity is NOT
-  /// among the observations: everything arrives from the DS.
-  const std::vector<std::string>& frame_sources() const { return sources_; }
 
   /// --- Persistence (the paper's RS stores encrypted content on disk and
   /// resumes after crash without re-encryption) --------------------------
@@ -79,8 +69,6 @@ class RepositoryServer {
   double grace_seconds_;
   std::size_t response_pad_bucket_ = 0;
   std::map<Guid, Item> store_;
-  std::map<Guid, std::size_t> request_counts_;
-  std::vector<std::string> sources_;
 };
 
 }  // namespace p3s::core

@@ -226,7 +226,7 @@ void Subscriber::request_content(const Guid& guid) {
   const Bytes blob = pairing::ecies_encrypt(pairing, creds_.services.rs_pk,
                                             plain.data(), rng_);
   const std::uint64_t tag = next_tag_++;
-  pending_content_ks_[tag] = ks;
+  pending_content_ks_[tag] = PendingFetch{ks, guid};
   Bytes request = tagged_frame(FrameType::kContentRequest, tag, blob);
   if (reliability_.enabled) {
     PendingRequest p;
@@ -538,12 +538,12 @@ void Subscriber::handle_content_response(BytesView body) {
   const TaggedBody tagged = read_tagged(r);
   const auto it = pending_content_ks_.find(tagged.tag);
   if (it == pending_content_ks_.end()) return;
-  const Bytes ks = it->second;
+  const PendingFetch fetch = std::move(it->second);
   pending_content_ks_.erase(it);
   pending_content_requests_.erase(tagged.tag);
 
   const auto plain = crypto::aead_decrypt(
-      ks, crypto::AeadCiphertext::deserialize(tagged.payload),
+      fetch.ks, crypto::AeadCiphertext::deserialize(tagged.payload),
       str_to_bytes("content-resp"));
   if (!plain.has_value()) return;
   Reader pr(*plain);
@@ -572,10 +572,10 @@ void Subscriber::handle_content_response(BytesView body) {
   delivery.guid = Guid::from_bytes(tr.raw(Guid::kSize));
   delivery.payload = tr.bytes();
   tr.expect_done();
-  // GUID-level exactly-once, defense in depth behind the tag/Ks dedup: even
-  // a replayed response for a re-requested GUID never delivers twice.
-  if (!delivered_guids_.insert(delivery.guid).second) {
-    ++duplicate_metadata_;
+  // The RS answered with some other item: not what this fetch asked for.
+  if (delivery.guid != fetch.guid) {
+    ++fetch_failures_;
+    metrics.fetch_failures.inc();
     return;
   }
   ++delivered_;

@@ -15,8 +15,9 @@
 // naturally deduplicated); metadata arrives as an indexed stream whose gaps
 // are detected and repaired through kMetaSyncRequest, with a heartbeat sync
 // that also detects a restarted DS (incarnation change) and re-registers.
-// Exactly-once delivery is enforced at the GUID level regardless of how
-// often a broadcast or response is replayed.
+// Delivery is exactly-once however often a broadcast or response is
+// replayed: one fetch per GUID, one answer per fetch (its Ks is erased on
+// arrival), and an answer counts only if it carries the GUID asked for.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +98,9 @@ class Subscriber {
   std::size_t match_count() const { return matches_; }
   /// Payloads decrypted and delivered (each GUID at most once).
   std::size_t delivery_count() const { return delivered_; }
-  /// Matched but the RS no longer had the item (TTL deletion / slow client).
+  /// Matched but the fetch brought no payload: the RS no longer had the
+  /// item (TTL deletion / slow client), or it answered with an item other
+  /// than the one asked for.
   std::size_t fetch_failures() const { return fetch_failures_; }
   /// Fetched but CP-ABE attributes did not satisfy the policy.
   std::size_t undecryptable_payloads() const { return undecryptable_; }
@@ -163,7 +166,11 @@ class Subscriber {
   std::vector<std::uint32_t> token_positions_union_;
   std::uint64_t next_tag_ = 1;
   std::map<std::uint64_t, Bytes> pending_token_ks_;
-  std::map<std::uint64_t, Bytes> pending_content_ks_;
+  struct PendingFetch {
+    Bytes ks;
+    Guid guid;  // the item asked for
+  };
+  std::map<std::uint64_t, PendingFetch> pending_content_ks_;
   std::set<Guid> requested_guids_;
 
   // --- reliable-layer state ------------------------------------------------
@@ -184,7 +191,6 @@ class Subscriber {
   std::optional<double> sync_deadline_;
   std::size_t sync_failures_ = 0;
   double next_heartbeat_ = 0.0;
-  std::set<Guid> delivered_guids_;
 
   DeliveryHandler handler_;
   std::size_t metadata_received_ = 0;

@@ -90,10 +90,6 @@ void PbeTokenServer::on_frame(const std::string& from, BytesView data) {
     }
 
     const pbe::Interest interest = pbe::deserialize_string_map(interest_bytes);
-    // The HBC PBE-TS remembers everything it sees (paper §6.1): the
-    // plaintext predicate, but only the network-visible requester.
-    seen_predicates_.push_back({from, interest});
-
     TsMetrics& metrics = ts_metrics();
     const pbe::Pattern pattern = schema_.encode_interest(interest);
     const pbe::HveToken token = [&] {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "net/network.hpp"
 #include "p3s/credentials.hpp"
@@ -27,17 +26,7 @@ class PbeTokenServer {
 
   const std::string& name() const { return name_; }
   const pairing::Point& public_key() const { return keys_.public_key; }
-
-  /// Curious log: every plaintext predicate this HBC service has seen,
-  /// together with the network principal it arrived from ("anon" when the
-  /// anonymizer is in use). The privacy tests assert identity unlinkability.
-  struct SeenPredicate {
-    std::string network_from;
-    pbe::Interest interest;
-  };
-  const std::vector<SeenPredicate>& seen_predicates() const {
-    return seen_predicates_;
-  }
+  const pairing::EciesKeyPair& identity() const { return keys_; }
   std::size_t rejected_requests() const { return rejected_; }
 
  private:
@@ -51,7 +40,6 @@ class PbeTokenServer {
   pairing::Point ara_cert_pk_;
   pairing::EciesKeyPair keys_;
   Rng& rng_;
-  std::vector<SeenPredicate> seen_predicates_;
   std::size_t rejected_ = 0;
 };
 

@@ -95,7 +95,6 @@ Pairing::Pairing(Params params)
   if ((params_.q % BigInt{4}) != BigInt{3}) {
     throw std::invalid_argument("Pairing: q % 4 != 3");
   }
-  final_exp_ = (params_.q * params_.q - BigInt{1}) / params_.r;
   naf_r_ = naf(params_.r);
   q_bytes_ = (params_.q.bit_length() + 7) / 8;
   mont_r2_ = fqm::fe_pack(montq_.to_mont(montq_.to_mont(BigInt{1})));

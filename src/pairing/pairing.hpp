@@ -180,7 +180,6 @@ class Pairing {
 
  private:
   Params params_;
-  BigInt final_exp_;  // (q² − 1) / r
   // NAF(r), least-significant digit first: the schedule of every Miller
   // loop (a −1 digit adds −P = (x_P, −y_P)).
   std::vector<std::int8_t> naf_r_;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "delivery_log.hpp"
 #include "net/async.hpp"
 #include "obs/catalog.hpp"
@@ -334,6 +337,55 @@ TEST_F(AsyncP3sTest, SlowConsumerMissesStrictlyDeletedItem) {
   system_->rs().garbage_collect();
   net_.run_until_idle();
   EXPECT_GE(sub->fetch_failures(), 1u);
+}
+
+TEST_F(AsyncP3sTest, ResponseCarryingAnotherItemIsNotDelivered) {
+  // An RS that answers a fetch with some other stored item must not make
+  // the subscriber deliver a payload it never matched. The RS's store is
+  // rewritten through snapshot/restore while the fetch is in flight, so the
+  // matched GUID points at the unmatched item's ciphertext.
+  auto sub = subscriber("sub1");
+  auto pub = system_->make_publisher("pub1", "press", rng_);
+  net_.run_until_idle();
+  sub->subscribe({{"topic", "a"}});
+  net_.run_until_idle();
+
+  test::DeliveryLog got(*sub);
+  const Guid unmatched =
+      pub->publish({{"topic", "b"}, {"tier", "x"}}, str_to_bytes("not-yours"),
+                   abe::parse_policy("m"), /*ttl=*/1e6);
+  const Guid matched =
+      pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("yours"),
+                   abe::parse_policy("m"), /*ttl=*/1e6);
+  while (system_->rs().stored_items() < 2 && net_.pump_one()) {
+  }
+  ASSERT_EQ(system_->rs().stored_items(), 2u);
+
+  // Snapshot layout: u32 count, then per item GUID, u64 expiry, ciphertext.
+  const Bytes snapshot = system_->rs().snapshot();
+  Reader r(snapshot);
+  const std::uint32_t n = r.u32();
+  std::map<Guid, std::pair<std::uint64_t, Bytes>> items;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Guid guid = Guid::from_bytes(r.raw(Guid::kSize));
+    const std::uint64_t expiry = r.u64();
+    items[guid] = {expiry, r.bytes()};
+  }
+  items.at(matched).second = items.at(unmatched).second;
+  Writer w;
+  w.u32(n);
+  for (const auto& [guid, item] : items) {
+    w.raw(guid.to_bytes());
+    w.u64(item.first);
+    w.bytes(item.second);
+  }
+  system_->rs().restore(w.data());
+
+  net_.run_until_idle();
+  EXPECT_EQ(sub->match_count(), 1u);
+  EXPECT_TRUE(got.deliveries().empty());
+  EXPECT_EQ(sub->delivery_count(), 0u);
+  EXPECT_EQ(sub->fetch_failures(), 1u);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // End-to-end integration tests for the P3S middleware: protocol flows of
-// paper Figs. 1-4, deletion semantics, crash/restart behaviour, and the
-// §6.1 visibility ("curious log") privacy assertions.
+// paper Figs. 1-4, deletion semantics, crash/restart behaviour, and what
+// the RS and PBE-TS can read of these flows (§6.1; hbc_view.hpp opens the
+// frames they received with their own keys).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
 #include "delivery_log.hpp"
 #include "exec/pool.hpp"
+#include "hbc_view.hpp"
 #include "net/network.hpp"
 #include "p3s/system.hpp"
 #include "wire_log.hpp"
@@ -32,14 +35,22 @@ class P3sEndToEnd : public ::testing::Test {
  protected:
   void build(bool with_anonymizer = true, double grace = 5.0) {
     P3sConfig config;
-    config.pairing = pairing::Pairing::test_pairing();
+    config.pairing = pairing_;
     config.schema = test_schema();
     config.with_anonymizer = with_anonymizer;
     config.rs_grace_seconds = grace;
     system_ = std::make_unique<P3sSystem>(net_, std::move(config), rng_);
   }
 
+  /// Per-GUID content requests, as the RS opened them.
+  std::map<Guid, std::size_t> rs_requests() const {
+    return test::requested_guids(
+        test::envelope_view(wire_, *pairing_, system_->rs()));
+  }
+
   net::DirectNetwork net_;
+  test::WireLog wire_{net_};
+  pairing::PairingPtr pairing_ = pairing::Pairing::test_pairing();
   TestRng rng_{0x935};
   std::unique_ptr<P3sSystem> system_;
 };
@@ -80,7 +91,7 @@ TEST_F(P3sEndToEnd, NonMatchingSubscriberLearnsNothing) {
   EXPECT_EQ(sub->metadata_received(), 1u);
   EXPECT_EQ(sub->match_count(), 0u);
   EXPECT_EQ(sub->delivery_count(), 0u);
-  EXPECT_TRUE(system_->rs().request_counts().empty());
+  EXPECT_TRUE(rs_requests().empty());
 }
 
 TEST_F(P3sEndToEnd, MatchingButUnauthorizedCannotDecrypt) {
@@ -156,8 +167,9 @@ TEST_F(P3sEndToEnd, SubscriberWithTwoMatchingTokensFetchesOnce) {
                abe::parse_policy("a"));
   EXPECT_EQ(sub->delivery_count(), 1u);
   // RS served exactly one request for the item.
-  ASSERT_EQ(system_->rs().request_counts().size(), 1u);
-  EXPECT_EQ(system_->rs().request_counts().begin()->second, 1u);
+  const auto requests = rs_requests();
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests.begin()->second, 1u);
 }
 
 // --- Deletion semantics (paper §4.3 "Deletion") -----------------------------------
@@ -474,8 +486,11 @@ TEST_F(P3sEndToEnd, WorksWithoutAnonymizer) {
                abe::parse_policy("a"));
   EXPECT_EQ(sub->delivery_count(), 1u);
   // Without anonymization the PBE-TS sees the subscriber's network identity.
-  ASSERT_EQ(system_->token_server().seen_predicates().size(), 1u);
-  EXPECT_EQ(system_->token_server().seen_predicates()[0].network_from, "sub1");
+  const test::HbcView ts =
+      test::envelope_view(wire_, *pairing_, system_->token_server());
+  ASSERT_EQ(ts.size(), 1u);
+  EXPECT_EQ(ts[0].type, FrameType::kTokenRequest);
+  EXPECT_EQ(ts[0].from, "sub1");
 }
 
 }  // namespace

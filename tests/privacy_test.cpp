@@ -1,12 +1,17 @@
 // Privacy assertions from paper §6.1, enforced against the REAL running
-// system: we let HBC components remember everything they see (curious logs),
-// record every wire frame (eavesdropper view), and assert that sensitive
-// information appears exactly where the paper says it may — and nowhere else.
+// system: we record every wire frame (eavesdropper view), open the frames
+// each HBC service received with that service's own key (hbc_view.hpp), and
+// assert that sensitive information appears exactly where the paper says it
+// may — and nowhere else.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
 #include "delivery_log.hpp"
+#include "hbc_view.hpp"
 #include "net/async.hpp"
 #include "net/network.hpp"
 #include "obs/export.hpp"
@@ -30,14 +35,16 @@ class PrivacyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     P3sConfig config;
-    config.pairing = pairing::Pairing::test_pairing();
+    config.pairing = pairing_;
     config.schema = test_schema();
     system_ = std::make_unique<P3sSystem>(net_, std::move(config), rng_);
     sub_ = system_->make_subscriber("sub1", "alice", {"analyst", "org:us"},
                                     rng_);
     other_ = system_->make_subscriber("sub2", "bob", {"analyst"}, rng_);
     pub_ = system_->make_publisher("pub1", "acme", rng_);
-    wire_.clear();  // analyze only the steady-state protocol
+    // The services' views need the setup frames (the DS's channel hellos);
+    // tests about the steady-state protocol alone count from here.
+    setup_frames_ = wire_.size();
   }
 
   void run_flow() {
@@ -53,6 +60,8 @@ class PrivacyTest : public ::testing::Test {
 
   net::DirectNetwork net_;
   test::WireLog wire_{net_};
+  std::size_t setup_frames_ = 0;
+  pairing::PairingPtr pairing_ = pairing::Pairing::test_pairing();
   TestRng rng_{0x99};
   std::unique_ptr<P3sSystem> system_;
   std::unique_ptr<Subscriber> sub_;
@@ -85,50 +94,77 @@ TEST_F(PrivacyTest, PolicyAttributesDoAppearInTheClear) {
 
 TEST_F(PrivacyTest, PbeTsSeesPredicateButNotIdentity) {
   run_flow();
-  const auto& seen = system_->token_server().seen_predicates();
-  ASSERT_EQ(seen.size(), 2u);
+  const test::HbcView ts =
+      test::envelope_view(wire_, *pairing_, system_->token_server());
+  ASSERT_EQ(ts.size(), 2u);
+  for (const test::SeenFrame& f : ts) {
+    ASSERT_EQ(f.type, FrameType::kTokenRequest);
+  }
   // Plaintext predicate visible (paper: "the PBE-TS sees the plaintext
   // predicate")...
-  EXPECT_EQ(seen[0].interest.at("sector"), "finance");
+  Reader request(ts[0].bytes);
+  request.bytes();  // Ks
+  request.bytes();  // certificate
+  EXPECT_EQ(pbe::deserialize_string_map(request.bytes()).at("sector"),
+            "finance");
   // ...but every request arrived via the anonymizer.
-  for (const auto& s : seen) EXPECT_EQ(s.network_from, "anon");
+  for (const test::SeenFrame& f : ts) EXPECT_EQ(f.from, "anon");
+  // The anonymizer hides the network endpoint, not the pseudonym: the
+  // certificate inside each request names its holder (paper Fig. 3).
+  EXPECT_TRUE(test::contains(ts, str_to_bytes("alice")));
+  EXPECT_TRUE(test::contains(ts, str_to_bytes("bob")));
 }
 
 TEST_F(PrivacyTest, RsSeesOnlyDsAndAnonymizer) {
   run_flow();
-  for (const std::string& src : system_->rs().frame_sources()) {
-    EXPECT_TRUE(src == "ds" || src == "anon") << src;
+  const test::HbcView rs = test::envelope_view(wire_, *pairing_, system_->rs());
+  ASSERT_FALSE(rs.empty());
+  for (const test::SeenFrame& f : rs) {
+    EXPECT_TRUE(f.from == "ds" || f.from == "anon") << f.from;
   }
   // The RS can count requests per GUID (allowed leakage, §6.1).
-  ASSERT_EQ(system_->rs().request_counts().size(), 1u);
-  EXPECT_EQ(system_->rs().request_counts().begin()->second, 1u);
+  const auto requests = test::requested_guids(rs);
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests.begin()->second, 1u);
+  // Opened with the RS's key, nothing it received holds the payload or
+  // the interest.
+  EXPECT_FALSE(test::contains(rs, str_to_bytes(kPayloadMarker)));
+  for (const char* word : {"finance", "default", "sector"}) {
+    EXPECT_FALSE(test::contains(rs, str_to_bytes(word))) << word;
+  }
 }
 
 TEST_F(PrivacyTest, DsLearnsOnlySizesAndTypes) {
   run_flow();
-  // The DS observation log records sizes and frame kinds; assert that the
-  // DS never received a token request/response or plaintext maps — its
-  // observed types are registration, publish and ack frames only.
-  for (const auto& obs : system_->ds().observations()) {
-    EXPECT_TRUE(obs.inner_type ==
-                    static_cast<std::uint8_t>(FrameType::kRegisterSubscriber) ||
-                obs.inner_type ==
-                    static_cast<std::uint8_t>(FrameType::kRegisterPublisher) ||
-                obs.inner_type ==
-                    static_cast<std::uint8_t>(FrameType::kPublishMetadata) ||
-                obs.inner_type ==
-                    static_cast<std::uint8_t>(FrameType::kPublishContent))
-        << static_cast<int>(obs.inner_type);
+  // Every record the DS received, opened with its channel keys: the DS
+  // never receives a token request/response or plaintext maps — its inner
+  // types are registration and publish frames only, and their bytes hold
+  // no payload, interest or metadata word.
+  const test::HbcView ds = test::ds_view(wire_, *pairing_, system_->ds());
+  std::set<FrameType> types;
+  for (const test::SeenFrame& f : ds) types.insert(f.type);
+  EXPECT_EQ(types, (std::set<FrameType>{FrameType::kRegisterSubscriber,
+                                         FrameType::kRegisterPublisher,
+                                         FrameType::kPublishMetadata,
+                                         FrameType::kPublishContent}));
+  EXPECT_FALSE(test::contains(ds, str_to_bytes(kPayloadMarker)));
+  for (const char* word : {"finance", "default", "sector", "region"}) {
+    EXPECT_FALSE(test::contains(ds, str_to_bytes(word))) << word;
   }
 }
 
 TEST_F(PrivacyTest, AnonymizerSeesRoutingButNotContent) {
   run_flow();
-  ASSERT_FALSE(system_->anonymizer()->observations().empty());
-  for (const auto& obs : system_->anonymizer()->observations()) {
-    EXPECT_TRUE(obs.destination == "pbe-ts" || obs.destination == "rs");
-    EXPECT_TRUE(obs.requester == "sub1" || obs.requester == "sub2");
+  const test::HbcView anon =
+      test::anonymizer_view(wire_, *system_->anonymizer());
+  const std::vector<test::Route> routes = test::anon_routes(anon);
+  ASSERT_FALSE(routes.empty());
+  for (const test::Route& route : routes) {
+    EXPECT_TRUE(route.destination == "pbe-ts" || route.destination == "rs");
+    EXPECT_TRUE(route.requester == "sub1" || route.requester == "sub2");
   }
+  EXPECT_FALSE(test::contains(anon, str_to_bytes(kPayloadMarker)));
+  EXPECT_FALSE(test::contains(anon, str_to_bytes("finance")));
 }
 
 TEST_F(PrivacyTest, NonMatchingSubscriberSeesBroadcastButLearnsNothing) {
@@ -137,9 +173,11 @@ TEST_F(PrivacyTest, NonMatchingSubscriberSeesBroadcastButLearnsNothing) {
   EXPECT_EQ(other_->match_count(), 0u);
   EXPECT_EQ(other_->delivery_count(), 0u);
   // And it never contacted the RS.
-  for (const auto& obs : system_->anonymizer()->observations()) {
-    if (obs.requester == "sub2") {
-      EXPECT_EQ(obs.destination, "pbe-ts");
+  const test::HbcView anon =
+      test::anonymizer_view(wire_, *system_->anonymizer());
+  for (const test::Route& route : test::anon_routes(anon)) {
+    if (route.requester == "sub2") {
+      EXPECT_EQ(route.destination, "pbe-ts");
     }
   }
 }
@@ -158,25 +196,24 @@ TEST_F(PrivacyTest, EavesdropperSeesGuidOnlyAsClearFieldOfStoreFrame) {
 
 TEST_F(PrivacyTest, PublisherLearnsNothingAboutMatching) {
   run_flow();
-  // Frames addressed to the publisher: channel acks only, all of identical
-  // shape regardless of whether anything matched.
-  std::size_t to_pub = 0;
-  for (const auto& rec : wire_.frames()) {
-    if (rec.to == "pub1") ++to_pub;
-  }
-  wire_.clear();
+  // Frames addressed to the publisher after setup, counted per flow.
+  const auto to_pub_since = [&](std::size_t first) {
+    return std::count_if(
+        wire_.frames().begin() + static_cast<std::ptrdiff_t>(first),
+        wire_.frames().end(),
+        [](const test::WireLog::Frame& rec) { return rec.to == "pub1"; });
+  };
+  const auto to_pub = to_pub_since(setup_frames_);
+  const std::size_t second_flow = wire_.size();
   // Publish an item nobody matches; the publisher-visible traffic pattern
   // is identical (same count of acks per publish: zero — fire and forget).
   pub_->publish({{"sector", "health"}, {"region", "eu"}, {"event", "ipo"}},
                 str_to_bytes("unmatched"), abe::parse_policy("analyst"));
-  std::size_t to_pub2 = 0;
-  for (const auto& rec : wire_.frames()) {
-    if (rec.to == "pub1") ++to_pub2;
-  }
+  const auto to_pub2 = to_pub_since(second_flow);
   // In both flows the publisher receives zero feedback frames: it cannot
   // distinguish matched from unmatched publications.
-  EXPECT_EQ(to_pub, 0u);
-  EXPECT_EQ(to_pub2, 0u);
+  EXPECT_EQ(to_pub, 0);
+  EXPECT_EQ(to_pub2, 0);
 }
 
 TEST_F(PrivacyTest, CollusionOfHbcSubscribersIsUnionOfViews) {

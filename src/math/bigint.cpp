@@ -10,11 +10,6 @@ using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 using Limbs = std::vector<u64>;
 
-namespace {
-// Karatsuba kicks in above this many limbs per operand.
-constexpr std::size_t kKaratsubaThreshold = 24;
-}  // namespace
-
 BigInt::BigInt(std::int64_t v) {
   if (v < 0) {
     negative_ = true;
@@ -99,8 +94,9 @@ Limbs BigInt::sub_mag(const Limbs& a, const Limbs& b) {
   return out;
 }
 
-namespace {
-Limbs mul_school(const Limbs& a, const Limbs& b) {
+// Schoolbook product; every product the program forms is at most 8×8
+// limbs.
+Limbs BigInt::mul_mag(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
   Limbs out(a.size() + b.size(), 0);
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -114,83 +110,6 @@ Limbs mul_school(const Limbs& a, const Limbs& b) {
     out[i + b.size()] = carry;
   }
   return out;
-}
-
-Limbs limbs_shifted(const Limbs& a, std::size_t limb_shift) {
-  if (a.empty()) return {};
-  Limbs out(a.size() + limb_shift, 0);
-  std::copy(a.begin(), a.end(), out.begin() + limb_shift);
-  return out;
-}
-
-void trim(Limbs& a) {
-  while (!a.empty() && a.back() == 0) a.pop_back();
-}
-
-Limbs add_limbs(const Limbs& a, const Limbs& b);
-Limbs sub_limbs(const Limbs& a, const Limbs& b);
-
-Limbs add_limbs(const Limbs& a, const Limbs& b) {
-  const Limbs& big = a.size() >= b.size() ? a : b;
-  const Limbs& small = a.size() >= b.size() ? b : a;
-  Limbs out(big.size() + 1, 0);
-  u64 carry = 0;
-  for (std::size_t i = 0; i < big.size(); ++i) {
-    u128 sum = static_cast<u128>(big[i]) + (i < small.size() ? small[i] : 0) + carry;
-    out[i] = static_cast<u64>(sum);
-    carry = static_cast<u64>(sum >> 64);
-  }
-  out[big.size()] = carry;
-  trim(out);
-  return out;
-}
-
-// Requires a >= b as magnitudes.
-Limbs sub_limbs(const Limbs& a, const Limbs& b) {
-  Limbs out(a.size(), 0);
-  u64 borrow = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    u128 bi = static_cast<u128>(i < b.size() ? b[i] : 0) + borrow;
-    u128 ai = a[i];
-    if (ai >= bi) {
-      out[i] = static_cast<u64>(ai - bi);
-      borrow = 0;
-    } else {
-      out[i] = static_cast<u64>((u128{1} << 64) + ai - bi);
-      borrow = 1;
-    }
-  }
-  trim(out);
-  return out;
-}
-
-Limbs mul_karatsuba(const Limbs& a, const Limbs& b) {
-  if (a.size() < kKaratsubaThreshold || b.size() < kKaratsubaThreshold) {
-    return mul_school(a, b);
-  }
-  const std::size_t half = std::max(a.size(), b.size()) / 2;
-  Limbs a0(a.begin(), a.begin() + std::min(half, a.size()));
-  Limbs a1(a.begin() + std::min(half, a.size()), a.end());
-  Limbs b0(b.begin(), b.begin() + std::min(half, b.size()));
-  Limbs b1(b.begin() + std::min(half, b.size()), b.end());
-  trim(a0);
-  trim(b0);
-
-  Limbs z0 = mul_karatsuba(a0, b0);
-  Limbs z2 = mul_karatsuba(a1, b1);
-  Limbs sa = add_limbs(a0, a1);
-  Limbs sb = add_limbs(b0, b1);
-  Limbs z1 = mul_karatsuba(sa, sb);
-  z1 = sub_limbs(z1, add_limbs(z0, z2));
-
-  Limbs out = add_limbs(z0, limbs_shifted(z1, half));
-  out = add_limbs(out, limbs_shifted(z2, 2 * half));
-  return out;
-}
-}  // namespace
-
-Limbs BigInt::mul_mag(const Limbs& a, const Limbs& b) {
-  return mul_karatsuba(a, b);
 }
 
 BigInt operator+(const BigInt& a, const BigInt& b) {

@@ -27,6 +27,10 @@ class Montgomery {
   explicit Montgomery(const BigInt& modulus);
 
   const BigInt& modulus() const { return n_; }
+  /// R mod n: 1 in Montgomery form.
+  const BigInt& one_mont() const { return one_mont_; }
+  /// R² mod n: a Montgomery product by it enters Montgomery form.
+  const BigInt& r2() const { return r2_; }
 
   /// a·R mod n (a in [0, n)); from_mont inverts it.
   BigInt to_mont(const BigInt& a) const;

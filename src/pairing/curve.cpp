@@ -3,53 +3,44 @@
 #include <array>
 #include <stdexcept>
 
+#include "math/modular.hpp"
+
 namespace p3s::pairing {
 
-using math::mod;
 using math::mod_add;
 using math::mod_inv;
 using math::mod_mul;
 using math::mod_sub;
+using math::Montgomery;
 
-bool on_curve(const Point& p, const BigInt& q) {
-  if (p.infinity) return true;
+Point point_from(const Montgomery& mq, const BigInt& x, const BigInt& y) {
+  return {fqm::fe_from(mq, x), fqm::fe_from(mq, y), false};
+}
+
+bool on_curve(const BigInt& x, const BigInt& y, const BigInt& q) {
   // y^2 == x^3 + x
-  const BigInt lhs = mod_mul(p.y, p.y, q);
-  const BigInt x2 = mod_mul(p.x, p.x, q);
-  const BigInt rhs = mod_add(mod_mul(x2, p.x, q), p.x, q);
-  return lhs == rhs;
+  const BigInt x2 = mod_mul(x, x, q);
+  return mod_mul(y, y, q) == mod_add(mod_mul(x2, x, q), x, q);
 }
 
-Point point_neg(const Point& p, const BigInt& q) {
-  if (p.infinity) return p;
-  return {p.x, mod_sub(BigInt{}, p.y, q), false};
+bool on_curve(const Point& p, const Montgomery& mq) {
+  return p.infinity || on_curve(fqm::fe_to(mq, p.x), fqm::fe_to(mq, p.y),
+                                mq.modulus());
 }
 
-Point point_double(const Point& p, const BigInt& q) {
+Point point_double(const Point& p, const Montgomery& mq) {
   if (p.infinity) return p;
-  if (p.y.is_zero()) return Point::at_infinity();
+  const BigInt& q = mq.modulus();
+  const BigInt x = fqm::fe_to(mq, p.x);
+  const BigInt y = fqm::fe_to(mq, p.y);
+  if (y.is_zero()) return Point::at_infinity();
   // lambda = (3x^2 + 1) / (2y)   [curve coefficient a = 1]
-  const BigInt x2 = mod_mul(p.x, p.x, q);
+  const BigInt x2 = mod_mul(x, x, q);
   const BigInt num = mod_add(mod_add(mod_add(x2, x2, q), x2, q), BigInt{1}, q);
-  const BigInt lambda = mod_mul(num, mod_inv(mod_add(p.y, p.y, q), q), q);
-  const BigInt x3 = mod_sub(mod_sub(mod_mul(lambda, lambda, q), p.x, q), p.x, q);
-  const BigInt y3 = mod_sub(mod_mul(lambda, mod_sub(p.x, x3, q), q), p.y, q);
-  return {x3, y3, false};
-}
-
-Point point_add(const Point& p1, const Point& p2, const BigInt& q) {
-  if (p1.infinity) return p2;
-  if (p2.infinity) return p1;
-  if (p1.x == p2.x) {
-    if (p1.y == p2.y) return point_double(p1, q);
-    return Point::at_infinity();  // p2 == -p1
-  }
-  const BigInt lambda = mod_mul(mod_sub(p2.y, p1.y, q),
-                                mod_inv(mod_sub(p2.x, p1.x, q), q), q);
-  const BigInt x3 =
-      mod_sub(mod_sub(mod_mul(lambda, lambda, q), p1.x, q), p2.x, q);
-  const BigInt y3 = mod_sub(mod_mul(lambda, mod_sub(p1.x, x3, q), q), p1.y, q);
-  return {x3, y3, false};
+  const BigInt lambda = mod_mul(num, mod_inv(mod_add(y, y, q), q), q);
+  const BigInt x3 = mod_sub(mod_sub(mod_mul(lambda, lambda, q), x, q), x, q);
+  const BigInt y3 = mod_sub(mod_mul(lambda, mod_sub(x, x3, q), q), y, q);
+  return point_from(mq, x3, y3);
 }
 
 namespace {
@@ -60,12 +51,13 @@ struct Jac {
   BigInt x, y, z;  // z == 0 means infinity
 };
 
-Point jac_to_affine(const Jac& j, const BigInt& q) {
+Point jac_to_point(const Jac& j, const Montgomery& mq) {
   if (j.z.is_zero()) return Point::at_infinity();
+  const BigInt& q = mq.modulus();
   const BigInt zinv = mod_inv(j.z, q);
   const BigInt zinv2 = mod_mul(zinv, zinv, q);
-  return {mod_mul(j.x, zinv2, q), mod_mul(j.y, mod_mul(zinv2, zinv, q), q),
-          false};
+  return point_from(mq, mod_mul(j.x, zinv2, q),
+                    mod_mul(j.y, mod_mul(zinv2, zinv, q), q));
 }
 
 Jac jac_double(const Jac& p, const BigInt& q) {
@@ -93,12 +85,13 @@ Jac jac_double(const Jac& p, const BigInt& q) {
   return {xp, yp, zp};
 }
 
-// Mixed addition: p (Jacobian) + a (affine, not infinity).
-Jac jac_add_affine(const Jac& p, const Point& a, const BigInt& q) {
-  if (p.z.is_zero()) return {a.x, a.y, BigInt{1}};
+// Mixed addition: p (Jacobian) + the affine point (ax, ay).
+Jac jac_add_affine(const Jac& p, const BigInt& ax, const BigInt& ay,
+                   const BigInt& q) {
+  if (p.z.is_zero()) return {ax, ay, BigInt{1}};
   const BigInt z2 = mod_mul(p.z, p.z, q);
-  const BigInt u2 = mod_mul(a.x, z2, q);
-  const BigInt s2 = mod_mul(a.y, mod_mul(z2, p.z, q), q);
+  const BigInt u2 = mod_mul(ax, z2, q);
+  const BigInt s2 = mod_mul(ay, mod_mul(z2, p.z, q), q);
   const BigInt h = mod_sub(u2, p.x, q);
   const BigInt rr = mod_sub(s2, p.y, q);
   if (h.is_zero()) {
@@ -117,15 +110,18 @@ Jac jac_add_affine(const Jac& p, const Point& a, const BigInt& q) {
 }
 }  // namespace
 
-Point point_mul(const Point& p, const BigInt& k, const BigInt& q) {
+Point point_mul(const Point& p, const BigInt& k, const Montgomery& mq) {
   if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
   if (p.infinity || k.is_zero()) return Point::at_infinity();
+  const BigInt& q = mq.modulus();
+  const BigInt x = fqm::fe_to(mq, p.x);
+  const BigInt y = fqm::fe_to(mq, p.y);
   Jac acc{BigInt{1}, BigInt{1}, BigInt{}};  // infinity
   for (std::size_t i = k.bit_length(); i-- > 0;) {
     acc = jac_double(acc, q);
-    if (k.bit(i)) acc = jac_add_affine(acc, p, q);
+    if (k.bit(i)) acc = jac_add_affine(acc, x, y, q);
   }
-  return jac_to_affine(acc, q);
+  return jac_to_point(acc, mq);
 }
 
 namespace {
@@ -186,17 +182,11 @@ std::vector<std::int8_t> naf(const BigInt& k) { return signed_digits(k, 1); }
 
 namespace {
 using fqm::Fe;
-using math::Montgomery;
 
 // Jacobian point with Montgomery-form fixed-width coordinates; z == 0 is
 // the identity.
 struct JacM {
   Fe x, y, z;
-};
-
-struct AffM {
-  Fe x, y;
-  bool inf = true;
 };
 
 bool jacm_is_inf(const Montgomery& m, const JacM& p) {
@@ -238,9 +228,9 @@ JacM jacm_double(const Montgomery& m, const JacM& p) {
 
 // Mixed addition p + a with a affine (adding the identity is a no-op on
 // either side).
-JacM jacm_add_affine(const Montgomery& m, const JacM& p, const AffM& a) {
-  if (a.inf) return p;
-  if (jacm_is_inf(m, p)) return {a.x, a.y, fqm::fe_from(m, BigInt{1})};
+JacM jacm_add_affine(const Montgomery& m, const JacM& p, const Point& a) {
+  if (a.infinity) return p;
+  if (jacm_is_inf(m, p)) return {a.x, a.y, fqm::fe_one(m)};
   Fe z2, u2, s2, h, rr, t;
   fqm::fe_sqr(m, p.z, z2);
   fqm::fe_mul(m, a.x, z2, u2);
@@ -310,26 +300,25 @@ JacM jacm_add(const Montgomery& m, const JacM& p, const JacM& a) {
 
 Point jacm_to_point(const Montgomery& m, const JacM& p) {
   if (jacm_is_inf(m, p)) return Point::at_infinity();
-  // One (Fermat, in-domain) inversion per scalar multiplication.
+  // One (Fermat, in-domain) inversion per scalar multiplication or sum.
   Fe zinv, zinv2, zinv3, xa, ya;
   zinv = fqm::fe_inv(m, p.z);
   fqm::fe_sqr(m, zinv, zinv2);
   fqm::fe_mul(m, zinv2, zinv, zinv3);
   fqm::fe_mul(m, p.x, zinv2, xa);
   fqm::fe_mul(m, p.y, zinv3, ya);
-  return {fqm::fe_to(m, xa), fqm::fe_to(m, ya), false};
+  return {xa, ya, false};
 }
 
 // Normalize a batch of Jacobian points to affine with a single field
-// inversion (Montgomery's trick); identity entries come back as inf.
-std::vector<AffM> jacm_batch_normalize(const Montgomery& m,
-                                       const std::vector<JacM>& pts) {
+// inversion (Montgomery's trick); identity entries stay the identity.
+std::vector<Point> jacm_batch_normalize(const Montgomery& m,
+                                        const std::vector<JacM>& pts) {
   const std::size_t n = pts.size();
-  const Fe one = fqm::fe_from(m, BigInt{1});
-  std::vector<AffM> out(n);
+  std::vector<Point> out(n);
   // prefix[i] = product of all non-identity z's among pts[0..i-1].
   std::vector<Fe> prefix(n + 1);
-  prefix[0] = one;
+  prefix[0] = fqm::fe_one(m);
   for (std::size_t i = 0; i < n; ++i) {
     if (jacm_is_inf(m, pts[i])) {
       prefix[i + 1] = prefix[i];
@@ -348,7 +337,7 @@ std::vector<AffM> jacm_batch_normalize(const Montgomery& m,
     fqm::fe_mul(m, zinv2, zinv, zinv3);
     fqm::fe_mul(m, pts[i].x, zinv2, out[i].x);
     fqm::fe_mul(m, pts[i].y, zinv3, out[i].y);
-    out[i].inf = false;
+    out[i].infinity = false;
   }
   return out;
 }
@@ -362,8 +351,7 @@ Point point_mul_mont(const Point& p, const BigInt& k,
   // Odd-multiple table {1, 3, ..., 15}·P, kept Jacobian: entries are
   // only ever added, so they never need the inversions of a normalization,
   // and the final jacm_to_point is the multiplication's only inversion.
-  const JacM p1{fqm::fe_from(mq, p.x), fqm::fe_from(mq, p.y),
-                fqm::fe_from(mq, BigInt{1})};
+  const JacM p1{p.x, p.y, fqm::fe_one(mq)};
   const JacM p2 = jacm_double(mq, p1);
   if (jacm_is_inf(mq, p2)) {
     // 2P = identity (P has order <= 2): k·P depends only on k mod 2.
@@ -388,6 +376,24 @@ Point point_mul_mont(const Point& p, const BigInt& k,
   return jacm_to_point(mq, acc);
 }
 
+Point point_add_mont(const Point& a, const Point& b,
+                     const math::Montgomery& mq) {
+  if (a.infinity) return b;
+  if (b.infinity) return a;
+  const JacM ja{a.x, a.y, fqm::fe_one(mq)};
+  return jacm_to_point(mq, jacm_add_affine(mq, ja, b));
+}
+
+bool on_curve_mont(const Point& p, const math::Montgomery& mq) {
+  if (p.infinity) return true;
+  Fe lhs, rhs;
+  fqm::fe_sqr(mq, p.x, rhs);
+  fqm::fe_add(mq, rhs, fqm::fe_one(mq), rhs);
+  fqm::fe_mul(mq, rhs, p.x, rhs);  // x³ + x
+  fqm::fe_sqr(mq, p.y, lhs);
+  return lhs == rhs;
+}
+
 FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
                                std::size_t scalar_bits)
     : mq_(mq), base_(base), scalar_bits_(scalar_bits) {
@@ -395,35 +401,32 @@ FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
   windows_ = (scalar_bits + kWindow - 1) / kWindow;
   constexpr std::size_t kPerWindow = (1u << kWindow) - 1;  // 15
 
-  xs_.reserve(windows_ * kPerWindow);
-  ys_.reserve(windows_ * kPerWindow);
-  AffM cur{fqm::fe_from(mq, base.x), fqm::fe_from(mq, base.y), false};
+  table_.reserve(windows_ * kPerWindow);
+  Point cur = base;
   for (std::size_t w = 0; w < windows_; ++w) {
     // d·cur for d = 1..15, chained mixed additions; then 16·cur = 2·(8·cur)
     // becomes the next window's base.
     std::vector<JacM> window(kPerWindow);
-    window[0] = {cur.x, cur.y, fqm::fe_from(mq, BigInt{1})};
+    window[0] = {cur.x, cur.y, fqm::fe_one(mq)};
     for (std::size_t d = 1; d < kPerWindow; ++d) {
       window[d] = jacm_add_affine(mq, window[d - 1], cur);
     }
     const JacM next = jacm_double(mq, window[7]);
     window.push_back(next);
-    const std::vector<AffM> norm = jacm_batch_normalize(mq, window);
+    const std::vector<Point> norm = jacm_batch_normalize(mq, window);
     // An identity entry means the base has tiny order — not a case the
     // system's order-r bases hit; fall back to the generic path.
     const bool next_needed = w + 1 < windows_;
-    bool degenerate = next_needed && norm[kPerWindow].inf;
-    for (std::size_t d = 0; d < kPerWindow; ++d) degenerate |= norm[d].inf;
+    bool degenerate = next_needed && norm[kPerWindow].infinity;
+    for (std::size_t d = 0; d < kPerWindow; ++d) {
+      degenerate |= norm[d].infinity;
+    }
     if (degenerate) {
-      xs_.clear();
-      ys_.clear();
+      table_.clear();
       windows_ = 0;
       return;
     }
-    for (std::size_t d = 0; d < kPerWindow; ++d) {
-      xs_.push_back(norm[d].x);
-      ys_.push_back(norm[d].y);
-    }
+    table_.insert(table_.end(), norm.begin(), norm.begin() + kPerWindow);
     if (next_needed) cur = norm[kPerWindow];
   }
 }
@@ -431,7 +434,7 @@ FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
 Point FixedBaseTable::mul(const BigInt& k) const {
   if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
   if (k.is_zero() || base_.infinity) return Point::at_infinity();
-  if (xs_.empty() || k.bit_length() > windows_ * kWindow) {
+  if (table_.empty() || k.bit_length() > windows_ * kWindow) {
     return point_mul_mont(base_, k, mq_);
   }
   constexpr std::size_t kPerWindow = (1u << kWindow) - 1;
@@ -442,8 +445,7 @@ Point FixedBaseTable::mul(const BigInt& k) const {
       nib |= (k.bit(w * kWindow + i) ? 1u : 0u) << i;
     }
     if (nib == 0) continue;
-    const std::size_t idx = w * kPerWindow + (nib - 1);
-    acc = jacm_add_affine(mq_, acc, AffM{xs_[idx], ys_[idx], false});
+    acc = jacm_add_affine(mq_, acc, table_[w * kPerWindow + (nib - 1)]);
   }
   return jacm_to_point(mq_, acc);
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "math/bigint.hpp"
-#include "math/modular.hpp"
 #include "math/montgomery.hpp"
 #include "pairing/fq_mont.hpp"
 
@@ -15,25 +14,27 @@ namespace p3s::pairing {
 
 using math::BigInt;
 
-/// Affine point; (infinity=true) is the identity.
+/// Affine point with Montgomery-form coordinates; (infinity=true) is the
+/// identity, whose coordinates are zero.
 struct Point {
-  BigInt x;
-  BigInt y;
+  fqm::Fe x;
+  fqm::Fe y;
   bool infinity = true;
 
   static Point at_infinity() { return Point{}; }
   bool operator==(const Point&) const = default;
 };
 
-/// True iff p is the identity or satisfies the curve equation mod q.
-bool on_curve(const Point& p, const BigInt& q);
+/// The affine point (x, y) from plain coordinates in [0, q).
+Point point_from(const math::Montgomery& mq, const BigInt& x,
+                 const BigInt& y);
 
-Point point_neg(const Point& p, const BigInt& q);
-Point point_add(const Point& p1, const Point& p2, const BigInt& q);
-Point point_double(const Point& p, const BigInt& q);
-/// k·p with k >= 0. Reference double-and-add (division-based reduction);
-/// kept as the correctness pin for the Montgomery/wNAF path below.
-Point point_mul(const Point& p, const BigInt& k, const BigInt& q);
+/// True iff p is the identity or satisfies y² = x³ + x, on the fixed limbs.
+bool on_curve_mont(const Point& p, const math::Montgomery& mq);
+
+/// a + b by one mixed Jacobian addition and one inversion.
+Point point_add_mont(const Point& a, const Point& b,
+                     const math::Montgomery& mq);
 
 /// k·p with k >= 0 on fixed Montgomery-domain limbs: 4-bit wNAF over
 /// Jacobian coordinates with a Jacobian odd-multiple table, so the final
@@ -42,6 +43,19 @@ Point point_mul(const Point& p, const BigInt& k, const BigInt& q);
 /// math::Montgomery::kMaxFixedLimbs limbs.
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq);
+
+// References on division-based BigInt arithmetic, the correctness pins
+// for the fixed-limb operations above. Those taking a Point convert out of
+// Montgomery form at entry and back at exit.
+
+/// True iff y² ≡ x³ + x (mod q) for plain coordinates x, y.
+bool on_curve(const BigInt& x, const BigInt& y, const BigInt& q);
+/// True iff p is the identity or satisfies the curve equation mod q.
+bool on_curve(const Point& p, const math::Montgomery& mq);
+/// 2·p by the affine tangent formula.
+Point point_double(const Point& p, const math::Montgomery& mq);
+/// k·p with k >= 0 by double-and-add over Jacobian coordinates.
+Point point_mul(const Point& p, const BigInt& k, const math::Montgomery& mq);
 
 /// Signed 4-bit NAF digits of k >= 0, least-significant first. Nonzero
 /// digits are odd and in [-15, 15]; at most one in any 4 consecutive
@@ -54,14 +68,14 @@ std::vector<std::int8_t> naf(const BigInt& k);
 
 /// Precomputed fixed-base table: all w-bit window multiples
 /// d·2^{jw}·B (d in [1, 2^w), j over the scalar windows), stored as affine
-/// Montgomery-domain points. A multiplication then costs one mixed
-/// Jacobian addition per nonzero window — no doublings — which is ~5–8x
-/// fewer field operations than generic double-and-add for the bases the
-/// system reuses on every operation (the group generator, HVE/CP-ABE
-/// public-key components). Memory: windows·(2^w − 1) affine points of two
-/// 64-byte fqm::Fe each, i.e. 38,400 B per 80-bit-scalar base (test group)
-/// and 76,800 B per 160-bit-scalar base (paper group) at w = 4 (see
-/// DESIGN.md §7).
+/// Points. A multiplication then costs one mixed Jacobian addition per
+/// nonzero window — no doublings — which is ~5–8x fewer field operations
+/// than generic double-and-add for the bases the system reuses on every
+/// operation (the group generator, HVE/CP-ABE public-key components).
+/// Memory: windows·(2^w − 1) Points of 136 bytes (two 64-byte fqm::Fe and
+/// the flag), i.e. 40,800 B per 80-bit-scalar base (test group) and
+/// 81,600 B per 160-bit-scalar base (paper group) at w = 4 (see DESIGN.md
+/// §7).
 ///
 /// The table borrows `mq`; it must outlive the table (the owning Pairing
 /// guarantees this for its own tables). Throws std::logic_error when the
@@ -79,9 +93,7 @@ class FixedBaseTable {
   /// k·base for k >= 0.
   Point mul(const BigInt& k) const;
   /// Table footprint in bytes (0 for a base of tiny order).
-  std::size_t memory_bytes() const {
-    return (xs_.size() + ys_.size()) * sizeof(fqm::Fe);
-  }
+  std::size_t memory_bytes() const { return table_.size() * sizeof(Point); }
 
  private:
   const math::Montgomery& mq_;
@@ -90,7 +102,7 @@ class FixedBaseTable {
   std::size_t windows_ = 0;
   // Entry j·(2^w − 1) + (d − 1) holds d·2^{jw}·B; empty for a tiny-order
   // base.
-  std::vector<fqm::Fe> xs_, ys_;
+  std::vector<Point> table_;
 };
 
 }  // namespace p3s::pairing

@@ -3,42 +3,34 @@
 #pragma once
 
 #include "math/bigint.hpp"
-#include "math/modular.hpp"
 #include "math/montgomery.hpp"
+#include "pairing/fq_mont.hpp"
 
 namespace p3s::pairing {
 
 using math::BigInt;
 
-/// Element a + b·i of F_q². Operations take the modulus explicitly; the
-/// Pairing context owns it.
-struct Fq2 {
-  BigInt a;  // real part
-  BigInt b;  // imaginary part
+/// Element a + b·i of F_q², both coordinates in Montgomery form; the GT
+/// type. Its arithmetic is fqm::fe2_* (or Pairing::gt_*).
+using Fq2 = fqm::Fe2;
 
-  bool operator==(const Fq2&) const = default;
+/// The element a + b·i from plain coordinates a, b in [0, q).
+Fq2 fq2_from(const math::Montgomery& mq, const BigInt& a, const BigInt& b);
+
+// The references' F_q² arithmetic, independent of the fixed-limb kernels:
+// coordinates are Montgomery-form BigInts and every product is a
+// math::Montgomery::mul.
+
+/// a + b·i with Montgomery-form BigInt coordinates in [0, q).
+struct BigFq2 {
+  BigInt a, b;
 };
+BigFq2 fq2_mul(const BigFq2& x, const BigFq2& y, const math::Montgomery& mq);
+BigFq2 fq2_sqr(const BigFq2& x, const math::Montgomery& mq);
 
-Fq2 fq2_zero();
-Fq2 fq2_one();
-bool fq2_is_zero(const Fq2& x);
-bool fq2_is_one(const Fq2& x);
-
-Fq2 fq2_add(const Fq2& x, const Fq2& y, const BigInt& q);
-Fq2 fq2_sub(const Fq2& x, const Fq2& y, const BigInt& q);
-Fq2 fq2_neg(const Fq2& x, const BigInt& q);
-Fq2 fq2_mul(const Fq2& x, const Fq2& y, const BigInt& q);
-Fq2 fq2_sqr(const Fq2& x, const BigInt& q);
-/// Conjugate a - b·i; equals the q-power Frobenius for q ≡ 3 (mod 4).
-Fq2 fq2_conj(const Fq2& x, const BigInt& q);
-/// Multiplicative inverse; throws std::domain_error on zero.
-Fq2 fq2_inv(const Fq2& x, const BigInt& q);
-/// x^e with e >= 0 by plain square-and-multiply, for any width of q: the
-/// reference the Montgomery overload below is tested against.
-Fq2 fq2_pow(const Fq2& x, const BigInt& e, const BigInt& q);
-/// x^e with e >= 0 by 4-bit window exponentiation on fixed Montgomery-domain
-/// limbs over a prebuilt context for q (no per-call context setup, no
-/// allocation). Throws std::logic_error when q exceeds
+/// x^e with e >= 0 by plain square-and-multiply on BigFq2: the reference
+/// fqm::fe2_pow is tested against. Unpacks x's limbs at entry and packs
+/// the result at exit; throws std::logic_error when q exceeds
 /// math::Montgomery::kMaxFixedLimbs limbs.
 Fq2 fq2_pow(const Fq2& x, const BigInt& e, const math::Montgomery& mq);
 

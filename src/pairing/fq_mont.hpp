@@ -1,15 +1,16 @@
-// Fixed-width Montgomery-domain elements of F_q and F_q² — the
-// representation every pairing-group operation runs on. A value is a flat
-// array of math::Montgomery::kMaxFixedLimbs 64-bit limbs; only the
-// context's limb_count() low limbs are significant (3 in the test group, 8
-// in the paper group) and the rest stay zero. Every operation below ends in
-// Montgomery::mul_limbs/add_limbs/sub_limbs, which pick a kernel compiled
-// for the context's limb count, so the Miller loop, wNAF and fixed-base
-// scalar multiplication, and GT exponentiation run unrolled limb loops
-// with zero heap allocations; BigInt appears only at the boundaries.
+// Fixed-width Montgomery-domain elements of F_q and F_q² — the one
+// representation of field elements, curve points (pairing::Point) and GT
+// elements (pairing::Fq2 is Fe2). A value is a flat array of
+// math::Montgomery::kMaxFixedLimbs 64-bit limbs; only the context's
+// limb_count() low limbs are significant (3 in the test group, 8 in the
+// paper group) and the rest stay zero, so == compares values. Every
+// operation below ends in Montgomery::mul_limbs/add_limbs/sub_limbs, which
+// pick a kernel compiled for the context's limb count, so the Miller loop,
+// scalar multiplication and GT arithmetic run unrolled limb loops with zero
+// heap allocations; BigInt appears only at the boundaries (fe_from/fe_to).
 // There is no fallback for wider moduli: Pairing refuses a q wider than
-// 512 bits, and fe_pack, where every BigInt enters an Fe, throws
-// std::logic_error on a value wider than kMaxLimbs limbs.
+// 512 bits, the kernels throw std::logic_error for such a context, and so
+// do fe_pack and fe_unpack, where BigInts enter and leave an Fe.
 #pragma once
 
 #include <array>
@@ -28,11 +29,15 @@ inline constexpr std::size_t kMaxLimbs = Montgomery::kMaxFixedLimbs;
 /// Residue mod q in Montgomery form (or plain form where noted).
 struct Fe {
   std::array<std::uint64_t, kMaxLimbs> w{};
+
+  bool operator==(const Fe&) const = default;
 };
 
 /// Element a + b·i of F_q², both coordinates in Montgomery form.
 struct Fe2 {
   Fe a, b;
+
+  bool operator==(const Fe2&) const = default;
 };
 
 inline bool fe_is_zero(const Fe& x, std::size_t k) {
@@ -54,20 +59,33 @@ inline Fe fe_pack(const BigInt& v) {
   return out;
 }
 
+/// The k low limbs of x as a BigInt, without domain conversion. Throws
+/// std::logic_error if k exceeds kMaxLimbs.
 inline BigInt fe_unpack(const Fe& x, std::size_t k) {
+  if (k > kMaxLimbs) {
+    throw std::logic_error("fe_unpack: context wider than the fixed limbs");
+  }
   return BigInt::from_limbs_le(
       std::vector<std::uint64_t>(x.w.begin(), x.w.begin() + k));
 }
 
-/// plain BigInt in [0, q) -> Montgomery-form Fe.
+/// plain BigInt in [0, q) -> Montgomery-form Fe: one product by R² mod q.
 inline Fe fe_from(const Montgomery& m, const BigInt& plain) {
-  return fe_pack(m.to_mont(plain));
+  Fe out;
+  m.mul_limbs(fe_pack(plain).w.data(), fe_pack(m.r2()).w.data(), out.w.data());
+  return out;
 }
 
-/// Montgomery-form Fe -> plain BigInt.
+/// Montgomery-form Fe -> plain BigInt: one product by 1.
 inline BigInt fe_to(const Montgomery& m, const Fe& x) {
-  return m.from_mont(fe_unpack(x, m.limb_count()));
+  Fe one, plain;
+  one.w[0] = 1;
+  m.mul_limbs(x.w.data(), one.w.data(), plain.w.data());
+  return fe_unpack(plain, m.limb_count());
 }
+
+/// 1 in Montgomery form (R mod q), read from the context.
+inline Fe fe_one(const Montgomery& m) { return fe_pack(m.one_mont()); }
 
 inline void fe_add(const Montgomery& m, const Fe& x, const Fe& y, Fe& out) {
   m.add_limbs(x.w.data(), y.w.data(), out.w.data());
@@ -98,7 +116,7 @@ inline Fe fe_neg(const Montgomery& m, const Fe& x) {
 /// x^e (e >= 0) by square-and-multiply: ~1.5·log₂e F_q multiplications
 /// with no heap traffic.
 inline Fe fe_pow(const Montgomery& m, const Fe& x, const BigInt& e) {
-  Fe acc = fe_from(m, BigInt{1});
+  Fe acc = fe_one(m);
   for (std::size_t bit = e.bit_length(); bit-- > 0;) {
     fe_sqr(m, acc, acc);
     if (e.bit(bit)) fe_mul(m, acc, x, acc);
@@ -112,10 +130,6 @@ inline Fe fe_pow(const Montgomery& m, const Fe& x, const BigInt& e) {
 inline Fe fe_inv(const Montgomery& m, const Fe& x) {
   if (fe_is_zero(x, m.limb_count())) throw std::domain_error("fe_inv: zero");
   return fe_pow(m, x, m.modulus() - BigInt{2});
-}
-
-inline bool fe2_is_zero(const Fe2& x, std::size_t k) {
-  return fe_is_zero(x.a, k) && fe_is_zero(x.b, k);
 }
 
 /// Karatsuba-style product: 3 F_q multiplications. out must not alias x/y.
@@ -146,8 +160,23 @@ inline Fe2 fe2_conj(const Montgomery& m, const Fe2& x) {
   return {x.a, fe_neg(m, x.b)};
 }
 
-inline Fe2 fe2_one(const Montgomery& m) {
-  return {fe_from(m, BigInt{1}), Fe{}};
+inline Fe2 fe2_one(const Montgomery& m) { return {fe_one(m), Fe{}}; }
+
+/// 1/(a + bi) = (a − bi)/(a² + b²): the norm is nonzero for x ≠ 0 because
+/// −1 is a non-residue (q ≡ 3 mod 4). A norm of 1 — every element of GT —
+/// skips the Fermat inversion: the inverse is then the conjugate. Throws
+/// std::domain_error on zero.
+inline Fe2 fe2_inv(const Montgomery& m, const Fe2& x) {
+  Fe na, nb, norm;
+  fe_sqr(m, x.a, na);
+  fe_sqr(m, x.b, nb);
+  fe_add(m, na, nb, norm);
+  if (norm == fe_one(m)) return fe2_conj(m, x);
+  const Fe norm_inv = fe_inv(m, norm);
+  Fe2 out;
+  fe_mul(m, x.a, norm_inv, out.a);
+  fe_mul(m, fe_neg(m, x.b), norm_inv, out.b);
+  return out;
 }
 
 /// x^e (e >= 0) by 4-bit fixed-window exponentiation.

@@ -7,6 +7,7 @@
 #include "common/serial.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "math/modular.hpp"
 #include "math/prime.hpp"
 #include "pairing/fq_mont.hpp"
 
@@ -26,8 +27,8 @@ Bytes Params::serialize() const {
   w.bytes(q.to_bytes());
   w.bytes(r.to_bytes());
   w.bytes(h.to_bytes());
-  w.bytes(g.x.to_bytes());
-  w.bytes(g.y.to_bytes());
+  w.bytes(gx.to_bytes());
+  w.bytes(gy.to_bytes());
   return w.take();
 }
 
@@ -37,17 +38,22 @@ Params Params::deserialize(BytesView data) {
   p.q = BigInt::from_bytes(rd.bytes());
   p.r = BigInt::from_bytes(rd.bytes());
   p.h = BigInt::from_bytes(rd.bytes());
-  p.g.x = BigInt::from_bytes(rd.bytes());
-  p.g.y = BigInt::from_bytes(rd.bytes());
-  p.g.infinity = false;
+  p.gx = BigInt::from_bytes(rd.bytes());
+  p.gy = BigInt::from_bytes(rd.bytes());
   rd.expect_done();
-  if (!on_curve(p.g, p.q)) throw std::invalid_argument("Params: generator off curve");
+  // On BigInt: Params carry no Montgomery context.
+  if (!on_curve(p.gx, p.gy, p.q)) {
+    throw std::invalid_argument("Params: generator off curve");
+  }
   return p;
 }
 
 Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits) {
   if (q_bits < r_bits + 8) {
     throw std::invalid_argument("generate_params: q_bits must exceed r_bits by >= 8");
+  }
+  if (q_bits > 64 * math::Montgomery::kMaxFixedLimbs) {
+    throw std::invalid_argument("generate_params: q wider than 512 bits");
   }
   Params p;
   p.r = random_prime(rng, r_bits);
@@ -67,16 +73,17 @@ Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits) {
   }
 
   // Generator: random curve point pushed into the order-r subgroup.
+  const math::Montgomery mq(p.q);
   for (;;) {
     const BigInt x = BigInt::random_below(rng, p.q);
     const BigInt t =
         mod_add(mod_mul(mod_mul(x, x, p.q), x, p.q), x, p.q);  // x³ + x
     if (!math::is_quadratic_residue(t, p.q)) continue;
-    const BigInt y = mod_sqrt_3mod4(t, p.q);
-    const Point cand{x, y, false};
-    const Point g = point_mul(cand, p.h, p.q);
+    const Point cand = point_from(mq, x, mod_sqrt_3mod4(t, p.q));
+    const Point g = point_mul_mont(cand, p.h, mq);
     if (g.infinity) continue;
-    p.g = g;
+    p.gx = fqm::fe_to(mq, g.x);
+    p.gy = fqm::fe_to(mq, g.y);
     return p;
   }
 }
@@ -86,7 +93,14 @@ Pairing::Pairing(Params params)
   if (!montq_.fits_fixed()) {
     throw std::invalid_argument("Pairing: q wider than 512 bits");
   }
-  if (!on_curve(params_.g, params_.q) || params_.g.infinity) {
+  // The generator must be a curve point of order r: r·g = O with g ≠ O.
+  // Its coordinates are range-checked before they enter the fixed limbs.
+  if (params_.gx >= params_.q || params_.gy >= params_.q) {
+    throw std::invalid_argument("Pairing: generator coordinate not below q");
+  }
+  g_ = point_from(montq_, params_.gx, params_.gy);
+  if (!on_curve_mont(g_, montq_) ||
+      !point_mul_mont(g_, params_.r, montq_).infinity) {
     throw std::invalid_argument("Pairing: invalid generator");
   }
   if (params_.q != params_.h * params_.r - BigInt{1}) {
@@ -97,7 +111,6 @@ Pairing::Pairing(Params params)
   }
   naf_r_ = naf(params_.r);
   q_bytes_ = (params_.q.bit_length() + 7) / 8;
-  mont_r2_ = fqm::fe_pack(montq_.to_mont(montq_.to_mont(BigInt{1})));
   sqrt_exp_ = (params_.q + BigInt{1}) >> 2;
 
   // Same spellings as src/obs/catalog.hpp (metric-vocab lint enforces it);
@@ -111,14 +124,14 @@ Pairing::Pairing(Params params)
   gt_fixed_base_probe_ = probe::intern("p3s.crypto.gt_fixed_base_total");
   hash_to_g1_probe_ = probe::intern("p3s.crypto.hash_to_g1_seconds");
 
-  e_gg_ = pair(params_.g, params_.g);
-  if (fq2_is_one(e_gg_)) {
+  e_gg_ = pair(g_, g_);
+  if (e_gg_ == gt_one()) {
     throw std::invalid_argument("Pairing: degenerate generator pairing");
   }
   // Fixed-base tables for the two bases every scheme reuses; scalars are
   // always reduced mod r first, so r's width bounds the windows.
   const std::size_t r_bits = params_.r.bit_length();
-  g_table_ = std::make_unique<FixedBaseTable>(montq_, params_.g, r_bits);
+  g_table_ = std::make_unique<FixedBaseTable>(montq_, g_, r_bits);
   egg_table_ = std::make_unique<GtFixedBase>(montq_, e_gg_, r_bits);
 }
 
@@ -165,17 +178,15 @@ Params load_baked(const BakedParams& b) {
   p.q = BigInt::from_hex(b.q);
   p.r = BigInt::from_hex(b.r);
   p.h = BigInt::from_hex(b.h);
-  p.g = Point{BigInt::from_hex(b.gx), BigInt::from_hex(b.gy), false};
+  p.gx = BigInt::from_hex(b.gx);
+  p.gy = BigInt::from_hex(b.gy);
   // Validate the constants rather than trusting the source text. Structure
-  // (q = h·r − 1, q ≡ 3 mod 4, g on curve, non-degenerate e(g,g)) is
-  // re-checked by the Pairing constructor; primality and the generator's
-  // order need explicit checks here.
+  // (q = h·r − 1, q ≡ 3 mod 4, g on curve of order r, non-degenerate
+  // e(g,g)) is re-checked by the Pairing constructor; primality needs an
+  // explicit check here.
   TestRng rng(0xba4ed'cafeull);
   if (!is_probable_prime(p.q, rng, 8) || !is_probable_prime(p.r, rng, 8)) {
     throw std::logic_error("baked pairing params: composite q or r");
-  }
-  if (!point_mul(p.g, p.r, p.q).infinity) {
-    throw std::logic_error("baked pairing params: generator order != r");
   }
   return p;
 }
@@ -206,7 +217,7 @@ BigInt Pairing::random_nonzero_scalar(Rng& rng) const {
 Point Pairing::mul(const Point& p, const BigInt& k) const {
   probe::ScopedTimer timer(g1_mul_probe_);
   const BigInt kr = mod(k, params_.r);
-  if (g_table_ && !p.infinity && p == params_.g) {
+  if (g_table_ && p == g_) {
     probe::add(g1_fixed_base_probe_);
     return g_table_->mul(kr);
   }
@@ -214,13 +225,15 @@ Point Pairing::mul(const Point& p, const BigInt& k) const {
 }
 
 Point Pairing::add(const Point& a, const Point& b) const {
-  return point_add(a, b, params_.q);
+  return point_add_mont(a, b, montq_);
 }
 
-Point Pairing::neg(const Point& p) const { return point_neg(p, params_.q); }
+Point Pairing::neg(const Point& p) const {
+  return {p.x, fqm::fe_neg(montq_, p.y), p.infinity};
+}
 
 Point Pairing::random_g1(Rng& rng) const {
-  return mul(params_.g, random_nonzero_scalar(rng));
+  return mul(g_, random_nonzero_scalar(rng));
 }
 
 Point Pairing::hash_to_g1(BytesView data) const {
@@ -251,8 +264,7 @@ Point Pairing::hash_to_g1(BytesView data) const {
     winfo.u8(0xff);
     const Bytes sign = crypto::hkdf_expand(prk, winfo.data(), 1);
     if ((sign[0] & 1) != 0) y = fqm::fe_neg(montq_, y);
-    const Point g = point_mul_mont(Point{x, fqm::fe_to(montq_, y), false},
-                                   params_.h, montq_);
+    const Point g = point_mul_mont(Point{xf, y, false}, params_.h, montq_);
     if (!g.infinity) return g;
   }
 }
@@ -264,8 +276,8 @@ Bytes Pairing::serialize_g1(const Point& p) const {
     w.raw(Bytes(2 * q_bytes_, 0));
   } else {
     w.u8(1);
-    w.raw(p.x.to_bytes(q_bytes_));
-    w.raw(p.y.to_bytes(q_bytes_));
+    w.raw(fqm::fe_to(montq_, p.x).to_bytes(q_bytes_));
+    w.raw(fqm::fe_to(montq_, p.y).to_bytes(q_bytes_));
   }
   return w.take();
 }
@@ -285,23 +297,13 @@ Point Pairing::deserialize_g1(BytesView data) const {
     return Point::at_infinity();
   }
   if (flag != 1) throw std::invalid_argument("deserialize_g1: bad flag");
-  Point p{BigInt::from_bytes(xb), BigInt::from_bytes(yb), false};
-  if (p.x >= params_.q || p.y >= params_.q) {
+  const BigInt x = BigInt::from_bytes(xb);
+  const BigInt y = BigInt::from_bytes(yb);
+  if (x >= params_.q || y >= params_.q) {
     throw std::invalid_argument("deserialize_g1: coordinate not below q");
   }
-  // y² = x³ + x on plain-form limbs. Each Montgomery product carries one
-  // R⁻¹, and x·(x·R²·R⁻¹)·R⁻¹ = x² is plain again, so the test reads
-  // y·y·R⁻¹ == x·(x² + 1)·R⁻¹.
-  const fqm::Fe x = fqm::fe_pack(p.x);
-  const fqm::Fe y = fqm::fe_pack(p.y);
-  fqm::Fe one, t, lhs, rhs;
-  one.w[0] = 1;
-  fqm::fe_mul(montq_, x, mont_r2_, t);
-  fqm::fe_mul(montq_, x, t, t);
-  fqm::fe_add(montq_, t, one, t);
-  fqm::fe_mul(montq_, x, t, rhs);
-  fqm::fe_sqr(montq_, y, lhs);
-  if (lhs.w != rhs.w) {
+  const Point p = point_from(montq_, x, y);
+  if (!on_curve_mont(p, montq_)) {
     throw std::invalid_argument("deserialize_g1: point not on curve");
   }
   return p;
@@ -317,50 +319,25 @@ struct MillerPoint {
   BigInt x, y, z;
   bool infinity() const { return z.is_zero(); }
 };
-
-// F_q² arithmetic with coordinates kept in Montgomery form. Addition and
-// subtraction are domain-preserving, so only products change.
-Fq2 fq2_mul_m(const Fq2& x, const Fq2& y, const math::Montgomery& mq,
-              const BigInt& q) {
-  const BigInt t0 = mq.mul(x.a, y.a);
-  const BigInt t1 = mq.mul(x.b, y.b);
-  const BigInt t2 = mq.mul(mod_add(x.a, x.b, q), mod_add(y.a, y.b, q));
-  return {mod_sub(t0, t1, q), mod_sub(mod_sub(t2, t0, q), t1, q)};
-}
-
-Fq2 fq2_sqr_m(const Fq2& x, const math::Montgomery& mq, const BigInt& q) {
-  const BigInt t0 = mq.mul(mod_add(x.a, x.b, q), mod_sub(x.a, x.b, q));
-  const BigInt t1 = mq.mul(x.a, x.b);
-  return {t0, mod_add(t1, t1, q)};
-}
-
-Fq2 fq2_pow_m(const Fq2& x, const BigInt& e, const Fq2& one_m,
-              const math::Montgomery& mq, const BigInt& q) {
-  Fq2 acc = one_m;
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    acc = fq2_sqr_m(acc, mq, q);
-    if (e.bit(i)) acc = fq2_mul_m(acc, x, mq, q);
-  }
-  return acc;
-}
 }  // namespace
 
 Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
-  if (p.infinity || qpt.infinity) return fq2_one();
+  if (p.infinity || qpt.infinity) return gt_one();
   const BigInt& q = params_.q;
   const BigInt& r = params_.r;
   const math::Montgomery& mq = montq_;
+  const std::size_t k = mq.limb_count();
 
-  // Montgomery-domain inputs; every product below is a CIOS multiply.
-  const BigInt one_m = mq.to_mont(BigInt{1});
-  const BigInt px = mq.to_mont(p.x);
-  const BigInt py = mq.to_mont(p.y);
-  const BigInt qx = mq.to_mont(qpt.x);
-  const BigInt qy = mq.to_mont(qpt.y);
-  const Fq2 fq2_one_m{one_m, BigInt{}};
+  // The Montgomery-form coordinates as BigInts; every product below is a
+  // CIOS multiply.
+  const BigInt& one_m = mq.one_mont();
+  const BigInt px = fqm::fe_unpack(p.x, k);
+  const BigInt py = fqm::fe_unpack(p.y, k);
+  const BigInt qx = fqm::fe_unpack(qpt.x, k);
+  const BigInt qy = fqm::fe_unpack(qpt.y, k);
 
   // Miller loop computing f_{r,P}(φ(Q)) with φ(x,y) = (−x, i·y).
-  Fq2 f = fq2_one_m;
+  BigFq2 f{one_m, BigInt{}};
   MillerPoint v{px, py, one_m};
 
   for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
@@ -376,11 +353,11 @@ Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
       const BigInt two_y2 = mod_add(y2, y2, q);
       const BigInt yz = mq.mul(v.y, v.z);
       const BigInt two_yz3 = mq.mul(mod_add(yz, yz, q), z2);  // 2YZ³
-      Fq2 line;
+      BigFq2 line;
       line.a = mod_sub(
           mod_add(mq.mul(mq.mul(m, z2), qx), mq.mul(m, v.x), q), two_y2, q);
       line.b = mq.mul(two_yz3, qy);
-      f = fq2_mul_m(fq2_sqr_m(f, mq, q), line, mq, q);
+      f = fq2_mul(fq2_sqr(f, mq), line, mq);
 
       // --- double V (Jacobian, a = 1) -----------------------------------
       BigInt s = mq.mul(v.x, y2);
@@ -394,7 +371,7 @@ Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
       const BigInt yp = mod_sub(mq.mul(m, mod_sub(s, xp, q)), y4, q);
       v = MillerPoint{xp, yp, mod_add(yz, yz, q)};
     } else {
-      f = fq2_sqr_m(f, mq, q);
+      f = fq2_sqr(f, mq);
     }
 
     if (r.bit(i)) {
@@ -415,14 +392,14 @@ Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
           const BigInt num =
               mod_add(mod_add(mod_add(x2p, x2p, q), x2p, q), one_m, q);
           const BigInt den = mod_add(py, py, q);
-          Fq2 line;
+          BigFq2 line;
           line.a = mod_sub(mq.mul(num, mod_add(qx, px, q)), mq.mul(den, py), q);
           line.b = mq.mul(den, qy);
-          f = fq2_mul_m(f, line, mq, q);
-          const Point dbl = point_double(p, q);
-          v = dbl.infinity
-                  ? MillerPoint{one_m, one_m, BigInt{}}
-                  : MillerPoint{mq.to_mont(dbl.x), mq.to_mont(dbl.y), one_m};
+          f = fq2_mul(f, line, mq);
+          const Point dbl = point_double(p, mq);
+          v = dbl.infinity ? MillerPoint{one_m, one_m, BigInt{}}
+                           : MillerPoint{fqm::fe_unpack(dbl.x, k),
+                                         fqm::fe_unpack(dbl.y, k), one_m};
         } else {
           // V == −P: vertical line (eliminated); V + P = O.
           v = MillerPoint{one_m, one_m, BigInt{}};
@@ -432,10 +409,10 @@ Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
       // Line through V and P scaled by Z·H:
       //   real = R·(xQ + xP) − yP·Z·H,  imag = Z·H·yQ.
       const BigInt zh = mq.mul(v.z, hh);
-      Fq2 line;
+      BigFq2 line;
       line.a = mod_sub(mq.mul(rr, mod_add(qx, px, q)), mq.mul(py, zh), q);
       line.b = mq.mul(zh, qy);
-      f = fq2_mul_m(f, line, mq, q);
+      f = fq2_mul(f, line, mq);
 
       // V ← V + P (mixed Jacobian addition).
       const BigInt h2 = mq.mul(hh, hh);
@@ -452,15 +429,14 @@ Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
   // Final exponentiation: f^((q²−1)/r) = (conj(f)·f⁻¹)^h since
   // (q²−1)/r = (q−1)·h and f^q = conj(f) in F_q². Inversion drops out of
   // Montgomery form for the extended-Euclid step, then re-enters.
-  const Fq2 f_conj = fq2_conj(f, q);
+  const BigInt neg_b = mod_sub(BigInt{}, f.b, q);
+  const BigFq2 f_conj{f.a, neg_b};
   const BigInt norm = mod_add(mq.mul(f.a, f.a), mq.mul(f.b, f.b), q);
   const BigInt norm_inv = mq.to_mont(mod_inv(mq.from_mont(norm), q));
-  const Fq2 f_inv{mq.mul(f.a, norm_inv),
-                  mq.mul(mod_sub(BigInt{}, f.b, q), norm_inv)};
-  const Fq2 f_q_minus_1 = fq2_mul_m(f_conj, f_inv, mq, q);
-  const Fq2 result_m =
-      fq2_pow_m(f_q_minus_1, params_.h, Fq2{one_m, BigInt{}}, mq, q);
-  return Fq2{mq.from_mont(result_m.a), mq.from_mont(result_m.b)};
+  const BigFq2 f_inv{mq.mul(f.a, norm_inv), mq.mul(neg_b, norm_inv)};
+  const BigFq2 f_q_minus_1 = fq2_mul(f_conj, f_inv, mq);
+  return fq2_pow({fqm::fe_pack(f_q_minus_1.a), fqm::fe_pack(f_q_minus_1.b)},
+                 params_.h, mq);
 }
 
 namespace {
@@ -523,7 +499,7 @@ void miller_add(const math::Montgomery& mq, MillerV& v, const Fe& ax,
   const std::size_t k = mq.limb_count();
   if (fqm::fe_is_zero(v.z, k)) {
     line.skip = true;
-    v = {ax, ay, fqm::fe_from(mq, BigInt{1})};
+    v = {ax, ay, fqm::fe_one(mq)};
     return;
   }
   Fe z2, u2, s2, hh, rr, u;
@@ -581,43 +557,21 @@ void miller_eval(const math::Montgomery& mq, const Line& line, const Fe& qx,
   f = tmp;
 }
 
-// Per-term Miller-loop state on the allocation-free fixed-limb field
-// representation: affine P (and −P's y) and Q plus the running V, which
-// miller_product starts at P.
+// Per-term Miller-loop state: the affine inputs P and Q, −P's y for the
+// −1 digits, and the running V, which miller_product starts at P.
 struct MillerTermM {
-  Fe px, py, neg_py, qx, qy;
-  MillerV v;
+  Point p, q;
+  Fe neg_py{};
+  MillerV v{};
 };
-
-MillerTermM miller_term(const math::Montgomery& mq, const Point& p,
-                        const Point& q) {
-  MillerTermM t;
-  t.px = fqm::fe_from(mq, p.x);
-  t.py = fqm::fe_from(mq, p.y);
-  t.neg_py = fqm::fe_neg(mq, t.py);
-  t.qx = fqm::fe_from(mq, q.x);
-  t.qy = fqm::fe_from(mq, q.y);
-  return t;
-}
 
 // The shared final exponentiation f^((q²−1)/r) = (conj(f)·f⁻¹)^h since
 // (q²−1)/r = (q−1)·h and f^q = conj(f) in F_q².
-Fq2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
+Fe2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
                            const Fe2& f) {
-  const Fe2 f_conj = fqm::fe2_conj(mq, f);
-  Fe na, nb, norm;
-  fqm::fe_sqr(mq, f.a, na);
-  fqm::fe_sqr(mq, f.b, nb);
-  fqm::fe_add(mq, na, nb, norm);
-  const Fe norm_inv = fqm::fe_inv(mq, norm);
-  Fe2 f_inv;
-  fqm::fe_mul(mq, f.a, norm_inv, f_inv.a);
-  const Fe neg_b = fqm::fe_neg(mq, f.b);
-  fqm::fe_mul(mq, neg_b, norm_inv, f_inv.b);
-  Fe2 tmp;
-  fqm::fe2_mul(mq, f_conj, f_inv, tmp);  // f^(q−1)
-  const Fe2 res = fqm::fe2_pow(mq, tmp, params.h);
-  return Fq2{fqm::fe_to(mq, res.a), fqm::fe_to(mq, res.b)};
+  Fe2 f_q_minus_1;
+  fqm::fe2_mul(mq, fqm::fe2_conj(mq, f), fqm::fe2_inv(mq, f), f_q_minus_1);
+  return fqm::fe2_pow(mq, f_q_minus_1, params.h);
 }
 
 // Interleaved Miller loops computing ∏ f_{r,P_i}(φ(Q_i)) over the NAF of r:
@@ -629,21 +583,24 @@ Fq2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
 Fq2 miller_product(const math::Montgomery& mq, const Params& params,
                    const std::vector<std::int8_t>& naf_r,
                    std::vector<MillerTermM>& terms) {
-  const Fe one_m = fqm::fe_from(mq, BigInt{1});
-  for (auto& t : terms) t.v = {t.px, t.py, one_m};
+  const Fe one_m = fqm::fe_one(mq);
+  for (auto& t : terms) {
+    t.neg_py = fqm::fe_neg(mq, t.p.y);
+    t.v = {t.p.x, t.p.y, one_m};
+  }
   Fe2 f = fqm::fe2_one(mq);
   for (std::size_t i = naf_r.size() - 1; i-- > 0;) {
     fqm::fe2_sqr(mq, f, f);
     for (auto& t : terms) {
       Line line;
       miller_double(mq, t.v, line);
-      miller_eval(mq, line, t.qx, t.qy, f);
+      miller_eval(mq, line, t.q.x, t.q.y, f);
     }
     if (naf_r[i] == 0) continue;
     for (auto& t : terms) {
       Line line;
-      miller_add(mq, t.v, t.px, naf_r[i] > 0 ? t.py : t.neg_py, line);
-      miller_eval(mq, line, t.qx, t.qy, f);
+      miller_add(mq, t.v, t.p.x, naf_r[i] > 0 ? t.p.y : t.neg_py, line);
+      miller_eval(mq, line, t.q.x, t.q.y, f);
     }
   }
   return final_exponentiation_m(mq, params, f);
@@ -652,8 +609,8 @@ Fq2 miller_product(const math::Montgomery& mq, const Params& params,
 
 Fq2 Pairing::pair(const Point& p, const Point& qpt) const {
   probe::ScopedTimer timer(pair_probe_);
-  if (p.infinity || qpt.infinity) return fq2_one();
-  std::vector<MillerTermM> terms{miller_term(montq_, p, qpt)};
+  if (p.infinity || qpt.infinity) return gt_one();
+  std::vector<MillerTermM> terms{{p, qpt}};
   return miller_product(montq_, params_, naf_r_, terms);
 }
 
@@ -664,7 +621,7 @@ Fq2 Pairing::pair_product(std::span<const PairTerm> in) const {
   terms.reserve(in.size());
   for (const PairTerm& t : in) {
     if (t.p.infinity || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
-    terms.push_back(miller_term(montq_, t.p, t.q));
+    terms.push_back({t.p, t.q});
   }
   return miller_product(montq_, params_, naf_r_, terms);
 }
@@ -676,10 +633,8 @@ MillerPrecomp Pairing::miller_precompute(const Point& p) const {
     return pre;
   }
   const math::Montgomery& mq = montq_;
-  const Fe px = fqm::fe_from(mq, p.x);
-  const Fe py = fqm::fe_from(mq, p.y);
-  const Fe neg_py = fqm::fe_neg(mq, py);
-  MillerV v{px, py, fqm::fe_from(mq, BigInt{1})};
+  const Fe neg_py = fqm::fe_neg(mq, p.y);
+  MillerV v{p.x, p.y, fqm::fe_one(mq)};
 
   const std::size_t additions = static_cast<std::size_t>(
       std::count_if(naf_r_.begin(), naf_r_.end() - 1,
@@ -690,7 +645,7 @@ MillerPrecomp Pairing::miller_precompute(const Point& p) const {
   for (std::size_t i = naf_r_.size() - 1; i-- > 0;) {
     miller_double(mq, v, pre.slots_.emplace_back());
     if (naf_r_[i] == 0) continue;
-    miller_add(mq, v, px, naf_r_[i] > 0 ? py : neg_py,
+    miller_add(mq, v, p.x, naf_r_[i] > 0 ? p.y : neg_py,
                pre.slots_.emplace_back());
   }
   return pre;
@@ -700,21 +655,17 @@ Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
   probe::ScopedTimer timer(pair_product_probe_);
   probe::observe(pair_product_pairs_probe_, static_cast<double>(in.size()));
 
-  // Live term state: the precomputed slot stream plus Q in Montgomery form.
+  // Live term state: the precomputed slot stream plus Q.
   struct TermState {
     const MillerPrecomp* pre;
-    Fe qx, qy;
+    const Point* q;
     std::size_t cursor = 0;
   };
   std::vector<TermState> terms;
   terms.reserve(in.size());
   for (const PrecompPairTerm& t : in) {
     if (t.p->infinity() || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
-    TermState s;
-    s.pre = t.p;
-    s.qx = fqm::fe_from(montq_, t.q.x);
-    s.qy = fqm::fe_from(montq_, t.q.y);
-    terms.push_back(s);
+    terms.push_back({t.p, &t.q});
   }
 
   // Same interleaved loop shape as miller_product: one shared squaring per
@@ -723,7 +674,7 @@ Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
   const math::Montgomery& mq = montq_;
   Fe2 f = fqm::fe2_one(mq);
   auto eval = [&](TermState& t) {
-    miller_eval(mq, t.pre->slots_[t.cursor++], t.qx, t.qy, f);
+    miller_eval(mq, t.pre->slots_[t.cursor++], t.q->x, t.q->y, f);
   };
   for (std::size_t i = naf_r_.size() - 1; i-- > 0;) {
     fqm::fe2_sqr(mq, f, f);
@@ -740,7 +691,7 @@ GtFixedBase::GtFixedBase(const math::Montgomery& mq, const Fq2& base,
   if (exp_bits == 0) return;
   windows_ = (exp_bits + 3) / 4;
   table_.reserve(windows_ * 15);
-  Fe2 cur{fqm::fe_from(mq, base.a), fqm::fe_from(mq, base.b)};
+  Fe2 cur = base;
   for (std::size_t w = 0; w < windows_; ++w) {
     Fe2 acc = cur;
     for (unsigned d = 1; d <= 15; ++d) {
@@ -763,7 +714,7 @@ Fq2 GtFixedBase::pow(const BigInt& e) const {
     throw std::invalid_argument("GtFixedBase::pow: negative exponent");
   }
   if (table_.empty() || e.bit_length() > windows_ * 4) {
-    return fq2_pow(base_, e, mq_);
+    return fqm::fe2_pow(mq_, base_, e);
   }
   Fe2 acc = fqm::fe2_one(mq_);
   Fe2 tmp;
@@ -776,11 +727,13 @@ Fq2 GtFixedBase::pow(const BigInt& e) const {
     fqm::fe2_mul(mq_, acc, table_[w * 15 + (nib - 1)], tmp);
     acc = tmp;
   }
-  return {fqm::fe_to(mq_, acc.a), fqm::fe_to(mq_, acc.b)};
+  return acc;
 }
 
 Fq2 Pairing::gt_mul(const Fq2& a, const Fq2& b) const {
-  return fq2_mul(a, b, params_.q);
+  Fq2 out;
+  fqm::fe2_mul(montq_, a, b, out);
+  return out;
 }
 
 Fq2 Pairing::gt_pow(const Fq2& a, const BigInt& e) const {
@@ -790,10 +743,10 @@ Fq2 Pairing::gt_pow(const Fq2& a, const BigInt& e) const {
     probe::add(gt_fixed_base_probe_);
     return egg_table_->pow(er);
   }
-  return fq2_pow(a, er, montq_);
+  return fqm::fe2_pow(montq_, a, er);
 }
 
-Fq2 Pairing::gt_inv(const Fq2& a) const { return fq2_inv(a, params_.q); }
+Fq2 Pairing::gt_inv(const Fq2& a) const { return fqm::fe2_inv(montq_, a); }
 
 Fq2 Pairing::random_gt(Rng& rng) const {
   return gt_pow(e_gg_, random_nonzero_scalar(rng));
@@ -801,21 +754,20 @@ Fq2 Pairing::random_gt(Rng& rng) const {
 
 Bytes Pairing::serialize_gt(const Fq2& v) const {
   Writer w;
-  w.raw(v.a.to_bytes(q_bytes_));
-  w.raw(v.b.to_bytes(q_bytes_));
+  w.raw(fqm::fe_to(montq_, v.a).to_bytes(q_bytes_));
+  w.raw(fqm::fe_to(montq_, v.b).to_bytes(q_bytes_));
   return w.take();
 }
 
 Fq2 Pairing::deserialize_gt(BytesView data) const {
   Reader r(data);
-  Fq2 v;
-  v.a = BigInt::from_bytes(r.raw(q_bytes_));
-  v.b = BigInt::from_bytes(r.raw(q_bytes_));
+  const BigInt a = BigInt::from_bytes(r.raw(q_bytes_));
+  const BigInt b = BigInt::from_bytes(r.raw(q_bytes_));
   r.expect_done();
-  if (v.a >= params_.q || v.b >= params_.q) {
+  if (a >= params_.q || b >= params_.q) {
     throw std::invalid_argument("deserialize_gt: out of range");
   }
-  return v;
+  return fq2_from(montq_, a, b);
 }
 
 }  // namespace p3s::pairing

@@ -26,14 +26,15 @@ struct Params {
   BigInt q;  ///< base field prime, q = h·r − 1, q ≡ 3 (mod 4)
   BigInt r;  ///< prime group order
   BigInt h;  ///< cofactor (multiple of 4)
-  Point g;   ///< generator of the order-r subgroup
+  BigInt gx, gy;  ///< generator of the order-r subgroup (plain affine)
 
   Bytes serialize() const;
   static Params deserialize(BytesView data);
 };
 
 /// Generate fresh parameters: r with `r_bits` bits, q with `q_bits` bits.
-/// q_bits must exceed r_bits by at least 8.
+/// q_bits must exceed r_bits by at least 8 and be at most 512 (the fixed
+/// limbs); std::invalid_argument otherwise.
 Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits);
 
 /// One (P, Q) input to a multi-pairing product.
@@ -111,8 +112,9 @@ class GtFixedBase {
 class Pairing {
  public:
   /// Validates the group; throws std::invalid_argument on bad parameters,
-  /// including a q wider than 512 bits (math::Montgomery::kMaxFixedLimbs
-  /// limbs), which the fixed-limb field arithmetic cannot hold.
+  /// including a generator whose order is not r and a q wider than 512
+  /// bits (math::Montgomery::kMaxFixedLimbs limbs), which the fixed-limb
+  /// field arithmetic cannot hold.
   explicit Pairing(Params params);
 
   /// Small deterministic parameters (80-bit r, 160-bit q) for fast tests.
@@ -134,7 +136,7 @@ class Pairing {
   BigInt random_nonzero_scalar(Rng& rng) const;   // uniform in [1, r)
 
   // --- G1 -----------------------------------------------------------------
-  const Point& generator() const { return params_.g; }
+  const Point& generator() const { return g_; }
   Point mul(const Point& p, const BigInt& k) const;
   Point add(const Point& a, const Point& b) const;
   Point neg(const Point& p) const;
@@ -162,16 +164,17 @@ class Pairing {
   /// ∏ e(P_i, Q_i) with precomputed P_i: identical output (bit for bit) to
   /// pair_product on the same points, ~2.5× less field work.
   Fq2 pair_product_precomp(std::span<const PrecompPairTerm> terms) const;
-  /// The original BigInt Miller loop with per-call final exponentiation.
-  /// Kept as the correctness pin for pair()/pair_product() equivalence
-  /// tests; not instrumented.
+  /// The original BigInt Miller loop over r's binary expansion with a
+  /// per-call final exponentiation, reading the coordinates as
+  /// Montgomery-form BigInts. Kept as the correctness pin for
+  /// pair()/pair_product() equivalence tests; not instrumented.
   Fq2 pair_reference(const Point& p, const Point& q) const;
   /// Precomputed e(g, g).
   const Fq2& gt_generator() const { return e_gg_; }
   Fq2 gt_mul(const Fq2& a, const Fq2& b) const;
   Fq2 gt_pow(const Fq2& a, const BigInt& e) const;
   Fq2 gt_inv(const Fq2& a) const;
-  Fq2 gt_one() const { return fq2_one(); }
+  Fq2 gt_one() const { return fqm::fe2_one(montq_); }
   /// Uniform random element of GT (used as KEM payloads).
   Fq2 random_gt(Rng& rng) const;
   Bytes serialize_gt(const Fq2& v) const;
@@ -185,8 +188,8 @@ class Pairing {
   std::vector<std::int8_t> naf_r_;
   std::size_t q_bytes_;
   math::Montgomery montq_;  // Montgomery context for F_q (pairing hot path)
-  fqm::Fe mont_r2_;         // R² mod q: fe_mul by it enters Montgomery form
   BigInt sqrt_exp_;         // (q + 1) / 4: t^sqrt_exp_ is √t for a residue t
+  Point g_;                 // the generator (params_.gx, params_.gy)
   Fq2 e_gg_;
   // Fixed-base tables for the bases every operation reuses: the group
   // generator (mul/random_g1/hash-derived keys) and e(g,g) (gt_pow/

@@ -270,8 +270,9 @@ TEST(BigInt, RandomBelowInRange) {
 }
 
 TEST(BigInt, KaratsubaMatchesSchoolbook) {
-  // Large operands cross the Karatsuba threshold; verify against the
-  // multiply-by-parts identity (a*2^k + b)(c*2^k + d).
+  // Products far wider than any the program forms (47×44 limbs); verify
+  // the schoolbook product against the multiply-by-parts identity
+  // (a*2^k + b)(c*2^k + d).
   TestRng rng(15);
   for (int i = 0; i < 20; ++i) {
     BigInt a = BigInt::random_bits(rng, 3000);

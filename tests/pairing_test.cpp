@@ -20,6 +20,12 @@ using math::mod;
 
 class PairingTest : public ::testing::Test {
  protected:
+  // a + b·i with a, b uniform in [0, q).
+  Fq2 random_fq2(Rng& rng) const {
+    const BigInt a = BigInt::random_below(rng, pp_->q());
+    return fq2_from(pp_->mont_q(), a, BigInt::random_below(rng, pp_->q()));
+  }
+
   PairingPtr pp_ = Pairing::test_pairing();
   TestRng rng_{0xfeed};
 };
@@ -27,113 +33,161 @@ class PairingTest : public ::testing::Test {
 // --- Fq2 ---------------------------------------------------------------------
 
 TEST_F(PairingTest, Fq2FieldAxioms) {
-  const BigInt& q = pp_->q();
+  const math::Montgomery& mq = pp_->mont_q();
+  const auto add = [&](const Fq2& x, const Fq2& y) {
+    Fq2 out;
+    fqm::fe_add(mq, x.a, y.a, out.a);
+    fqm::fe_add(mq, x.b, y.b, out.b);
+    return out;
+  };
+  const auto mul = [&](const Fq2& x, const Fq2& y) {
+    Fq2 out;
+    fqm::fe2_mul(mq, x, y, out);
+    return out;
+  };
   TestRng rng(1);
   for (int i = 0; i < 20; ++i) {
-    Fq2 a{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
-    Fq2 b{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
-    Fq2 c{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
+    const Fq2 a = random_fq2(rng);
+    const Fq2 b = random_fq2(rng);
+    const Fq2 c = random_fq2(rng);
     // Commutativity and associativity of multiplication.
-    EXPECT_EQ(fq2_mul(a, b, q), fq2_mul(b, a, q));
-    EXPECT_EQ(fq2_mul(fq2_mul(a, b, q), c, q), fq2_mul(a, fq2_mul(b, c, q), q));
+    EXPECT_EQ(mul(a, b), mul(b, a));
+    EXPECT_EQ(mul(mul(a, b), c), mul(a, mul(b, c)));
     // Distributivity.
-    EXPECT_EQ(fq2_mul(a, fq2_add(b, c, q), q),
-              fq2_add(fq2_mul(a, b, q), fq2_mul(a, c, q), q));
+    EXPECT_EQ(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
     // Square matches mul.
-    EXPECT_EQ(fq2_sqr(a, q), fq2_mul(a, a, q));
+    Fq2 sqr;
+    fqm::fe2_sqr(mq, a, sqr);
+    EXPECT_EQ(sqr, mul(a, a));
     // Additive inverse.
-    EXPECT_TRUE(fq2_is_zero(fq2_add(a, fq2_neg(a, q), q)));
+    EXPECT_EQ(add(a, {fqm::fe_neg(mq, a.a), fqm::fe_neg(mq, a.b)}), Fq2{});
     // Multiplicative inverse.
-    if (!fq2_is_zero(a)) {
-      EXPECT_TRUE(fq2_is_one(fq2_mul(a, fq2_inv(a, q), q)));
+    if (a != Fq2{}) {
+      EXPECT_EQ(mul(a, fqm::fe2_inv(mq, a)), fqm::fe2_one(mq));
     }
   }
+  // Elements of GT have norm 1 and invert by conjugation.
+  const Fq2 e = pp_->random_gt(rng);
+  EXPECT_EQ(pp_->gt_inv(e), fqm::fe2_conj(mq, e));
+  EXPECT_EQ(mul(e, pp_->gt_inv(e)), fqm::fe2_one(mq));
 }
 
 TEST_F(PairingTest, Fq2IsquaredIsMinusOne) {
-  const BigInt& q = pp_->q();
-  const Fq2 i{BigInt{}, BigInt{1}};
-  const Fq2 i2 = fq2_mul(i, i, q);
-  EXPECT_EQ(i2.a, q - BigInt{1});
-  EXPECT_TRUE(i2.b.is_zero());
+  const math::Montgomery& mq = pp_->mont_q();
+  const Fq2 i = fq2_from(mq, BigInt{}, BigInt{1});
+  const Fq2 i2 = pp_->gt_mul(i, i);
+  EXPECT_EQ(fqm::fe_to(mq, i2.a), pp_->q() - BigInt{1});
+  EXPECT_TRUE(fqm::fe_is_zero(i2.b, mq.limb_count()));
 }
 
+// fq2_pow is the BigInt reference; gt_mul and fe2_pow run on the limbs.
 TEST_F(PairingTest, Fq2PowMatchesRepeatedMul) {
-  const BigInt& q = pp_->q();
-  const Fq2 x{BigInt{3}, BigInt{5}};
-  Fq2 acc = fq2_one();
+  const math::Montgomery& mq = pp_->mont_q();
+  const Fq2 x = fq2_from(mq, BigInt{3}, BigInt{5});
+  Fq2 acc = pp_->gt_one();
   for (int e = 0; e < 20; ++e) {
-    EXPECT_EQ(fq2_pow(x, BigInt{e}, q), acc) << e;
-    acc = fq2_mul(acc, x, q);
+    EXPECT_EQ(fq2_pow(x, BigInt{e}, mq), acc) << e;
+    EXPECT_EQ(fqm::fe2_pow(mq, x, BigInt{e}), acc) << e;
+    acc = pp_->gt_mul(acc, x);
   }
 }
 
 TEST_F(PairingTest, Fq2ConjIsFrobenius) {
   // For q ≡ 3 mod 4, x^q == conj(x).
-  const BigInt& q = pp_->q();
+  const math::Montgomery& mq = pp_->mont_q();
   TestRng rng(2);
-  const Fq2 x{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
-  EXPECT_EQ(fq2_pow(x, q, q), fq2_conj(x, q));
+  const Fq2 x = random_fq2(rng);
+  EXPECT_EQ(fq2_pow(x, pp_->q(), mq), fqm::fe2_conj(mq, x));
 }
 
 TEST_F(PairingTest, Fq2InvZeroThrows) {
-  EXPECT_THROW(fq2_inv(fq2_zero(), pp_->q()), std::domain_error);
+  EXPECT_THROW(pp_->gt_inv(Fq2{}), std::domain_error);
 }
 
 // --- Curve -------------------------------------------------------------------
 
 TEST_F(PairingTest, GeneratorOnCurveWithOrderR) {
   const auto& prm = pp_->params();
-  EXPECT_TRUE(on_curve(prm.g, prm.q));
-  EXPECT_FALSE(prm.g.infinity);
-  EXPECT_TRUE(point_mul(prm.g, prm.r, prm.q).infinity);
-  EXPECT_FALSE(point_mul(prm.g, prm.r - BigInt{1}, prm.q).infinity);
+  const math::Montgomery& mq = pp_->mont_q();
+  const Point& g = pp_->generator();
+  EXPECT_EQ(g, point_from(mq, prm.gx, prm.gy));
+  EXPECT_TRUE(on_curve(g, mq));
+  EXPECT_FALSE(g.infinity);
+  EXPECT_TRUE(point_mul(g, prm.r, mq).infinity);
+  EXPECT_FALSE(point_mul(g, prm.r - BigInt{1}, mq).infinity);
+}
+
+// h = 2²·11·71·… in the test group, so for a curve point R, [h/11]R lies on
+// the curve and has order 11·r whenever 11 divides R's order. The
+// constructor must refuse it as a generator.
+TEST_F(PairingTest, GeneratorOfWrongOrderIsRejected) {
+  const Params& prm = pp_->params();
+  const math::Montgomery& mq = pp_->mont_q();
+  const BigInt ell{11};
+  ASSERT_TRUE((prm.h % ell).is_zero());
+  for (;;) {
+    const BigInt x = BigInt::random_below(rng_, prm.q);
+    const BigInt t = math::mod_add(
+        math::mod_mul(math::mod_mul(x, x, prm.q), x, prm.q), x, prm.q);
+    if (!math::is_quadratic_residue(t, prm.q)) continue;
+    const Point r = point_from(mq, x, math::mod_sqrt_3mod4(t, prm.q));
+    const Point g = point_mul(r, prm.h / ell, mq);
+    if (point_mul(g, prm.r, mq).infinity) continue;  // order divides r
+    ASSERT_TRUE(on_curve(g, mq));
+    ASSERT_TRUE(point_mul(g, ell * prm.r, mq).infinity);
+    Params bad = prm;
+    bad.gx = fqm::fe_to(mq, g.x);
+    bad.gy = fqm::fe_to(mq, g.y);
+    EXPECT_THROW(Pairing{bad}, std::invalid_argument);
+    break;
+  }
 }
 
 TEST_F(PairingTest, GroupLaws) {
-  const auto& prm = pp_->params();
   const Point p = pp_->random_g1(rng_);
   const Point q2 = pp_->random_g1(rng_);
   const Point r2 = pp_->random_g1(rng_);
   // Commutativity / associativity.
-  EXPECT_EQ(point_add(p, q2, prm.q), point_add(q2, p, prm.q));
-  EXPECT_EQ(point_add(point_add(p, q2, prm.q), r2, prm.q),
-            point_add(p, point_add(q2, r2, prm.q), prm.q));
+  EXPECT_EQ(pp_->add(p, q2), pp_->add(q2, p));
+  EXPECT_EQ(pp_->add(pp_->add(p, q2), r2), pp_->add(p, pp_->add(q2, r2)));
   // Identity and inverse.
-  EXPECT_EQ(point_add(p, Point::at_infinity(), prm.q), p);
-  EXPECT_TRUE(point_add(p, point_neg(p, prm.q), prm.q).infinity);
-  // Double == add self.
-  EXPECT_EQ(point_double(p, prm.q), point_add(p, p, prm.q));
+  EXPECT_EQ(pp_->add(p, Point::at_infinity()), p);
+  EXPECT_EQ(pp_->add(Point::at_infinity(), p), p);
+  EXPECT_TRUE(pp_->add(p, pp_->neg(p)).infinity);
+  EXPECT_EQ(pp_->neg(Point::at_infinity()), Point::at_infinity());
+  // Double == add self, against the BigInt reference doubling.
+  EXPECT_EQ(point_double(p, pp_->mont_q()), pp_->add(p, p));
 }
 
 TEST_F(PairingTest, ScalarMulMatchesRepeatedAdd) {
-  const auto& prm = pp_->params();
+  const math::Montgomery& mq = pp_->mont_q();
   const Point p = pp_->random_g1(rng_);
   Point acc = Point::at_infinity();
   for (std::uint64_t k = 0; k < 16; ++k) {
-    EXPECT_EQ(point_mul(p, BigInt{k}, prm.q), acc) << k;
-    acc = point_add(acc, p, prm.q);
+    EXPECT_EQ(point_mul(p, BigInt{k}, mq), acc) << k;
+    EXPECT_EQ(pp_->mul(p, BigInt{k}), acc) << k;
+    acc = pp_->add(acc, p);
   }
 }
 
 TEST_F(PairingTest, ScalarMulDistributes) {
   const auto& prm = pp_->params();
+  const math::Montgomery& mq = pp_->mont_q();
   const Point p = pp_->random_g1(rng_);
   const BigInt a = pp_->random_scalar(rng_);
   const BigInt b = pp_->random_scalar(rng_);
-  const Point lhs = point_mul(p, mod(a + b, prm.r), prm.q);
-  const Point rhs =
-      point_add(point_mul(p, a, prm.q), point_mul(p, b, prm.q), prm.q);
+  const Point lhs = point_mul(p, mod(a + b, prm.r), mq);
+  const Point rhs = pp_->add(point_mul(p, a, mq), point_mul(p, b, mq));
   EXPECT_EQ(lhs, rhs);
 }
 
 TEST_F(PairingTest, ResultsStayOnCurve) {
-  const auto& prm = pp_->params();
+  const math::Montgomery& mq = pp_->mont_q();
   TestRng rng(4);
   for (int i = 0; i < 10; ++i) {
     const Point p = pp_->random_g1(rng);
-    const Point s = point_mul(p, pp_->random_scalar(rng), prm.q);
-    EXPECT_TRUE(on_curve(s, prm.q));
+    const Point s = point_mul(p, pp_->random_scalar(rng), mq);
+    EXPECT_TRUE(on_curve(s, mq));
   }
 }
 
@@ -141,13 +195,13 @@ TEST_F(PairingTest, ResultsStayOnCurve) {
 
 TEST_F(PairingTest, NonDegenerate) {
   const Fq2 e = pp_->pair(pp_->generator(), pp_->generator());
-  EXPECT_FALSE(fq2_is_one(e));
-  EXPECT_FALSE(fq2_is_zero(e));
+  EXPECT_NE(e, pp_->gt_one());
+  EXPECT_NE(e, Fq2{});
 }
 
 TEST_F(PairingTest, GtElementHasOrderR) {
   const Fq2 e = pp_->gt_generator();
-  EXPECT_TRUE(fq2_is_one(fq2_pow(e, pp_->r(), pp_->q())));
+  EXPECT_EQ(fq2_pow(e, pp_->r(), pp_->mont_q()), pp_->gt_one());
 }
 
 TEST_F(PairingTest, Bilinearity) {
@@ -171,8 +225,8 @@ TEST_F(PairingTest, BilinearInEachArgument) {
 }
 
 TEST_F(PairingTest, PairingWithIdentityIsOne) {
-  EXPECT_TRUE(fq2_is_one(pp_->pair(Point::at_infinity(), pp_->generator())));
-  EXPECT_TRUE(fq2_is_one(pp_->pair(pp_->generator(), Point::at_infinity())));
+  EXPECT_EQ(pp_->pair(Point::at_infinity(), pp_->generator()), pp_->gt_one());
+  EXPECT_EQ(pp_->pair(pp_->generator(), Point::at_infinity()), pp_->gt_one());
 }
 
 TEST_F(PairingTest, PairingSymmetricUpToDistortion) {
@@ -198,18 +252,22 @@ TEST_F(PairingTest, HashToG1Deterministic) {
   const Point c = pp_->hash_to_g1(str_to_bytes("attribute:legal"));
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_TRUE(on_curve(a, pp_->q()));
+  EXPECT_TRUE(on_curve(a, pp_->mont_q()));
   // In the order-r subgroup:
   EXPECT_TRUE(pp_->mul(a, pp_->r()).infinity);
 }
 
 TEST_F(PairingTest, G1SerializationRoundTrip) {
-  const Point p = pp_->random_g1(rng_);
-  const Bytes ser = pp_->serialize_g1(p);
-  EXPECT_EQ(ser.size(), pp_->g1_bytes());
-  EXPECT_EQ(pp_->deserialize_g1(ser), p);
-  // Infinity round-trips too.
-  EXPECT_TRUE(pp_->deserialize_g1(pp_->serialize_g1(Point::at_infinity())).infinity);
+  for (const PairingPtr& pp :
+       {Pairing::test_pairing(), Pairing::paper_pairing()}) {
+    const Point p = pp->random_g1(rng_);
+    const Bytes ser = pp->serialize_g1(p);
+    EXPECT_EQ(ser.size(), pp->g1_bytes());
+    EXPECT_EQ(pp->deserialize_g1(ser), p);
+    // Infinity round-trips too.
+    EXPECT_TRUE(
+        pp->deserialize_g1(pp->serialize_g1(Point::at_infinity())).infinity);
+  }
 }
 
 TEST_F(PairingTest, G1DeserializationValidatesCurve) {
@@ -217,6 +275,8 @@ TEST_F(PairingTest, G1DeserializationValidatesCurve) {
        {Pairing::test_pairing(), Pairing::paper_pairing()}) {
     const std::size_t qb = (pp->q().bit_length() + 7) / 8;
     const Point& g = pp->generator();
+    const BigInt& gx = pp->params().gx;
+    const BigInt& gy = pp->params().gy;
     const auto encode = [&](std::uint8_t flag, const BigInt& x,
                             const BigInt& y) {
       Bytes out{flag};
@@ -234,32 +294,35 @@ TEST_F(PairingTest, G1DeserializationValidatesCurve) {
     ser[5] ^= 1;  // corrupt x
     rejects(ser);
     // One encoding per point: only flags 0 and 1, and 0 only with zeros.
-    rejects(encode(2, g.x, g.y));
-    rejects(encode(0xff, g.x, g.y));
+    rejects(encode(2, gx, gy));
+    rejects(encode(0xff, gx, gy));
     Bytes inf = pp->serialize_g1(Point::at_infinity());
     inf[1 + qb + 3] = 1;
     rejects(inf);
     // Coordinates must be below q, even where x = q would reduce to a
     // curve point.
-    rejects(encode(1, pp->q(), g.y));
-    rejects(encode(1, g.x, pp->q()));
+    rejects(encode(1, pp->q(), gy));
+    rejects(encode(1, gx, pp->q()));
     // In range but off the curve.
-    rejects(encode(1, g.x, mod(g.y + BigInt{1}, pp->q())));
+    rejects(encode(1, gx, mod(gy + BigInt{1}, pp->q())));
     rejects(encode(1, BigInt{1}, BigInt{1}));
     // (0, 0) is the curve's 2-torsion point and stays accepted.
     const Point zero = pp->deserialize_g1(encode(1, BigInt{}, BigInt{}));
     EXPECT_FALSE(zero.infinity);
-    EXPECT_TRUE(zero.x.is_zero() && zero.y.is_zero());
-    EXPECT_EQ(pp->deserialize_g1(encode(1, g.x, g.y)), g);
+    EXPECT_TRUE(zero.x == fqm::Fe{} && zero.y == fqm::Fe{});
+    EXPECT_EQ(pp->deserialize_g1(encode(1, gx, gy)), g);
     EXPECT_TRUE(pp->deserialize_g1(encode(0, BigInt{}, BigInt{})).infinity);
   }
 }
 
 TEST_F(PairingTest, GtSerializationRoundTrip) {
-  const Fq2 e = pp_->random_gt(rng_);
-  const Bytes ser = pp_->serialize_gt(e);
-  EXPECT_EQ(ser.size(), pp_->gt_bytes());
-  EXPECT_EQ(pp_->deserialize_gt(ser), e);
+  for (const PairingPtr& pp :
+       {Pairing::test_pairing(), Pairing::paper_pairing()}) {
+    const Fq2 e = pp->random_gt(rng_);
+    const Bytes ser = pp->serialize_gt(e);
+    EXPECT_EQ(ser.size(), pp->gt_bytes());
+    EXPECT_EQ(pp->deserialize_gt(ser), e);
+  }
 }
 
 TEST_F(PairingTest, ParamsSerializationRoundTrip) {
@@ -268,16 +331,25 @@ TEST_F(PairingTest, ParamsSerializationRoundTrip) {
   EXPECT_EQ(p2.q, pp_->params().q);
   EXPECT_EQ(p2.r, pp_->params().r);
   EXPECT_EQ(p2.h, pp_->params().h);
-  EXPECT_EQ(p2.g, pp_->params().g);
+  EXPECT_EQ(p2.gx, pp_->params().gx);
+  EXPECT_EQ(p2.gy, pp_->params().gy);
 }
 
 TEST_F(PairingTest, ParamsValidation) {
   Params bad = pp_->params();
-  bad.g.x += BigInt{1};
+  bad.gx += BigInt{1};
   EXPECT_THROW(Pairing{bad}, std::invalid_argument);
   Params bad2 = pp_->params();
   bad2.h += BigInt{4};
   EXPECT_THROW(Pairing{bad2}, std::invalid_argument);
+  // Generator coordinates not below q, one of them wider than the fixed
+  // limbs, are refused before they enter Montgomery form.
+  Params wide = pp_->params();
+  wide.gx = BigInt{1} << 520;
+  EXPECT_THROW(Pairing{wide}, std::invalid_argument);
+  Params unreduced = pp_->params();
+  unreduced.gy += pp_->q();
+  EXPECT_THROW(Pairing{unreduced}, std::invalid_argument);
 }
 
 TEST(PairingGen, FreshParamsSatisfyInvariants) {
@@ -291,23 +363,33 @@ TEST(PairingGen, FreshParamsSatisfyInvariants) {
   // Bilinearity sanity on the fresh group.
   TestRng r2(100);
   const BigInt a = pairing.random_nonzero_scalar(r2);
-  EXPECT_EQ(pairing.pair(pairing.mul(p.g, a), p.g),
+  const Point& g = pairing.generator();
+  EXPECT_EQ(pairing.pair(pairing.mul(g, a), g),
             pairing.gt_pow(pairing.gt_generator(), a));
 }
 
-// A q wider than 512 bits takes 9 limbs, more than an fqm::Fe holds: the
-// Pairing refuses the group, and the fixed-limb free functions refuse the
-// Montgomery context instead of writing past an Fe.
+// A q wider than 512 bits takes 9 limbs, more than an fqm::Fe holds:
+// generate_params and the Pairing refuse the group, and the fixed-limb free
+// functions and the references refuse the Montgomery context instead of
+// reading or writing past an Fe.
 TEST(PairingGen, WideModulusIsRejected) {
   TestRng rng(101);
-  const Params p = generate_params(rng, 40, 520);
+  EXPECT_THROW(generate_params(rng, 40, 520), std::invalid_argument);
+  // A 520-bit q = h·r − 1 built by hand, with the 2-torsion point (0, 0)
+  // as its generator.
+  Params p;
+  p.r = Pairing::test_pairing()->r();
+  p.h = BigInt{1} << 440;
+  p.q = p.h * p.r - BigInt{1};
   EXPECT_THROW(Pairing{p}, std::invalid_argument);
   const math::Montgomery mq(p.q);
   ASSERT_EQ(mq.limb_count(), 9u);
-  EXPECT_THROW(point_mul_mont(p.g, BigInt{5}, mq), std::logic_error);
-  EXPECT_THROW(FixedBaseTable(mq, p.g, p.r.bit_length()), std::logic_error);
-  const Fq2 x{p.g.x, p.g.y};
+  const Point g{fqm::Fe{}, fqm::Fe{}, false};
+  EXPECT_THROW(point_mul_mont(g, BigInt{5}, mq), std::logic_error);
+  EXPECT_THROW(FixedBaseTable(mq, g, p.r.bit_length()), std::logic_error);
+  const Fq2 x{g.x, g.y};
   EXPECT_THROW(GtFixedBase(mq, x, p.r.bit_length()), std::logic_error);
+  EXPECT_THROW(fqm::fe2_pow(mq, x, BigInt{5}), std::logic_error);
   EXPECT_THROW(fq2_pow(x, BigInt{5}, mq), std::logic_error);
 }
 
@@ -381,7 +463,7 @@ TEST_F(PairingTest, PairProductMatchesProductOfPairs) {
 }
 
 TEST_F(PairingTest, PairProductEmptyAndInfinityTerms) {
-  EXPECT_TRUE(fq2_is_one(pp_->pair_product({})));
+  EXPECT_EQ(pp_->pair_product({}), pp_->gt_one());
   const Point a = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   // Identity terms contribute 1 and must not disturb the shared accumulator.
@@ -396,6 +478,7 @@ TEST_F(PairingTest, PairProductEmptyAndInfinityTerms) {
 // into its tangent branch. Points of 2-power order never get there.
 TEST_F(PairingTest, SmallOrderPointsMatchReference) {
   const Params& prm = pp_->params();
+  const math::Montgomery& mq = pp_->mont_q();
   for (const int order : {11, 71}) {
     const BigInt ell{order};
     ASSERT_TRUE((prm.h % ell).is_zero()) << order;
@@ -405,10 +488,10 @@ TEST_F(PairingTest, SmallOrderPointsMatchReference) {
       const BigInt t = math::mod_add(
           math::mod_mul(math::mod_mul(x, x, prm.q), x, prm.q), x, prm.q);
       if (!math::is_quadratic_residue(t, prm.q)) continue;
-      const Point r{x, math::mod_sqrt_3mod4(t, prm.q), false};
-      const Point p = point_mul(r, cofactor, prm.q);
+      const Point r = point_from(mq, x, math::mod_sqrt_3mod4(t, prm.q));
+      const Point p = point_mul(r, cofactor, mq);
       if (p.infinity) continue;
-      ASSERT_TRUE(point_mul(p, ell, prm.q).infinity) << order;
+      ASSERT_TRUE(point_mul(p, ell, mq).infinity) << order;
       ++n;
       const Point q = pp_->random_g1(rng_);
       const Fq2 e_pq = pp_->pair_reference(p, q);
@@ -430,7 +513,7 @@ TEST_F(PairingTest, PairProductNegationCancels) {
   const Point a = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const std::vector<PairTerm> terms{{a, b}, {pp_->neg(a), b}};
-  EXPECT_TRUE(fq2_is_one(pp_->pair_product(terms)));
+  EXPECT_EQ(pp_->pair_product(terms), pp_->gt_one());
 }
 
 // In both groups. k = r ends the wNAF loop adding the negation of the
@@ -454,7 +537,7 @@ TEST_F(PairingTest, MontScalarMulMatchesReferenceOnEdgeScalars) {
         pp->mul(pp->generator(), pp->random_nonzero_scalar(rng_));
     const FixedBaseTable table(mq, base, r.bit_length());
     for (const BigInt& k : scalars) {
-      const Point ref = point_mul(base, k, pp->q());
+      const Point ref = point_mul(base, k, mq);
       EXPECT_EQ(point_mul_mont(base, k, mq), ref) << k.to_dec();
       EXPECT_EQ(table.mul(k), ref) << k.to_dec();
     }
@@ -515,21 +598,21 @@ TEST_F(PairingTest, GtFixedBaseMatchesGenericPow) {
     exps.push_back(BigInt::random_below(rng_, pp_->r()));
   }
   for (const BigInt& e : exps) {
-    EXPECT_EQ(table.pow(e), fq2_pow(base, e, pp_->q())) << e.to_dec();
+    EXPECT_EQ(table.pow(e), fq2_pow(base, e, pp_->mont_q())) << e.to_dec();
   }
   EXPECT_THROW(table.pow(BigInt{-1}), std::invalid_argument);
   // The Pairing-owned e(g,g) table serves gt_pow on the GT generator.
   const BigInt e = pp_->random_nonzero_scalar(rng_);
   EXPECT_EQ(pp_->gt_pow(pp_->gt_generator(), e),
-            fq2_pow(pp_->gt_generator(), e, pp_->q()));
+            fq2_pow(pp_->gt_generator(), e, pp_->mont_q()));
 }
 
 TEST_F(PairingTest, MontgomeryFq2PowMatchesPlain) {
-  const BigInt& q = pp_->q();
+  const math::Montgomery& mq = pp_->mont_q();
   for (int i = 0; i < 5; ++i) {
-    const Fq2 x{BigInt::random_below(rng_, q), BigInt::random_below(rng_, q)};
+    const Fq2 x = random_fq2(rng_);
     const BigInt e = BigInt::random_bits(rng_, 150);
-    EXPECT_EQ(fq2_pow(x, e, pp_->mont_q()), fq2_pow(x, e, q));
+    EXPECT_EQ(fqm::fe2_pow(mq, x, e), fq2_pow(x, e, mq));
   }
 }
 
@@ -689,9 +772,9 @@ TEST(PairingBaked, BakedParamsSatisfyCurveInvariants) {
     const BigInt& r = pp->r();
     EXPECT_EQ(q % BigInt{4}, BigInt{3});
     EXPECT_TRUE((q + BigInt{1}) % r == BigInt{});  // q + 1 = h·r
-    EXPECT_TRUE(on_curve(pp->generator(), q));
+    EXPECT_TRUE(on_curve(pp->generator(), pp->mont_q()));
     EXPECT_TRUE(pp->mul(pp->generator(), r).infinity);
-    EXPECT_FALSE(fq2_is_one(pp->gt_generator()));
+    EXPECT_NE(pp->gt_generator(), pp->gt_one());
   }
 }
 

@@ -1,10 +1,11 @@
 #include "exec/pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <stdexcept>
-#include <string>
+#include <memory>
 
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
@@ -15,9 +16,6 @@ namespace {
 struct ExecMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Gauge& threads = reg.gauge(obs::names::kExecThreads);
-  obs::Counter& tasks = reg.counter(obs::names::kExecTasksTotal);
-  obs::Counter& inline_tasks = reg.counter(obs::names::kExecInlineTotal);
-  obs::Counter& steals = reg.counter(obs::names::kExecStealsTotal);
   obs::Counter& parallel_for = reg.counter(obs::names::kExecParallelForTotal);
 };
 
@@ -29,7 +27,30 @@ ExecMetrics& exec_metrics() {
 thread_local bool t_on_worker = false;
 }  // namespace
 
-bool on_worker_thread() { return t_on_worker; }
+struct Pool::Loop {
+  const std::function<void(std::size_t)>& body;
+  const std::size_t end;
+  const std::size_t chunk;
+  std::atomic<std::size_t> next;
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};  // written once, by whoever set `failed`
+  std::size_t helpers = 0;     // queued or running; under Pool::mutex_
+
+  // Pull chunks until the range is exhausted. After the first exception the
+  // remaining indices are skipped.
+  void run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (i >= end) return;
+      const std::size_t stop = std::min(i + chunk, end);
+      try {
+        for (std::size_t j = i; j < stop && !failed.load(); ++j) body(j);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+  }
+};
 
 Pool::Pool(std::size_t threads) {
   if (threads == 0) {
@@ -37,11 +58,9 @@ Pool::Pool(std::size_t threads) {
     if (threads == 0) threads = 1;
   }
   threads_ = threads;
-  queues_.resize(threads_);
-  if (threads_ == 1) return;  // deterministic inline mode: no workers
-  workers_.reserve(threads_);
-  for (std::size_t i = 0; i < threads_; ++i) {
-    workers_.emplace_back([this, i] { worker(i); });
+  workers_.reserve(threads_ - 1);
+  for (std::size_t i = 1; i < threads_; ++i) {
+    workers_.emplace_back([this] { worker(); });
   }
 }
 
@@ -50,59 +69,25 @@ Pool::~Pool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
-bool Pool::try_pop(std::size_t self, std::function<void()>& out) {
-  // Caller holds mutex_. Own queue first (front: newest-first locality is
-  // irrelevant under one mutex, FIFO keeps submit order), then steal the
-  // back of the first non-empty victim.
-  if (!queues_[self].tasks.empty()) {
-    out = std::move(queues_[self].tasks.front());
-    queues_[self].tasks.pop_front();
-    return true;
-  }
-  for (std::size_t k = 1; k < threads_; ++k) {
-    Queue& victim = queues_[(self + k) % threads_];
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      exec_metrics().steals.inc();
-      return true;
-    }
-  }
-  return false;
-}
-
-void Pool::worker(std::size_t self) {
+void Pool::worker() {
   t_on_worker = true;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      // try_pop first so a stopping pool still drains queued tasks.
-      cv_.wait(lock, [&] { return try_pop(self, task) || stopping_; });
-      if (!task) return;  // stopping and no work left
-    }
-    task();
+    work_cv_.wait(lock, [&] { return stopping_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;  // stopping
+    Loop* loop = jobs_.front();
+    jobs_.pop_front();
+    lock.unlock();
+    loop->run();
+    lock.lock();
+    // The caller may return as soon as it sees 0; nothing of `loop` is
+    // touched after this line, and the condition variable is the pool's.
+    if (--loop->helpers == 0) done_cv_.notify_all();
   }
-}
-
-void Pool::submit(std::function<void()> fn) {
-  exec_metrics().tasks.inc();
-  if (threads_ == 1 || t_on_worker) {
-    // Deterministic fallback / nested submission from a worker: run inline.
-    exec_metrics().inline_tasks.inc();
-    fn();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queues_[next_queue_].tasks.push_back(std::move(fn));
-    next_queue_ = (next_queue_ + 1) % threads_;
-  }
-  cv_.notify_one();
 }
 
 void Pool::parallel_for(std::size_t begin, std::size_t end,
@@ -111,96 +96,45 @@ void Pool::parallel_for(std::size_t begin, std::size_t end,
   if (begin >= end) return;
   exec_metrics().parallel_for.inc();
   const std::size_t n = end - begin;
-  if (threads_ == 1 || t_on_worker || n == 1) {
+  if (workers_.empty() || t_on_worker || n == 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
 
-  if (grain == 0) grain = 1;
-  std::size_t chunk = n / (threads_ * 4);
-  if (chunk < grain) chunk = grain;
-
-  // Dynamic chunking over a shared index: helpers AND the caller pull
-  // chunks, so the loop completes even when every worker is busy elsewhere.
-  auto next = std::make_shared<std::atomic<std::size_t>>(begin);
-  auto first_error = std::make_shared<std::atomic<bool>>(false);
-  auto error_mutex = std::make_shared<std::mutex>();
-  auto error = std::make_shared<std::exception_ptr>();
-  auto worklet = [next, first_error, error_mutex, error, &body, end, chunk] {
-    for (;;) {
-      const std::size_t i = next->fetch_add(chunk, std::memory_order_relaxed);
-      if (i >= end) return;
-      const std::size_t stop = i + chunk < end ? i + chunk : end;
-      try {
-        for (std::size_t j = i; j < stop && !first_error->load(); ++j) {
-          body(j);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(*error_mutex);
-        if (!first_error->exchange(true)) *error = std::current_exception();
-      }
-    }
-  };
-
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  std::size_t helpers = threads_ - 1;
-  if (helpers > chunks - 1) helpers = chunks - 1;
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) futures.push_back(async(worklet));
-  worklet();
-  for (auto& f : futures) f.get();
-  if (first_error->load()) std::rethrow_exception(*error);
+  const std::size_t chunk =
+      std::max({grain, n / (threads_ * 4), std::size_t{1}});
+  const std::size_t helpers = std::min(workers_.size(), (n - 1) / chunk);
+  Loop loop{body, end, chunk, {begin}};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    loop.helpers = helpers;
+    jobs_.insert(jobs_.end(), helpers, &loop);
+  }
+  for (std::size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
+  loop.run();
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    // Helpers no worker has taken yet would find no chunk left: withdraw
+    // them instead of waiting for a worker to free up.
+    loop.helpers -= std::erase(jobs_, &loop);
+    done_cv_.wait(lock, [&] { return loop.helpers == 0; });
+  }
+  if (loop.error) std::rethrow_exception(loop.error);
 }
 
 std::size_t Pool::parallel_find(
     std::size_t n, const std::function<bool(std::size_t)>& pred) {
-  if (n == 0) return SIZE_MAX;
-  if (threads_ == 1 || t_on_worker || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pred(i)) return i;
-    }
-    return SIZE_MAX;
-  }
-  exec_metrics().parallel_for.inc();
-
   // Lowest-hit semantics: a hit at index i prunes only indices above i, so
   // the returned index is identical to the sequential scan's.
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto best = std::make_shared<std::atomic<std::size_t>>(SIZE_MAX);
-  auto first_error = std::make_shared<std::atomic<bool>>(false);
-  auto error_mutex = std::make_shared<std::mutex>();
-  auto error = std::make_shared<std::exception_ptr>();
-  auto worklet = [next, best, first_error, error_mutex, error, &pred, n] {
-    for (;;) {
-      const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      if (i > best->load(std::memory_order_relaxed)) continue;
-      if (first_error->load()) return;
-      try {
-        if (pred(i)) {
-          std::size_t cur = best->load(std::memory_order_relaxed);
-          while (i < cur &&
-                 !best->compare_exchange_weak(cur, i,
-                                              std::memory_order_relaxed)) {
-          }
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(*error_mutex);
-        if (!first_error->exchange(true)) *error = std::current_exception();
-      }
+  std::atomic<std::size_t> best{SIZE_MAX};
+  parallel_for(0, n, [&](std::size_t i) {
+    if (i > best.load(std::memory_order_relaxed) || !pred(i)) return;
+    std::size_t cur = best.load(std::memory_order_relaxed);
+    while (i < cur &&
+           !best.compare_exchange_weak(cur, i, std::memory_order_relaxed)) {
     }
-  };
-
-  std::size_t helpers = threads_ - 1;
-  if (helpers > n - 1) helpers = n - 1;
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) futures.push_back(async(worklet));
-  worklet();
-  for (auto& f : futures) f.get();
-  if (first_error->load()) std::rethrow_exception(*error);
-  return best->load();
+  });
+  return best.load();
 }
 
 namespace {
@@ -229,7 +163,7 @@ Pool& Pool::global() {
 
 void Pool::set_global_threads(std::size_t threads) {
   std::lock_guard<std::mutex> lock(g_global_mutex);
-  g_global.reset();  // drain + join before replacing
+  g_global.reset();  // join before replacing
   g_global = std::make_unique<Pool>(threads);
   exec_metrics().threads.set(
       static_cast<std::int64_t>(g_global->thread_count()));

@@ -1,33 +1,31 @@
-// Shared execution layer: a fixed-size work-stealing thread pool driving the
-// three hot loops of the data path (multi-token HVE matching, DS fanout
-// sealing, publisher batch encryption). Design constraints, in order:
+// Shared execution layer: a fixed-size fork-join pool driving the three hot
+// loops of the data path (multi-token HVE matching, DS fanout sealing,
+// publisher batch encryption). Design constraints, in order:
 //
-//  1. Determinism. A pool of size 1 never spawns a thread: submit() and
-//     parallel_for() run the work inline on the caller, in order, so the
-//     discrete-event sim benches and the pinned equivalence tests see the
-//     exact sequential execution. Parallel callers must therefore arrange
-//     their work so the RESULT is order-independent (pure functions, or
-//     pre-drawn randomness + deterministic merge).
-//  2. No oversubscription. The pool is fixed-size; tasks submitted from
-//     inside a worker run inline instead of deadlocking on a full queue.
-//  3. Privacy. Tasks carry no metric names or runtime strings; the obs
+//  1. Determinism. A pool of size 1 never spawns a thread: parallel_for()
+//     runs the loop inline on the caller, in order, so the discrete-event
+//     sim benches and the pinned equivalence tests see the exact sequential
+//     execution. Parallel callers must therefore arrange their work so the
+//     RESULT is order-independent (pure functions, or pre-drawn randomness
+//     + deterministic merge).
+//  2. No oversubscription. A pool of size n runs n - 1 workers; the caller
+//     of a loop is the n-th thread. A loop started on a worker runs inline
+//     instead of waiting on the pool it is part of.
+//  3. Privacy. Loops carry no metric names or runtime strings; the obs
 //     integration is limited to the closed p3s.exec.* vocabulary.
 //
-// Work distribution: one deque per worker. submit() round-robins pushes;
-// an idle worker pops its own deque from the front and steals from the
-// BACK of a victim's deque, so stealing grabs the oldest (likely largest)
-// work and owners keep cache-warm recent tasks.
+// Work distribution: a loop hands out chunks of its index range from one
+// atomic cursor. The caller pulls chunks itself and queues up to n - 1
+// helper jobs on one FIFO; idle workers take helpers from its front and pull
+// chunks from the same cursor. The caller then waits for its helpers.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -38,30 +36,17 @@ class Pool {
  public:
   /// `threads == 0` sizes the pool to std::thread::hardware_concurrency().
   /// A pool of size 1 is the deterministic fallback: no worker threads are
-  /// created and every task runs inline on the submitting thread.
+  /// created and every loop runs inline on the calling thread.
   explicit Pool(std::size_t threads = 0);
   ~Pool();
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
+  /// Threads a loop runs on, the caller included.
   std::size_t thread_count() const { return threads_; }
 
-  /// Fire-and-forget task. Inline when thread_count() == 1 or when called
-  /// from a pool worker (a worker blocking on its own pool would deadlock).
-  void submit(std::function<void()> fn);
-
-  /// submit() + future for the result (exceptions propagate through it).
-  template <typename F>
-  auto async(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    submit([task] { (*task)(); });
-    return fut;
-  }
-
   /// Run body(i) for i in [begin, end), blocking until all complete. Indices
-  /// are chunked into ~4 chunks per worker (at least `grain` indices each).
+  /// are chunked into ~4 chunks per thread (at least `grain` indices each).
   /// The caller participates, so a single-thread pool degenerates to the
   /// plain sequential loop. Exceptions from body are rethrown (first one).
   void parallel_for(std::size_t begin, std::size_t end,
@@ -80,30 +65,21 @@ class Pool {
   /// hardware_concurrency. Created on first use.
   static Pool& global();
   /// Resize the global pool (benches/tests). Existing references to the old
-  /// pool must be quiesced by the caller; the old pool is drained and joined.
+  /// pool must be quiesced by the caller; the old pool is joined.
   static void set_global_threads(std::size_t threads);
 
  private:
-  struct Queue {
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Loop;  // one parallel_for in flight, owned by its caller's stack
 
-  void worker(std::size_t self);
-  bool try_pop(std::size_t self, std::function<void()>& out)
-      P3S_REQUIRES(mutex_);
+  void worker();
 
   std::size_t threads_ = 1;
-  std::vector<Queue> queues_ P3S_GUARDED_BY(mutex_);
-  std::mutex mutex_;  // guards all queues + cv (coarse; tasks are chunky)
-  std::condition_variable cv_;
-  std::vector<std::thread> workers_;
-  std::size_t next_queue_ P3S_GUARDED_BY(mutex_) = 0;
+  std::mutex mutex_;  // guards jobs_, stopping_ and every Loop::helpers
+  std::condition_variable work_cv_;  // workers: a job was queued, or stop
+  std::condition_variable done_cv_;  // callers: a helper finished
+  std::deque<Loop*> jobs_ P3S_GUARDED_BY(mutex_);  // one entry per helper
   bool stopping_ P3S_GUARDED_BY(mutex_) = false;
+  std::vector<std::thread> workers_;
 };
-
-/// True while the current thread is a Pool worker (any pool). Nested
-/// parallel constructs check this to run inline instead of re-entering the
-/// queue from inside a worker.
-bool on_worker_thread();
 
 }  // namespace p3s::exec

@@ -85,7 +85,7 @@ void register_catalog(Registry& r) {
   // Subscriber.
   r.counter(kSubMetadataReceivedTotal, {}, "1", "metadata broadcasts seen");
   r.counter(kSubMatchAttemptsTotal, {}, "1",
-            "HVE query evaluations (pairing work)");
+            "tokens evaluated against a broadcast");
   r.counter(kSubMatchHitsTotal, {}, "1", "broadcasts that matched a token");
   r.histogram(kSubMatchSeconds, {}, "seconds",
               "local matching of one broadcast against all tokens", lat);
@@ -98,8 +98,6 @@ void register_catalog(Registry& r) {
             "fetched payloads the attribute key could not decrypt");
   r.counter(kSubTokenRequestsTotal, {}, "1", "token requests sent");
   r.counter(kSubTokenRejectionsTotal, {}, "1", "token requests rejected");
-  r.counter(kSubMatchSkippedWidth, {}, "1",
-            "tokens skipped by the width pre-filter (no pairing work)");
 
   // Secure channel.
   r.counter(kChanHandshakesTotal, {{"side", kSideClient}}, "1",
@@ -147,11 +145,8 @@ void register_catalog(Registry& r) {
               "hve_match_prepare: per-broadcast Miller precompute", lat);
 
   // Execution layer.
-  r.gauge(kExecThreads, {}, "1", "global pool worker count");
-  r.counter(kExecTasksTotal, {}, "1", "tasks submitted to any pool");
-  r.counter(kExecInlineTotal, {}, "1",
-            "tasks run inline (single-thread fallback or nested submit)");
-  r.counter(kExecStealsTotal, {}, "1", "tasks taken from another queue");
+  r.gauge(kExecThreads, {}, "1",
+          "threads a loop runs on, the caller included");
   r.counter(kExecParallelForTotal, {}, "1",
             "parallel_for / parallel_find invocations");
 

@@ -94,8 +94,6 @@ inline constexpr char kSubTokenRequestsTotal[] =
     "p3s.sub.token_requests_total";
 inline constexpr char kSubTokenRejectionsTotal[] =
     "p3s.sub.token_rejections_total";
-inline constexpr char kSubMatchSkippedWidth[] =
-    "p3s.sub.match_skipped_width";
 
 // --- secure channel (paper §4.1 "TLS tunnels") -----------------------------
 inline constexpr char kChanHandshakesTotal[] =
@@ -139,9 +137,6 @@ inline constexpr char kCryptoHvePrepareSeconds[] =
 
 // --- execution layer (src/exec; DESIGN.md "execution layer") ---------------
 inline constexpr char kExecThreads[] = "p3s.exec.threads";
-inline constexpr char kExecTasksTotal[] = "p3s.exec.tasks_total";
-inline constexpr char kExecInlineTotal[] = "p3s.exec.inline_total";
-inline constexpr char kExecStealsTotal[] = "p3s.exec.steals_total";
 inline constexpr char kExecParallelForTotal[] =
     "p3s.exec.parallel_for_total";
 

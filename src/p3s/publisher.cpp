@@ -118,7 +118,11 @@ void Publisher::on_frame(const std::string& from, BytesView data) {
 }
 
 void Publisher::poll() {
-  if (!reliability_.enabled) return;
+  // Only disconnect() drops the session (a lost channel keeps it), and a
+  // clean departure is not a lost channel: nothing re-registers or re-sends
+  // until the application's next connect(). The DS dedupes the held
+  // publishes by request id then.
+  if (!reliability_.enabled || !session_.has_value()) return;
   const double now = network_.now();
   PubMetrics& metrics = pub_metrics();
 
@@ -163,7 +167,7 @@ void Publisher::poll() {
     ++p.attempts;
     ++retries_;
     metrics.retry.inc();
-    if (session_.has_value()) send_sealed(p.request_frame);
+    send_sealed(p.request_frame);
     p.deadline = now + retry_timeout(reliability_, p.attempts - 1, rng_);
     ++it;
   }

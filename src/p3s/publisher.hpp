@@ -43,7 +43,8 @@ class Publisher {
   /// Establish the DS channel and register as a publisher.
   void connect();
   bool connected() const { return connected_; }
-  /// Clean departure: deregister from the DS and drop the channel.
+  /// Clean departure: deregister from the DS and drop the channel. poll()
+  /// then holds unacknowledged publishes until the next connect().
   void disconnect();
 
   /// Publish one item. `ttl_seconds` is the publisher's deletion intent

@@ -33,8 +33,6 @@ struct SubMetrics {
       reg.counter(obs::names::kSubTokenRequestsTotal);
   obs::Counter& token_rejections =
       reg.counter(obs::names::kSubTokenRejectionsTotal);
-  obs::Counter& match_skipped_width =
-      reg.counter(obs::names::kSubMatchSkippedWidth);
   // Reliable request layer (shared p3s.client.* vocabulary).
   obs::Counter& retry = reg.counter(obs::names::kClientRetryTotal);
   obs::Counter& retry_exhausted =
@@ -127,19 +125,19 @@ void Subscriber::disconnect() {
 void Subscriber::refresh_tokens() {
   tokens_.clear();
   reindex_tokens();
+  // Responses still in flight answer for the old interest set: with no Ks
+  // left to open them they are dropped on arrival.
+  pending_token_ks_.clear();
+  pending_token_requests_.clear();
   for (const pbe::Interest& interest : interests_) request_token(interest);
 }
 
 void Subscriber::reindex_tokens() {
-  token_min_widths_.clear();
   token_positions_union_.clear();
   for (const pbe::HveToken& token : tokens_) {
-    std::uint32_t max_pos = 0;
-    for (const std::uint32_t pos : token.positions) {
-      max_pos = std::max(max_pos, pos);
-      token_positions_union_.push_back(pos);
-    }
-    token_min_widths_.push_back(max_pos + 1);
+    token_positions_union_.insert(token_positions_union_.end(),
+                                  token.positions.begin(),
+                                  token.positions.end());
   }
   std::sort(token_positions_union_.begin(), token_positions_union_.end());
   token_positions_union_.erase(
@@ -470,7 +468,8 @@ void Subscriber::handle_metadata(BytesView hve_ct) {
   // hiding). The ciphertext-side Miller state is prepared once per
   // broadcast (restricted to positions some token probes) and shared by
   // every token evaluation, which run on the global pool with first-hit
-  // short-circuit.
+  // short-circuit. A token probing past the broadcast's width is a miss
+  // there before any pairing work.
   std::optional<Guid> matched;
   {
     obs::ScopedTimer match_timer(metrics.reg, metrics.match_seconds,
@@ -479,20 +478,12 @@ void Subscriber::handle_metadata(BytesView hve_ct) {
       if (!tokens_.empty()) {
         const pbe::HveMatchCt prepared = pbe::hve_match_prepare(
             pairing, hve_ct, &token_positions_union_);
-        // Width pre-filter: a token probing a position beyond this
-        // broadcast's width can never match — skip it before any pairing.
-        std::vector<const pbe::HveToken*> eligible;
-        eligible.reserve(tokens_.size());
-        for (std::size_t i = 0; i < tokens_.size(); ++i) {
-          if (token_min_widths_[i] > prepared.width()) {
-            metrics.match_skipped_width.inc();
-            continue;
-          }
-          eligible.push_back(&tokens_[i]);
-        }
-        metrics.match_attempts.inc(eligible.size());
+        std::vector<const pbe::HveToken*> all;
+        all.reserve(tokens_.size());
+        for (const pbe::HveToken& token : tokens_) all.push_back(&token);
+        metrics.match_attempts.inc(all.size());
         const pbe::HveMatchResult res =
-            pbe::hve_match_any(pairing, eligible, prepared);
+            pbe::hve_match_any(pairing, all, prepared);
         if (res.matched() && res.payload.size() == Guid::kSize) {
           ++matches_;
           metrics.match_hits.inc();

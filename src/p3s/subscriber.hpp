@@ -142,7 +142,7 @@ class Subscriber {
   void send_sync(double now);
   void retry_requests(std::map<std::uint64_t, PendingRequest>& pending,
                       double now);
-  /// Rebuild the width index + position union after any tokens_ mutation.
+  /// Rebuild the position union after any tokens_ mutation.
   void reindex_tokens();
 
   net::Network& network_;
@@ -156,13 +156,8 @@ class Subscriber {
   bool connected_ = false;
   std::vector<pbe::Interest> interests_;
   std::vector<pbe::HveToken> tokens_;
-  // Width index over tokens_: token_min_widths_[i] is the smallest broadcast
-  // width tokens_[i] can possibly match (max probed position + 1), so
-  // narrower broadcasts skip that token with zero pairing work.
-  // token_positions_union_ is the ascending union of all probed positions,
-  // limiting the per-broadcast Miller precompute to positions some token
-  // actually probes.
-  std::vector<std::uint32_t> token_min_widths_;
+  // Ascending union of the positions tokens_ probe: the per-broadcast Miller
+  // precompute covers only positions some token actually probes.
   std::vector<std::uint32_t> token_positions_union_;
   std::uint64_t next_tag_ = 1;
   std::map<std::uint64_t, Bytes> pending_token_ks_;

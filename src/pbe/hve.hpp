@@ -184,8 +184,10 @@ struct HveMatchResult {
 /// Evaluate every token against one prepared broadcast, in parallel on
 /// `pool` (nullptr → exec::Pool::global()) with first-hit short-circuit.
 /// Each evaluation is a pure function of (token, ct), so the result is
-/// deterministic regardless of thread count. Tokens probing positions the
-/// prepare call skipped make the whole call throw std::invalid_argument.
+/// deterministic regardless of thread count. A token probing past the
+/// broadcast's width is a miss, before any pairing work; tokens probing
+/// positions the prepare call skipped make the whole call throw
+/// std::invalid_argument.
 HveMatchResult hve_match_any(const pairing::Pairing& pairing,
                              std::span<const HveToken* const> tokens,
                              const HveMatchCt& ct,

@@ -268,6 +268,32 @@ TEST_F(AsyncP3sTest, LostTokenResponseIsRecoverable) {
   EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
+TEST_F(AsyncP3sTest, UnsubscribeBeforeTokenArrivesDropsItsToken) {
+  auto sub = subscriber("sub1");
+  auto pub = system_->make_publisher("pub1", "press", rng_);
+  net_.run_until_idle();
+
+  // Both token responses are still in flight when the first interest goes:
+  // its late token must not come back, nor the first request's duplicate
+  // of the kept one.
+  sub->subscribe({{"topic", "a"}});
+  sub->subscribe({{"tier", "y"}});
+  ASSERT_TRUE(sub->unsubscribe({{"topic", "a"}}));
+  net_.run_until_idle();
+  EXPECT_EQ(sub->token_count(), 1u);
+
+  test::DeliveryLog got(*sub);
+  pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("dropped"),
+               abe::parse_policy("m"), 1e6);
+  net_.run_until_idle();
+  EXPECT_TRUE(got.deliveries().empty());
+  pub->publish({{"topic", "b"}, {"tier", "y"}}, str_to_bytes("kept"),
+               abe::parse_policy("m"), 1e6);
+  net_.run_until_idle();
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "kept");
+}
+
 TEST_F(AsyncP3sTest, ChannelRejectsReorderedRecordsButFlowRecovers) {
   auto sub = subscriber("sub1");
   auto pub = system_->make_publisher("pub1", "press", rng_);

@@ -331,6 +331,56 @@ TEST(EavesdropperPin, FaultyRunWireDigest) {
             "3e33117f42791df052842c5d8515b8e5e5d6f56b0565957ff5b50eb384fa9554");
 }
 
+// A clean departure is not a lost channel: a reliable publisher that
+// disconnects with a publish still unacknowledged must neither re-register
+// nor re-send behind the application's back. The publish waits for the
+// next connect() and is delivered once then.
+TEST(ReliablePublisher, DisconnectStopsRetriesUntilConnect) {
+  net::AsyncNetwork net;
+  TestRng rng(0xd15c0);
+  P3sSystem system(net, chaos_config(), rng);
+  auto pub = system.make_publisher("pub1", "press", rng);
+  net.run_until_idle();
+  ASSERT_TRUE(pub->connected());
+  ASSERT_EQ(system.ds().publisher_count(), 1u);
+
+  // The DS is dark while the publish arrives, so it is never acknowledged.
+  net::FaultPlan plan(1);
+  plan.add_blackout(system.directory().ds_name, net.now(), net.now() + 50.0);
+  net.set_fault_plan(std::move(plan));
+  pub->publish({{"sector", "finance"}, {"grade", "x"}}, str_to_bytes("held"),
+               abe::parse_policy("m"), 1e9);
+  net.run_until_idle();
+  ASSERT_EQ(pub->pending_publish_count(), 1u);
+  net.advance(100);  // the DS is back for the unregister
+  pub->disconnect();
+  net.run_until_idle();
+  ASSERT_EQ(system.ds().publisher_count(), 0u);
+
+  for (int round = 0; round < 40; ++round) {
+    net.advance(400);
+    pub->poll();
+    net.run_until_idle();
+  }
+  EXPECT_FALSE(pub->connected());
+  EXPECT_EQ(system.ds().publisher_count(), 0u);
+  EXPECT_EQ(pub->pending_publish_count(), 1u);
+  EXPECT_EQ(system.rs().stored_items(), 0u);
+
+  pub->connect();
+  for (int round = 0; round < 40 && pub->pending_publish_count() > 0;
+       ++round) {
+    net.run_until_idle();
+    pub->poll();
+    net.run_until_idle();
+    net.advance(400);
+  }
+  EXPECT_TRUE(pub->connected());
+  EXPECT_EQ(pub->pending_publish_count(), 0u);
+  EXPECT_EQ(pub->publish_failures(), 0u);
+  EXPECT_EQ(system.rs().stored_items(), 1u);
+}
+
 // --- RS T_G grace period, pinned end-to-end ----------------------------------
 
 class GracePeriodTest : public ::testing::Test {

@@ -1,14 +1,16 @@
 // Tests for the shared execution layer (src/exec): pool lifecycle,
-// submit/steal/shutdown stress, parallel_for / parallel_find semantics,
-// inline fallback determinism, and exactness of the sharded metrics under
-// heavy concurrent writers. Built with -DP3S_SANITIZE=thread in CI these
+// concurrent-loop/shutdown stress, parallel_for / parallel_find semantics,
+// the inline rules, and exactness of the sharded metrics under heavy
+// concurrent writers. Built with -DP3S_SANITIZE=thread in CI these
 // double as the TSan stress suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <numeric>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -24,63 +26,74 @@ TEST(Pool, SingleThreadPoolSpawnsNoWorkersAndRunsInline) {
   Pool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
   const auto caller = std::this_thread::get_id();
-  std::vector<int> order;
-  std::thread::id task_thread;
-  pool.submit([&] {
-    order.push_back(1);
-    task_thread = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> ran_on;
+  pool.parallel_for(0, 5, [&](std::size_t i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
   });
-  pool.submit([&] { order.push_back(2); });
-  // Inline execution: both tasks already ran, on the calling thread.
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(task_thread, caller);
-  EXPECT_FALSE(on_worker_thread());
+  // Inline execution: every index ran on the calling thread, in order.
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(5, caller));
 }
 
-TEST(Pool, AsyncReturnsValueAndPropagatesExceptions) {
-  Pool pool(3);
-  auto ok = pool.async([] { return 41 + 1; });
-  EXPECT_EQ(ok.get(), 42);
-  auto boom = pool.async([]() -> int {
-    throw std::runtime_error("task failed");
-  });
-  EXPECT_THROW(boom.get(), std::runtime_error);
-}
-
-TEST(Pool, SubmitStealShutdownStress) {
-  // Many small tasks pushed from several submitter threads while workers
-  // pop and steal; the pool must run every task exactly once and join
-  // cleanly with a non-empty moment-to-moment queue mix.
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksEach = 500;
-  std::atomic<int> ran{0};
+TEST(Pool, ConcurrentLoopsShutdownStress) {
+  // Several caller threads run loops on one pool at once, so helper jobs of
+  // different loops interleave on the FIFO; every index must run exactly
+  // once, and the pool must join cleanly right after the last loop.
+  constexpr int kCallers = 4;
+  constexpr int kLoopsEach = 50;
+  constexpr std::size_t kN = 64;
+  std::atomic<std::size_t> ran{0};
   {
     Pool pool(4);
-    std::vector<std::thread> submitters;
-    for (int s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&pool, &ran] {
-        for (int i = 0; i < kTasksEach; ++i) {
-          pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&pool, &ran] {
+        for (int l = 0; l < kLoopsEach; ++l) {
+          pool.parallel_for(0, kN, [&ran](std::size_t) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+          });
         }
       });
     }
-    for (auto& t : submitters) t.join();
-    // Destructor drains the queues before joining the workers.
+    for (auto& t : callers) t.join();
   }
-  EXPECT_EQ(ran.load(), kSubmitters * kTasksEach);
+  EXPECT_EQ(ran.load(), kCallers * kLoopsEach * kN);
 }
 
-TEST(Pool, TasksSubmittedFromWorkersRunInline) {
-  // A worker submitting into its own pool must not deadlock: nested tasks
-  // run inline on the worker.
-  Pool pool(2);
-  auto fut = pool.async([&pool] {
-    EXPECT_TRUE(on_worker_thread());
-    int nested = 0;
-    pool.submit([&nested] { nested = 7; });  // inline on this worker
-    return nested;
+TEST(Pool, LoopStartedOnWorkerRunsInline) {
+  // A loop started inside a worker's chunk must not wait on the pool it is
+  // part of: it runs inline on that worker, in order. Index 0 cannot finish
+  // before index 1 has run, so the caller cannot take both chunks: one of
+  // the two is certainly a worker's.
+  Pool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::latch index1_ran(1);
+  std::array<std::thread::id, 2> outer_on{};
+  constexpr std::size_t kNested = 64;
+  std::atomic<std::size_t> seq{0};
+  std::array<std::size_t, kNested> nested_seq{};
+  std::array<std::thread::id, kNested> nested_on{};
+  pool.parallel_for(0, 2, [&](std::size_t i) {
+    if (i == 0) {
+      index1_ran.wait();
+    } else {
+      index1_ran.count_down();
+    }
+    outer_on[i] = std::this_thread::get_id();
+    if (outer_on[i] == caller) return;
+    pool.parallel_for(0, kNested, [&](std::size_t j) {
+      nested_seq[j] = seq.fetch_add(1);
+      nested_on[j] = std::this_thread::get_id();
+    });
   });
-  EXPECT_EQ(fut.get(), 7);
+  ASSERT_EQ(std::count(outer_on.begin(), outer_on.end(), caller), 1);
+  const auto worker = outer_on[0] == caller ? outer_on[1] : outer_on[0];
+  for (std::size_t j = 0; j < kNested; ++j) {
+    EXPECT_EQ(nested_seq[j], j) << "nested index " << j << " ran out of order";
+    EXPECT_EQ(nested_on[j], worker) << "nested index " << j;
+  }
 }
 
 TEST(Pool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -176,17 +189,13 @@ TEST(ExecMetrics, CounterExactUnderParallelForContention) {
 }
 
 TEST(ExecMetrics, PoolAccountingCountersMoveForward) {
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& tasks = reg.counter(obs::names::kExecTasksTotal);
-  obs::Counter& pfor = reg.counter(obs::names::kExecParallelForTotal);
-  const std::uint64_t t0 = tasks.value();
+  obs::Counter& pfor =
+      obs::Registry::global().counter(obs::names::kExecParallelForTotal);
   const std::uint64_t p0 = pfor.value();
   Pool pool(2);
   pool.parallel_for(0, 64, [](std::size_t) {});
-  auto fut = pool.async([] { return 1; });
-  fut.get();
-  EXPECT_GT(tasks.value(), t0);
-  EXPECT_GT(pfor.value(), p0);
+  EXPECT_EQ(pool.parallel_find(8, [](std::size_t i) { return i == 3; }), 3u);
+  EXPECT_EQ(pfor.value() - p0, 2u);
 }
 
 }  // namespace

@@ -375,6 +375,34 @@ TEST_F(HveTest, MatchAnyParallelEqualsSequential) {
   EXPECT_EQ(b.payload, a.payload);
 }
 
+TEST_F(HveTest, MatchAnyTreatsTokenWiderThanBroadcastAsMiss) {
+  // A token probing past the broadcast's width can never match: it is a
+  // miss before any pairing work, not an error for the whole batch.
+  const auto& p = *keys_->pk.pairing;
+  TestRng rng(0x3d7e);
+  const HveKeys narrow = hve_setup(keys_->pk.pairing, 4, rng);
+  const Bytes payload = rng.bytes(16);
+  const HveMatchCt prepared = hve_match_prepare(
+      p, hve_encrypt_bytes(narrow.pk, {1, 0, 1, 1}, payload, rng));
+  ASSERT_EQ(prepared.width(), 4u);
+
+  Pattern wide(kWidth, kWildcard);
+  wide[6] = 1;
+  const auto t_wide = hve_gen_token(*keys_, wide, rng);
+  const auto t_fits =
+      hve_gen_token(narrow, {1, kWildcard, kWildcard, 1}, rng);
+
+  HveMatchResult res;
+  const std::vector<const HveToken*> alone = {&t_wide};
+  ASSERT_NO_THROW(res = hve_match_any(p, alone, prepared));
+  EXPECT_FALSE(res.matched());
+  const std::vector<const HveToken*> batch = {&t_wide, &t_fits};
+  ASSERT_NO_THROW(res = hve_match_any(p, batch, prepared));
+  ASSERT_TRUE(res.matched());
+  EXPECT_EQ(res.token_index, 1u);
+  EXPECT_EQ(res.payload, payload);
+}
+
 TEST_F(HveTest, KemRejectsMalformedInput) {
   Pattern w(kWidth, kWildcard);
   w[0] = 1;

@@ -52,21 +52,28 @@ inline void observe(std::size_t id, double value) {
   if (Sink* s = sink()) s->observe(id, value);
 }
 
-/// Times a scope on the sink's clock into the histogram `id`. Captures the
-/// sink once so install/clear races cannot mismatch start/stop clocks.
+/// Times a scope on the sink's clock into the histogram `id`: `samples`
+/// equal samples that sum to the elapsed time, one per operation of a
+/// batch. Captures the sink once so install/clear races cannot mismatch
+/// start/stop clocks.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::size_t id) : id_(id), sink_(sink()) {
+  explicit ScopedTimer(std::size_t id, std::size_t samples = 1)
+      : id_(id), samples_(samples), sink_(sink()) {
     if (sink_ != nullptr) start_ = sink_->now();
   }
   ~ScopedTimer() {
-    if (sink_ != nullptr) sink_->observe(id_, sink_->now() - start_);
+    if (sink_ == nullptr || samples_ == 0) return;
+    const double each =
+        (sink_->now() - start_) / static_cast<double>(samples_);
+    for (std::size_t i = 0; i < samples_; ++i) sink_->observe(id_, each);
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
   std::size_t id_;
+  std::size_t samples_;
   Sink* sink_;
   double start_ = 0.0;
 };

@@ -100,14 +100,24 @@ void Subscriber::connect() {
 void Subscriber::reconnect() { connect(); }
 
 bool Subscriber::unsubscribe(const pbe::Interest& interest) {
-  const auto it = std::find(interests_.begin(), interests_.end(), interest);
+  const auto it = std::find_if(
+      interests_.begin(), interests_.end(),
+      [&](const InterestRecord& rec) { return rec.interest == interest; });
   if (it == interests_.end()) return false;
+  // A response still in flight finds no record holding its tag and is
+  // dropped on arrival; no retry re-sends the request.
+  if (it->tag.has_value()) pending_token_requests_.erase(*it->tag);
   interests_.erase(it);
-  // Tokens are not labeled with their interest (unlinkability), so rebuild
-  // the token set from the remaining interests. Epoch-restricted tokens are
-  // re-requested for the current epoch as a side effect.
-  refresh_tokens();
+  reindex_tokens();
   return true;
+}
+
+std::size_t Subscriber::token_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(interests_.begin(), interests_.end(),
+                    [](const InterestRecord& rec) {
+                      return rec.token.has_value();
+                    }));
 }
 
 void Subscriber::disconnect() {
@@ -123,21 +133,25 @@ void Subscriber::disconnect() {
 }
 
 void Subscriber::refresh_tokens() {
-  tokens_.clear();
-  reindex_tokens();
-  // Responses still in flight answer for the old interest set: with no Ks
-  // left to open them they are dropped on arrival.
-  pending_token_ks_.clear();
+  // Responses still in flight answer for the old requests: with no record
+  // holding their tag they are dropped on arrival.
   pending_token_requests_.clear();
-  for (const pbe::Interest& interest : interests_) request_token(interest);
+  for (InterestRecord& rec : interests_) {
+    rec.token.reset();
+    rec.tag.reset();
+    rec.ks.clear();
+  }
+  reindex_tokens();
+  for (InterestRecord& rec : interests_) request_token(rec);
 }
 
 void Subscriber::reindex_tokens() {
   token_positions_union_.clear();
-  for (const pbe::HveToken& token : tokens_) {
+  for (const InterestRecord& rec : interests_) {
+    if (!rec.token.has_value()) continue;
     token_positions_union_.insert(token_positions_union_.end(),
-                                  token.positions.begin(),
-                                  token.positions.end());
+                                  rec.token->positions.begin(),
+                                  rec.token->positions.end());
   }
   std::sort(token_positions_union_.begin(), token_positions_union_.end());
   token_positions_union_.erase(
@@ -149,8 +163,8 @@ void Subscriber::reindex_tokens() {
 void Subscriber::subscribe(const pbe::Interest& interest) {
   // Validate locally first so schema errors throw at the call site.
   (void)creds_.schema.encode_interest(interest);
-  interests_.push_back(interest);
-  request_token(interest);
+  interests_.push_back(InterestRecord{interest, {}, {}, {}});
+  request_token(interests_.back());
 }
 
 void Subscriber::send_service_request(const std::string& service,
@@ -166,13 +180,13 @@ void Subscriber::send_service_request(const std::string& service,
   }
 }
 
-void Subscriber::request_token(const pbe::Interest& interest) {
+void Subscriber::request_token(InterestRecord& record) {
   sub_metrics().token_requests.inc();
   const pairing::Pairing& pairing = *creds_.abe_pk.pairing;
 
   // Token-revocation epochs (§6.1): restrict the predicate to the current
   // epoch so the resulting token expires when the epoch rolls over.
-  pbe::Interest effective = interest;
+  pbe::Interest effective = record.interest;
   if (creds_.epoch.has_value()) {
     effective = creds_.epoch->restrict(std::move(effective), network_.now());
   }
@@ -180,8 +194,8 @@ void Subscriber::request_token(const pbe::Interest& interest) {
   // §8 alternative configuration: PBE-TS embedded in the subscriber — the
   // predicate never leaves this process.
   if (creds_.embedded_hve.has_value()) {
-    tokens_.push_back(pbe::hve_gen_token(
-        *creds_.embedded_hve, creds_.schema.encode_interest(effective), rng_));
+    record.token = pbe::hve_gen_token(
+        *creds_.embedded_hve, creds_.schema.encode_interest(effective), rng_);
     reindex_tokens();
     return;
   }
@@ -196,14 +210,16 @@ void Subscriber::request_token(const pbe::Interest& interest) {
   const Bytes blob = pairing::ecies_encrypt(
       pairing, creds_.services.pbe_ts_pk, plain.data(), rng_);
 
+  // Record the tag and Ks before sending: on DirectNetwork the response
+  // arrives inside the send, and `record` is not touched after it.
   const std::uint64_t tag = next_tag_++;
-  pending_token_ks_[tag] = ks;
+  record.tag = tag;
+  record.ks = ks;
   Bytes request = tagged_frame(FrameType::kTokenRequest, tag, blob);
   if (reliability_.enabled) {
     // Retries re-send the exact same bytes: same tag, same Ks, so a late
     // first response and a retry response are interchangeable and the
-    // second one finds no pending Ks — deduplicated for free. Track before
-    // sending: on DirectNetwork the response arrives inside this call.
+    // second one finds no record holding the tag — deduplicated for free.
     PendingRequest p;
     p.request = request;
     p.service = creds_.services.pbe_ts_name;
@@ -271,8 +287,8 @@ void Subscriber::retry_requests(
     metrics.timeouts.inc();
     if (p.attempts >= reliability_.max_attempts) {
       // Surface the failure at the application level (§6.1) instead of
-      // retrying forever; the Ks entry stays so a very late response can
-      // still complete the request.
+      // retrying forever; the request's tag and Ks stay so a very late
+      // response can still complete it.
       ++request_failures_;
       metrics.retry_exhausted.inc();
       it = pending.erase(it);
@@ -475,12 +491,14 @@ void Subscriber::handle_metadata(BytesView hve_ct) {
     obs::ScopedTimer match_timer(metrics.reg, metrics.match_seconds,
                                  obs::names::kSubMatchSeconds);
     try {
-      if (!tokens_.empty()) {
+      std::vector<const pbe::HveToken*> all;
+      all.reserve(interests_.size());
+      for (const InterestRecord& rec : interests_) {
+        if (rec.token.has_value()) all.push_back(&*rec.token);
+      }
+      if (!all.empty()) {
         const pbe::HveMatchCt prepared = pbe::hve_match_prepare(
             pairing, hve_ct, &token_positions_union_);
-        std::vector<const pbe::HveToken*> all;
-        all.reserve(tokens_.size());
-        for (const pbe::HveToken& token : tokens_) all.push_back(&token);
         metrics.match_attempts.inc(all.size());
         const pbe::HveMatchResult res =
             pbe::hve_match_any(pairing, all, prepared);
@@ -500,10 +518,13 @@ void Subscriber::handle_metadata(BytesView hve_ct) {
 void Subscriber::handle_token_response(BytesView body) {
   Reader r(body);
   const TaggedBody tagged = read_tagged(r);
-  const auto it = pending_token_ks_.find(tagged.tag);
-  if (it == pending_token_ks_.end()) return;
-  const Bytes ks = it->second;
-  pending_token_ks_.erase(it);
+  const auto rec = std::find_if(
+      interests_.begin(), interests_.end(),
+      [&](const InterestRecord& x) { return x.tag == tagged.tag; });
+  if (rec == interests_.end()) return;
+  const Bytes ks = std::move(rec->ks);
+  rec->ks.clear();
+  rec->tag.reset();
   pending_token_requests_.erase(tagged.tag);
 
   const auto plain = crypto::aead_decrypt(
@@ -519,8 +540,7 @@ void Subscriber::handle_token_response(BytesView body) {
     sub_metrics().token_rejections.inc();
     return;
   }
-  tokens_.push_back(
-      pbe::HveToken::deserialize(*creds_.abe_pk.pairing, token_bytes));
+  rec->token = pbe::HveToken::deserialize(*creds_.abe_pk.pairing, token_bytes);
   reindex_tokens();
 }
 

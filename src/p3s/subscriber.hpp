@@ -60,10 +60,11 @@ class Subscriber {
   /// constrain at least one attribute (all-wildcard rejected by schema).
   void subscribe(const pbe::Interest& interest);
 
-  /// Drop an interest: its token is discarded locally so matching stops
-  /// immediately. Interest privacy means the infrastructure is never told —
-  /// the DS keeps broadcasting (it broadcasts to everyone regardless).
-  /// Returns false when no such interest was registered.
+  /// Drop an interest: its record goes, so matching stops at once, and its
+  /// token request, if one is still in flight, is cancelled. Nothing is
+  /// sent: interest privacy means the infrastructure is never told (the DS
+  /// broadcasts to everyone regardless), and the other interests keep
+  /// their tokens. Returns false when no such interest was registered.
   bool unsubscribe(const pbe::Interest& interest);
 
   /// Clean departure: tell the DS to drop the registration and channel.
@@ -71,8 +72,9 @@ class Subscriber {
   void disconnect();
 
   /// After a DS restart: re-establish the channel and registration; after a
-  /// subscriber restart: also re-request tokens for all interests
-  /// (paper §6.1 restart discussion).
+  /// subscriber restart or a token-epoch rollover: also re-request tokens
+  /// for all interests (paper §6.1 restart discussion). Requests still in
+  /// flight are forgotten, and their late responses dropped.
   void reconnect();
   void refresh_tokens();
 
@@ -93,7 +95,7 @@ class Subscriber {
   }
 
   // --- observable state ----------------------------------------------------
-  std::size_t token_count() const { return tokens_.size(); }
+  std::size_t token_count() const;
   std::size_t metadata_received() const { return metadata_received_; }
   std::size_t match_count() const { return matches_; }
   /// Payloads decrypted and delivered (each GUID at most once).
@@ -120,6 +122,15 @@ class Subscriber {
   const SubscriberCredentials& credentials() const { return creds_; }
 
  private:
+  // One per interest, in subscription order, which is the order its token
+  // is matched in. The interest–token link never leaves this process.
+  struct InterestRecord {
+    pbe::Interest interest;
+    std::optional<pbe::HveToken> token;  // once its response arrives
+    std::optional<std::uint64_t> tag;    // its token request in flight
+    Bytes ks;                            // that request's response key
+  };
+
   struct PendingRequest {
     Bytes request;  // full outer request frame, re-sent verbatim
     std::string service;
@@ -135,14 +146,14 @@ class Subscriber {
   void handle_metadata(BytesView hve_ct);
   void handle_token_response(BytesView body);
   void handle_content_response(BytesView body);
-  void request_token(const pbe::Interest& interest);
+  void request_token(InterestRecord& record);
   void request_content(const Guid& guid);
   void send_sealed(BytesView inner);
   void send_service_request(const std::string& service, Bytes request);
   void send_sync(double now);
   void retry_requests(std::map<std::uint64_t, PendingRequest>& pending,
                       double now);
-  /// Rebuild the position union after any tokens_ mutation.
+  /// Rebuild the position union after any token is added or dropped.
   void reindex_tokens();
 
   net::Network& network_;
@@ -154,13 +165,11 @@ class Subscriber {
 
   std::optional<net::SecureSession> session_;
   bool connected_ = false;
-  std::vector<pbe::Interest> interests_;
-  std::vector<pbe::HveToken> tokens_;
-  // Ascending union of the positions tokens_ probe: the per-broadcast Miller
-  // precompute covers only positions some token actually probes.
+  std::vector<InterestRecord> interests_;
+  // Ascending union of the positions the tokens probe: the per-broadcast
+  // Miller precompute covers only positions some token actually probes.
   std::vector<std::uint32_t> token_positions_union_;
   std::uint64_t next_tag_ = 1;
-  std::map<std::uint64_t, Bytes> pending_token_ks_;
   struct PendingFetch {
     Bytes ks;
     Guid guid;  // the item asked for

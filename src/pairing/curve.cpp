@@ -183,20 +183,14 @@ std::vector<std::int8_t> naf(const BigInt& k) { return signed_digits(k, 1); }
 namespace {
 using fqm::Fe;
 
-// Jacobian point with Montgomery-form fixed-width coordinates; z == 0 is
-// the identity.
-struct JacM {
-  Fe x, y, z;
-};
-
-bool jacm_is_inf(const Montgomery& m, const JacM& p) {
+bool jacm_is_inf(const Montgomery& m, const JacPoint& p) {
   return fqm::fe_is_zero(p.z, m.limb_count());
 }
 
-JacM jacm_infinity() { return JacM{}; }
+JacPoint jacm_infinity() { return JacPoint{}; }
 
 // Same doubling formula as jac_double above (a = 1), on Fe limbs.
-JacM jacm_double(const Montgomery& m, const JacM& p) {
+JacPoint jacm_double(const Montgomery& m, const JacPoint& p) {
   if (jacm_is_inf(m, p) || fqm::fe_is_zero(p.y, m.limb_count())) {
     return jacm_infinity();
   }
@@ -228,7 +222,8 @@ JacM jacm_double(const Montgomery& m, const JacM& p) {
 
 // Mixed addition p + a with a affine (adding the identity is a no-op on
 // either side).
-JacM jacm_add_affine(const Montgomery& m, const JacM& p, const Point& a) {
+JacPoint jacm_add_affine(const Montgomery& m, const JacPoint& p,
+                         const Point& a) {
   if (a.infinity) return p;
   if (jacm_is_inf(m, p)) return {a.x, a.y, fqm::fe_one(m)};
   Fe z2, u2, s2, h, rr, t;
@@ -262,7 +257,7 @@ JacM jacm_add_affine(const Montgomery& m, const JacM& p, const Point& a) {
 // Full Jacobian addition p + a, both with arbitrary Z (either may be the
 // identity): U1 = X1·Z2², U2 = X2·Z1², S1 = Y1·Z2³, S2 = Y2·Z1³,
 // H = U2 − U1, r = S2 − S1.
-JacM jacm_add(const Montgomery& m, const JacM& p, const JacM& a) {
+JacPoint jacm_add(const Montgomery& m, const JacPoint& p, const JacPoint& a) {
   if (jacm_is_inf(m, a)) return p;
   if (jacm_is_inf(m, p)) return a;
   Fe z1z1, z2z2, u1, u2, s1, s2, h, rr, t;
@@ -298,22 +293,10 @@ JacM jacm_add(const Montgomery& m, const JacM& p, const JacM& a) {
   return {xp, yp, zp};
 }
 
-Point jacm_to_point(const Montgomery& m, const JacM& p) {
-  if (jacm_is_inf(m, p)) return Point::at_infinity();
-  // One (Fermat, in-domain) inversion per scalar multiplication or sum.
-  Fe zinv, zinv2, zinv3, xa, ya;
-  zinv = fqm::fe_inv(m, p.z);
-  fqm::fe_sqr(m, zinv, zinv2);
-  fqm::fe_mul(m, zinv2, zinv, zinv3);
-  fqm::fe_mul(m, p.x, zinv2, xa);
-  fqm::fe_mul(m, p.y, zinv3, ya);
-  return {xa, ya, false};
-}
+}  // namespace
 
-// Normalize a batch of Jacobian points to affine with a single field
-// inversion (Montgomery's trick); identity entries stay the identity.
 std::vector<Point> jacm_batch_normalize(const Montgomery& m,
-                                        const std::vector<JacM>& pts) {
+                                        std::span<const JacPoint> pts) {
   const std::size_t n = pts.size();
   std::vector<Point> out(n);
   // prefix[i] = product of all non-identity z's among pts[0..i-1].
@@ -341,46 +324,59 @@ std::vector<Point> jacm_batch_normalize(const Montgomery& m,
   }
   return out;
 }
+
+namespace {
+// A batch of one: one (Fermat, in-domain) inversion per multiplication or
+// sum.
+Point jacm_to_point(const Montgomery& m, const JacPoint& p) {
+  return jacm_batch_normalize(m, std::span<const JacPoint>(&p, 1))[0];
+}
 }  // namespace
 
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq) {
+  return jacm_to_point(mq, point_mul_jac(p, k, mq));
+}
+
+JacPoint point_mul_jac(const Point& p, const BigInt& k,
+                       const math::Montgomery& mq) {
   if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
-  if (p.infinity || k.is_zero()) return Point::at_infinity();
+  if (p.infinity || k.is_zero()) return jacm_infinity();
 
   // Odd-multiple table {1, 3, ..., 15}·P, kept Jacobian: entries are
   // only ever added, so they never need the inversions of a normalization,
-  // and the final jacm_to_point is the multiplication's only inversion.
-  const JacM p1{p.x, p.y, fqm::fe_one(mq)};
-  const JacM p2 = jacm_double(mq, p1);
+  // and the caller's final normalization is the multiplication's only
+  // inversion.
+  const JacPoint p1{p.x, p.y, fqm::fe_one(mq)};
+  const JacPoint p2 = jacm_double(mq, p1);
   if (jacm_is_inf(mq, p2)) {
     // 2P = identity (P has order <= 2): k·P depends only on k mod 2.
-    return k.bit(0) ? p : Point::at_infinity();
+    return k.bit(0) ? p1 : jacm_infinity();
   }
-  std::array<JacM, 8> table;
+  std::array<JacPoint, 8> table;
   table[0] = p1;
   for (std::size_t i = 1; i < table.size(); ++i) {
     table[i] = jacm_add(mq, table[i - 1], p2);
   }
 
   const std::vector<std::int8_t> digits = wnaf4(k);
-  JacM acc = jacm_infinity();
+  JacPoint acc = jacm_infinity();
   for (std::size_t i = digits.size(); i-- > 0;) {
     acc = jacm_double(mq, acc);
     const std::int8_t d = digits[i];
     if (d == 0) continue;
-    JacM entry = table[static_cast<std::size_t>(d > 0 ? d : -d) / 2];
+    JacPoint entry = table[static_cast<std::size_t>(d > 0 ? d : -d) / 2];
     if (d < 0) entry.y = fqm::fe_neg(mq, entry.y);
     acc = jacm_add(mq, acc, entry);
   }
-  return jacm_to_point(mq, acc);
+  return acc;
 }
 
 Point point_add_mont(const Point& a, const Point& b,
                      const math::Montgomery& mq) {
   if (a.infinity) return b;
   if (b.infinity) return a;
-  const JacM ja{a.x, a.y, fqm::fe_one(mq)};
+  const JacPoint ja{a.x, a.y, fqm::fe_one(mq)};
   return jacm_to_point(mq, jacm_add_affine(mq, ja, b));
 }
 
@@ -406,12 +402,12 @@ FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
   for (std::size_t w = 0; w < windows_; ++w) {
     // d·cur for d = 1..15, chained mixed additions; then 16·cur = 2·(8·cur)
     // becomes the next window's base.
-    std::vector<JacM> window(kPerWindow);
+    std::vector<JacPoint> window(kPerWindow);
     window[0] = {cur.x, cur.y, fqm::fe_one(mq)};
     for (std::size_t d = 1; d < kPerWindow; ++d) {
       window[d] = jacm_add_affine(mq, window[d - 1], cur);
     }
-    const JacM next = jacm_double(mq, window[7]);
+    const JacPoint next = jacm_double(mq, window[7]);
     window.push_back(next);
     const std::vector<Point> norm = jacm_batch_normalize(mq, window);
     // An identity entry means the base has tiny order — not a case the
@@ -432,13 +428,17 @@ FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
 }
 
 Point FixedBaseTable::mul(const BigInt& k) const {
+  return jacm_to_point(mq_, mul_jac(k));
+}
+
+JacPoint FixedBaseTable::mul_jac(const BigInt& k) const {
   if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
-  if (k.is_zero() || base_.infinity) return Point::at_infinity();
+  if (k.is_zero() || base_.infinity) return jacm_infinity();
   if (table_.empty() || k.bit_length() > windows_ * kWindow) {
-    return point_mul_mont(base_, k, mq_);
+    return point_mul_jac(base_, k, mq_);
   }
   constexpr std::size_t kPerWindow = (1u << kWindow) - 1;
-  JacM acc = jacm_infinity();
+  JacPoint acc = jacm_infinity();
   for (std::size_t w = 0; w < windows_; ++w) {
     unsigned nib = 0;
     for (unsigned i = 0; i < kWindow; ++i) {
@@ -447,7 +447,7 @@ Point FixedBaseTable::mul(const BigInt& k) const {
     if (nib == 0) continue;
     acc = jacm_add_affine(mq_, acc, table_[w * kPerWindow + (nib - 1)]);
   }
-  return jacm_to_point(mq_, acc);
+  return acc;
 }
 
 }  // namespace p3s::pairing

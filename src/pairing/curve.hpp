@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "math/bigint.hpp"
@@ -32,17 +33,33 @@ Point point_from(const math::Montgomery& mq, const BigInt& x,
 /// True iff p is the identity or satisfies y² = x³ + x, on the fixed limbs.
 bool on_curve_mont(const Point& p, const math::Montgomery& mq);
 
+/// Jacobian point (x = X/Z², y = Y/Z³) with Montgomery-form coordinates;
+/// Z = 0 is the identity. A multiplication's result before its inversion.
+struct JacPoint {
+  fqm::Fe x, y, z;
+};
+
+/// The affine form of every point with one shared field inversion
+/// (Montgomery's trick); identity entries stay the identity and skip their
+/// products. Element i equals what normalizing pts[i] alone gives.
+std::vector<Point> jacm_batch_normalize(const math::Montgomery& m,
+                                        std::span<const JacPoint> pts);
+
 /// a + b by one mixed Jacobian addition and one inversion.
 Point point_add_mont(const Point& a, const Point& b,
                      const math::Montgomery& mq);
 
 /// k·p with k >= 0 on fixed Montgomery-domain limbs: 4-bit wNAF over
 /// Jacobian coordinates with a Jacobian odd-multiple table, so the final
-/// conversion to affine is its only field inversion (zero heap traffic per
-/// group operation). Throws std::logic_error when the modulus exceeds
+/// conversion to affine is its only field inversion. Throws
+/// std::logic_error when the modulus exceeds
 /// math::Montgomery::kMaxFixedLimbs limbs.
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq);
+/// point_mul_mont left in Jacobian form, for a caller that normalizes
+/// several products with one inversion.
+JacPoint point_mul_jac(const Point& p, const BigInt& k,
+                       const math::Montgomery& mq);
 
 // References on division-based BigInt arithmetic, the correctness pins
 // for the fixed-limb operations above. Those taking a Point convert out of
@@ -92,6 +109,8 @@ class FixedBaseTable {
   const Point& base() const { return base_; }
   /// k·base for k >= 0.
   Point mul(const BigInt& k) const;
+  /// mul left in Jacobian form.
+  JacPoint mul_jac(const BigInt& k) const;
   /// Table footprint in bytes (0 for a base of tiny order).
   std::size_t memory_bytes() const { return table_.size() * sizeof(Point); }
 

@@ -27,9 +27,10 @@ EciesKeyPair ecies_keygen(const Pairing& pairing, Rng& rng) {
 Bytes ecies_encrypt(const Pairing& pairing, const Point& recipient_pk,
                     BytesView plaintext, Rng& rng) {
   const BigInt k = pairing.random_nonzero_scalar(rng);
-  const Point c1 = pairing.mul(pairing.generator(), k);
-  const Point shared = pairing.mul(recipient_pk, k);
-  const Bytes key = derive_key(pairing, c1, shared);
+  const MulTerm terms[] = {{pairing.generator(), k}, {recipient_pk, k}};
+  const std::vector<Point> c1_shared = pairing.mul_batch(terms);
+  const Point& c1 = c1_shared[0];
+  const Bytes key = derive_key(pairing, c1, c1_shared[1]);
   const Bytes c1_ser = pairing.serialize_g1(c1);
   const crypto::AeadCiphertext body =
       crypto::aead_encrypt(key, plaintext, c1_ser, rng);

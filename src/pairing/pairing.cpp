@@ -215,13 +215,25 @@ BigInt Pairing::random_nonzero_scalar(Rng& rng) const {
 }
 
 Point Pairing::mul(const Point& p, const BigInt& k) const {
-  probe::ScopedTimer timer(g1_mul_probe_);
-  const BigInt kr = mod(k, params_.r);
-  if (g_table_ && p == g_) {
-    probe::add(g1_fixed_base_probe_);
-    return g_table_->mul(kr);
+  const MulTerm term{p, k};
+  return mul_batch(std::span<const MulTerm>(&term, 1))[0];
+}
+
+std::vector<Point> Pairing::mul_batch(std::span<const MulTerm> terms) const {
+  // One g1_mul_seconds sample per product, each an equal share of the call.
+  probe::ScopedTimer timer(g1_mul_probe_, terms.size());
+  std::vector<JacPoint> products;
+  products.reserve(terms.size());
+  for (const MulTerm& t : terms) {
+    const BigInt kr = mod(t.k, params_.r);
+    if (g_table_ && t.p == g_) {
+      probe::add(g1_fixed_base_probe_);
+      products.push_back(g_table_->mul_jac(kr));
+    } else {
+      products.push_back(point_mul_jac(t.p, kr, montq_));
+    }
   }
-  return point_mul_mont(p, kr, montq_);
+  return jacm_batch_normalize(montq_, products);
 }
 
 Point Pairing::add(const Point& a, const Point& b) const {

@@ -37,6 +37,12 @@ struct Params {
 /// limbs); std::invalid_argument otherwise.
 Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits);
 
+/// One k·P of a batch multiplication.
+struct MulTerm {
+  Point p;
+  BigInt k;
+};
+
 /// One (P, Q) input to a multi-pairing product.
 struct PairTerm {
   Point p;
@@ -137,7 +143,12 @@ class Pairing {
 
   // --- G1 -----------------------------------------------------------------
   const Point& generator() const { return g_; }
+  /// k·p; a batch of one.
   Point mul(const Point& p, const BigInt& k) const;
+  /// k·P for every term: each product stays Jacobian and the batch pays
+  /// one field inversion. Element i equals mul(terms[i].p, terms[i].k) bit
+  /// for bit; a term on the generator reads its fixed-base table.
+  std::vector<Point> mul_batch(std::span<const MulTerm> terms) const;
   Point add(const Point& a, const Point& b) const;
   Point neg(const Point& p) const;
   Point random_g1(Rng& rng) const;                // nonidentity

@@ -136,6 +136,20 @@ std::vector<BigInt> read_scalars(Reader& r) {
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(BigInt::from_bytes(r.bytes()));
   return out;
 }
+
+// The per-position inverses hve_gen_token reads, once per key.
+void derive_inverses(HveMasterKey& msk, const BigInt& order) {
+  const auto invert = [&](const std::vector<BigInt>& xs) {
+    std::vector<BigInt> out;
+    out.reserve(xs.size());
+    for (const BigInt& x : xs) out.push_back(mod_inv(x, order));
+    return out;
+  };
+  msk.t_inv = invert(msk.t);
+  msk.v_inv = invert(msk.v);
+  msk.r_inv = invert(msk.r);
+  msk.m_inv = invert(msk.m);
+}
 }  // namespace
 
 Bytes HveMasterKey::serialize() const {
@@ -148,7 +162,8 @@ Bytes HveMasterKey::serialize() const {
   return w.take();
 }
 
-HveMasterKey HveMasterKey::deserialize(BytesView data) {
+HveMasterKey HveMasterKey::deserialize(const BigInt& order,
+                                       BytesView data) {
   Reader rd(data);
   HveMasterKey msk;
   msk.t = read_scalars(rd);
@@ -161,6 +176,7 @@ HveMasterKey HveMasterKey::deserialize(BytesView data) {
       msk.m.size() != msk.t.size()) {
     throw std::invalid_argument("HveMasterKey: ragged vectors");
   }
+  derive_inverses(msk, order);
   return msk;
 }
 
@@ -175,7 +191,7 @@ HveKeys HveKeys::deserialize(PairingPtr pairing, BytesView data) {
   Reader r(data);
   HveKeys keys;
   keys.pk = HvePublicKey::deserialize(std::move(pairing), r.bytes());
-  keys.msk = HveMasterKey::deserialize(r.bytes());
+  keys.msk = HveMasterKey::deserialize(keys.pk.pairing->r(), r.bytes());
   r.expect_done();
   if (keys.msk.t.size() != keys.pk.width()) {
     throw std::invalid_argument("HveKeys: pk/msk width mismatch");
@@ -206,6 +222,7 @@ HveKeys hve_setup(PairingPtr pairing, std::size_t width, Rng& rng) {
   fill(keys.msk.v, keys.pk.v);
   fill(keys.msk.r, keys.pk.r);
   fill(keys.msk.m, keys.pk.m);
+  derive_inverses(keys.msk, p.r());
   return keys;
 }
 
@@ -219,19 +236,22 @@ HveCiphertext hve_encrypt(const HvePublicKey& pk, const BitVector& x,
 
   HveCiphertext ct;
   ct.c0 = p.gt_mul(message, p.gt_inv(p.gt_pow(pk.omega, s)));
+  // (X_i, W_i) for every position, as one batch with one inversion.
+  std::vector<pairing::MulTerm> terms;
+  terms.reserve(2 * x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] > 1) throw std::invalid_argument("hve_encrypt: non-binary bit");
+    BigInt si = p.random_scalar(rng);
+    BigInt s_minus_si = mod_sub(s, si, p.r());
+    terms.push_back({x[i] == 1 ? pk.t[i] : pk.r[i], std::move(s_minus_si)});
+    terms.push_back({x[i] == 1 ? pk.v[i] : pk.m[i], std::move(si)});
+  }
+  const std::vector<Point> points = p.mul_batch(terms);
   ct.x.reserve(x.size());
   ct.w.reserve(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] > 1) throw std::invalid_argument("hve_encrypt: non-binary bit");
-    const BigInt si = p.random_scalar(rng);
-    const BigInt s_minus_si = mod_sub(s, si, p.r());
-    if (x[i] == 1) {
-      ct.x.push_back(p.mul(pk.t[i], s_minus_si));
-      ct.w.push_back(p.mul(pk.v[i], si));
-    } else {
-      ct.x.push_back(p.mul(pk.r[i], s_minus_si));
-      ct.w.push_back(p.mul(pk.m[i], si));
-    }
+    ct.x.push_back(points[2 * i]);
+    ct.w.push_back(points[2 * i + 1]);
   }
   return ct;
 }
@@ -240,6 +260,9 @@ HveToken hve_gen_token(const HveKeys& keys, const Pattern& w, Rng& rng) {
   const pairing::Pairing& p = *keys.pk.pairing;
   if (w.size() != keys.pk.width()) {
     throw std::invalid_argument("hve_gen_token: width mismatch");
+  }
+  if (keys.msk.t_inv.size() != w.size()) {
+    throw std::invalid_argument("hve_gen_token: master key inverses missing");
   }
   HveToken tok;
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -264,19 +287,26 @@ HveToken hve_gen_token(const HveKeys& keys, const Pattern& w, Rng& rng) {
   }
   shares.push_back(mod_sub(keys.msk.y, sum, p.r()));
 
-  tok.y.reserve(tok.positions.size());
-  tok.l.reserve(tok.positions.size());
+  // (Y_i, L_i) for every position: 2|S| generator multiplications as one
+  // batch with one inversion.
+  const HveMasterKey& msk = keys.msk;
+  std::vector<pairing::MulTerm> terms;
+  terms.reserve(2 * tok.positions.size());
   for (std::size_t j = 0; j < tok.positions.size(); ++j) {
     const std::size_t i = tok.positions[j];
     const BigInt& a = shares[j];
-    const BigInt& num = a;
-    if (w[i] == 1) {
-      tok.y.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.t[i], p.r()), p.r())));
-      tok.l.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.v[i], p.r()), p.r())));
-    } else {
-      tok.y.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.r[i], p.r()), p.r())));
-      tok.l.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.m[i], p.r()), p.r())));
-    }
+    const bool one = w[i] == 1;
+    terms.push_back(
+        {p.generator(), mod_mul(a, one ? msk.t_inv[i] : msk.r_inv[i], p.r())});
+    terms.push_back(
+        {p.generator(), mod_mul(a, one ? msk.v_inv[i] : msk.m_inv[i], p.r())});
+  }
+  const std::vector<Point> points = p.mul_batch(terms);
+  tok.y.reserve(tok.positions.size());
+  tok.l.reserve(tok.positions.size());
+  for (std::size_t j = 0; j < tok.positions.size(); ++j) {
+    tok.y.push_back(points[2 * j]);
+    tok.l.push_back(points[2 * j + 1]);
   }
   return tok;
 }

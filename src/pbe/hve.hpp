@@ -65,9 +65,14 @@ struct HvePublicKey {
 struct HveMasterKey {
   std::vector<BigInt> t, v, r, m;
   BigInt y;
+  /// t_i⁻¹, v_i⁻¹, r_i⁻¹, m_i⁻¹ mod the group order: derived where the key
+  /// is made or loaded, so token generation runs no extended Euclid on
+  /// secret scalars. Not serialized.
+  std::vector<BigInt> t_inv, v_inv, r_inv, m_inv;
 
   Bytes serialize() const;
-  static HveMasterKey deserialize(BytesView data);
+  /// `order` is the group order r the inverses are taken modulo.
+  static HveMasterKey deserialize(const BigInt& order, BytesView data);
 };
 
 struct HveKeys {

@@ -294,6 +294,65 @@ TEST_F(AsyncP3sTest, UnsubscribeBeforeTokenArrivesDropsItsToken) {
   EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "kept");
 }
 
+// Reliable mode with the anonymizer dark: dropping an interest whose token
+// request is unanswered cancels that request alone and sends nothing; the
+// kept interest's retries bring back exactly its token.
+TEST(ReliableSubscriber, UnsubscribeCancelsOnlyItsOwnRequest) {
+  net::AsyncNetwork net;
+  TestRng rng(0x5ab5);
+  P3sConfig config;
+  config.pairing = pairing::Pairing::test_pairing();
+  config.schema =
+      pbe::MetadataSchema({{"topic", {"a", "b"}}, {"tier", {"x", "y"}}});
+  config.reliability.enabled = true;
+  P3sSystem system(net, std::move(config), rng);
+  auto sub = system.make_subscriber("sub1", "sub1-pseud", {"m"}, rng);
+  auto pub = system.make_publisher("pub1", "press", rng);
+  net.run_until_idle();
+  ASSERT_TRUE(sub->connected());
+  ASSERT_TRUE(pub->connected());
+
+  const std::string anon = system.directory().anonymizer_name;
+  net::FaultPlan plan(1);
+  plan.add_blackout(anon, net.now(), net.now() + 500.0);
+  net.set_fault_plan(std::move(plan));
+  sub->subscribe({{"topic", "a"}});
+  sub->subscribe({{"tier", "y"}});
+  ASSERT_EQ(sub->pending_request_count(), 2u);
+
+  obs::Counter& requests = obs::Registry::global().counter(
+      obs::names::kSubTokenRequestsTotal);
+  const std::uint64_t before = requests.value();
+  ASSERT_TRUE(sub->unsubscribe({{"topic", "a"}}));
+  EXPECT_EQ(requests.value(), before);
+  EXPECT_EQ(sub->pending_request_count(), 1u);
+
+  for (int round = 0; round < 200 && sub->token_count() == 0; ++round) {
+    net.run_until_idle();
+    sub->poll();
+    pub->poll();
+    if (net.in_flight() == 0) net.advance(50);
+  }
+  net.run_until_idle();
+  EXPECT_EQ(sub->token_count(), 1u);
+  EXPECT_EQ(sub->request_failures(), 0u);
+  EXPECT_GT(sub->retries(), 0u);
+
+  test::DeliveryLog got(*sub);
+  pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("dropped"),
+               abe::parse_policy("m"), 1e6);
+  pub->publish({{"topic", "b"}, {"tier", "y"}}, str_to_bytes("kept"),
+               abe::parse_policy("m"), 1e6);
+  for (int round = 0; round < 50 && got.deliveries().empty(); ++round) {
+    net.run_until_idle();
+    sub->poll();
+    pub->poll();
+    if (net.in_flight() == 0) net.advance(50);
+  }
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "kept");
+}
+
 TEST_F(AsyncP3sTest, ChannelRejectsReorderedRecordsButFlowRecovers) {
   auto sub = subscriber("sub1");
   auto pub = system_->make_publisher("pub1", "press", rng_);

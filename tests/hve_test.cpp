@@ -253,6 +253,20 @@ TEST_F(HveTest, TokenSerializationRoundTrip) {
   EXPECT_EQ(tok2.l, tok.l);
 }
 
+// The master key's inverses are derived on load, not serialized: keys read
+// back from their bytes give the same tokens under the same seed, and
+// write the same bytes again.
+TEST_F(HveTest, KeysSerializationRoundTripKeepsTokens) {
+  const Bytes bytes = keys_->serialize();
+  const HveKeys loaded = HveKeys::deserialize(keys_->pk.pairing, bytes);
+  EXPECT_EQ(loaded.serialize(), bytes);
+  const auto& p = *keys_->pk.pairing;
+  const Pattern w = {1, kWildcard, 0, 1, kWildcard, kWildcard, 0, 1};
+  TestRng a(0x1d7), b(0x1d7);
+  EXPECT_EQ(hve_gen_token(loaded, w, a).serialize(p),
+            hve_gen_token(*keys_, w, b).serialize(p));
+}
+
 TEST_F(HveTest, PublicKeySerializationRoundTrip) {
   const auto pk2 =
       HvePublicKey::deserialize(keys_->pk.pairing, keys_->pk.serialize());

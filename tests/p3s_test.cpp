@@ -13,6 +13,8 @@
 #include "exec/pool.hpp"
 #include "hbc_view.hpp"
 #include "net/network.hpp"
+#include "obs/catalog.hpp"
+#include "obs/metrics.hpp"
 #include "p3s/system.hpp"
 #include "wire_log.hpp"
 
@@ -340,6 +342,42 @@ TEST_F(P3sEndToEnd, UnsubscribeStopsMatchingImmediately) {
   EXPECT_EQ(sub->delivery_count(), 2u);  // other interest still live
 
   EXPECT_FALSE(sub->unsubscribe({{"sector", "health"}}));  // never registered
+}
+
+// An interest swap is one token request: the dropped interest goes
+// locally, and the kept ones keep their tokens without asking again.
+TEST_F(P3sEndToEnd, SwapSendsOneTokenRequest) {
+  build();
+  auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
+  auto pub = system_->make_publisher("pub1", "p", rng_);
+  sub->subscribe({{"sector", "tech"}});
+  sub->subscribe({{"sector", "finance"}});
+  sub->subscribe({{"sector", "energy"}});
+  sub->subscribe({{"region", "apac"}});
+  ASSERT_EQ(sub->token_count(), 4u);
+
+  const auto count = [](const char* name) {
+    return obs::Registry::global().counter(name).value();
+  };
+  const std::uint64_t requests = count(obs::names::kSubTokenRequestsTotal);
+  const std::uint64_t issued = count(obs::names::kTsTokensIssuedTotal);
+  ASSERT_TRUE(sub->unsubscribe({{"sector", "tech"}}));
+  sub->subscribe({{"event", "ipo"}});
+  EXPECT_EQ(count(obs::names::kSubTokenRequestsTotal) - requests, 1u);
+  EXPECT_EQ(count(obs::names::kTsTokensIssuedTotal) - issued, 1u);
+  EXPECT_EQ(sub->token_count(), 4u);
+
+  test::DeliveryLog got(*sub);
+  pub->publish(md("tech", "us", "merger"), str_to_bytes("dropped"),
+               abe::parse_policy("a"));
+  EXPECT_TRUE(got.deliveries().empty());
+  pub->publish(md("energy", "eu", "merger"), str_to_bytes("kept"),
+               abe::parse_policy("a"));
+  pub->publish(md("health", "us", "ipo"), str_to_bytes("new"),
+               abe::parse_policy("a"));
+  ASSERT_EQ(got.deliveries().size(), 2u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "kept");
+  EXPECT_EQ(bytes_to_str(got.deliveries()[1].payload), "new");
 }
 
 TEST_F(P3sEndToEnd, DisconnectedSubscriberStopsReceivingBroadcasts) {

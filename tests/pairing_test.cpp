@@ -544,6 +544,24 @@ TEST_F(PairingTest, MontScalarMulMatchesReferenceOnEdgeScalars) {
     EXPECT_THROW(point_mul_mont(base, BigInt{-1}, mq), std::invalid_argument);
     EXPECT_THROW(table.mul(BigInt{-1}), std::invalid_argument);
     EXPECT_TRUE(point_mul_mont(Point::at_infinity(), BigInt{5}, mq).infinity);
+
+    // The same scalars through one batch call that mixes the variable base
+    // with generator entries (the fixed-base table) and an identity base:
+    // each output equals its single multiplication.
+    std::vector<MulTerm> terms;
+    for (const BigInt& k : scalars) {
+      terms.push_back({base, k});
+      terms.push_back({pp->generator(), k});
+      terms.push_back({Point::at_infinity(), k});
+    }
+    const std::vector<Point> batch = pp->mul_batch(terms);
+    ASSERT_EQ(batch.size(), terms.size());
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const BigInt kr = math::mod(terms[i].k, r);
+      EXPECT_EQ(batch[i], point_mul(terms[i].p, terms[i].k, mq)) << i;
+      EXPECT_EQ(batch[i], point_mul_mont(terms[i].p, kr, mq)) << i;
+      EXPECT_EQ(batch[i], pp->mul(terms[i].p, terms[i].k)) << i;
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 #include "bench_util.hpp"
 #include "broker/baseline.hpp"
 #include "common/rng.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 
 using namespace p3s;  // NOLINT
@@ -36,7 +36,7 @@ int main() {
 
   for (const std::size_t n_subs : {4u, 16u}) {
     // --- P3S ---------------------------------------------------------------
-    net::DirectNetwork net;
+    net::AsyncNetwork net;
     std::uint64_t ds_bytes = 0;  // NIC egress of the DS, counted by a tap
     net.set_tap([&](const net::TrafficRecord& rec) {
       if (rec.from == "ds") ds_bytes += rec.size;
@@ -56,6 +56,7 @@ int main() {
           {{"attr0", i % 2 == 0 ? "v0" : "v1"}});
     }
     auto pub = system.make_publisher("pub", "press", rng);
+    net.run_until_idle();
 
     const Bytes payload = rng.bytes(1024);
     const pbe::Metadata md = {
@@ -64,14 +65,17 @@ int main() {
 
     const int reps = 5;
     const double t0 = now_s();
-    for (int r = 0; r < reps; ++r) pub->publish(md, payload, policy);
+    for (int r = 0; r < reps; ++r) {
+      pub->publish(md, payload, policy);
+      net.run_until_idle();
+    }
     const double p3s_time = (now_s() - t0) / reps;
 
     std::size_t delivered = 0;
     for (const auto& s : subs) delivered += s->delivery_count();
 
     // --- baseline ------------------------------------------------------------
-    net::DirectNetwork bnet;
+    net::AsyncNetwork bnet;
     broker::BaselineBroker broker(bnet, "broker");
     std::vector<std::unique_ptr<broker::BaselineSubscriber>> bsubs;
     for (std::size_t i = 0; i < n_subs; ++i) {
@@ -80,8 +84,12 @@ int main() {
       bsubs[i]->subscribe({{"attr0", i % 2 == 0 ? "v0" : "v1"}});
     }
     broker::BaselinePublisher bpub(bnet, "pub", "broker");
+    bnet.run_until_idle();
     const double t1 = now_s();
-    for (int r = 0; r < reps; ++r) bpub.publish(md, payload);
+    for (int r = 0; r < reps; ++r) {
+      bpub.publish(md, payload);
+      bnet.run_until_idle();
+    }
     const double base_time = (now_s() - t1) / reps;
 
     std::printf("N_s=%-3zu  p3s publish->deliver(all): %-10s baseline: %-10s overhead: %.0fx\n",

@@ -10,7 +10,7 @@
 
 #include "abe/policy.hpp"
 #include "crypto/drbg.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 
 using namespace p3s;  // NOLINT
@@ -24,11 +24,11 @@ int main() {
       {"urgency", {"routine", "priority", "flash"}},
   });
 
-  net::DirectNetwork network;
+  net::AsyncNetwork network;
   core::P3sConfig config;
   config.pairing = pairing::Pairing::test_pairing();
   config.schema = schema;
-  config.rs_grace_seconds = 3.0;  // T_G: grace for slow coalition links
+  config.rs_grace_seconds = 30.0;  // T_G: grace for slow coalition links
   core::P3sSystem p3s(network, config, rng);
 
   // Analysts from three nations with tiered clearances.
@@ -45,6 +45,7 @@ int main() {
   us_analyst->subscribe({{"theater", "east"}, {"domain", "cyber"}});
   uk_analyst->subscribe({{"domain", "sigint"}});
   fr_liaison->subscribe({{"theater", "east"}});
+  network.run_until_idle();
 
   // Releasability policies ride on the ciphertext in the clear — they only
   // name attributes safe to disclose (paper §4.2 guidance).
@@ -57,13 +58,15 @@ int main() {
   collector->publish(
       {{"theater", "east"}, {"domain", "cyber"}, {"urgency", "flash"}},
       str_to_bytes("APT infrastructure staging observed"), five_eyes,
-      /*ttl_seconds=*/60.0);
+      /*ttl_seconds=*/600.0);
+  network.run_until_idle();
 
   std::printf("publishing routine east/imagery summary, coalition-wide...\n");
   collector->publish(
       {{"theater", "east"}, {"domain", "imagery"}, {"urgency", "routine"}},
       str_to_bytes("daily satellite pass summary"), coalition_wide,
       /*ttl_seconds=*/3600.0);
+  network.run_until_idle();
 
   std::printf("\ndeliveries:\n");
   std::printf("  us node-7: %zu (flash matched + decrypted)\n",
@@ -79,9 +82,19 @@ int main() {
 
   // Deletion: the flash report's TTL expires; even a matching analyst who
   // was offline cannot fetch it afterwards (publisher's deletion intent).
-  network.advance(100);
+  network.advance(1000);
   const std::size_t collected = p3s.rs().garbage_collect();
   std::printf("\nafter TTL+T_G: garbage collector removed %zu item(s); %zu remain.\n",
               collected, p3s.rs().stored_items());
-  return 0;
+
+  // The walkthrough's outcome; anything else fails the run.
+  const bool as_described =
+      us_analyst->delivery_count() == 1 && uk_analyst->delivery_count() == 0 &&
+      fr_liaison->delivery_count() == 1 && fr_liaison->match_count() == 2 &&
+      fr_liaison->undecryptable_payloads() == 1 && collected == 1 &&
+      p3s.rs().stored_items() == 1;
+  if (!as_described) {
+    std::fprintf(stderr, "coalition_intel: unexpected outcome\n");
+  }
+  return as_described ? 0 : 1;
 }

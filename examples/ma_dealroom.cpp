@@ -14,7 +14,7 @@
 
 #include "abe/policy.hpp"
 #include "crypto/drbg.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 
 using namespace p3s;  // NOLINT
@@ -29,7 +29,7 @@ int main() {
       {"confidence", {"low", "medium", "high"}},
   });
 
-  net::DirectNetwork network;
+  net::AsyncNetwork network;
   // A wire tap counts the frames that reach each endpoint, by sender;
   // received("ds") reads them back as e.g. "pub x4, sub x2".
   std::map<std::string, std::map<std::string, std::size_t>> inbound;
@@ -68,6 +68,7 @@ int main() {
   goldman->subscribe({{"target", "merrill"}, {"event", "default"}});
   morgan->subscribe({{"target", "bear-stearns"}});
   barclays->subscribe({{"target", "lehman"}, {"confidence", "high"}});
+  network.run_until_idle();
 
   std::printf("watch lists registered (via anonymizer):\n");
   std::printf("  deal-team-1: lehman | merrill+default\n");
@@ -89,11 +90,13 @@ int main() {
       {"wamu", "filing", "low", "10-Q delayed", "premium"},
       {"lehman", "default", "high", "chapter 11 imminent", "premium or basic"},
   };
+  const auto feedback_before = inbound["feed-endpoint"];
   for (const Item& item : day) {
     feed->publish({{"target", item.target},
                    {"event", item.event},
                    {"confidence", item.confidence}},
                   str_to_bytes(item.text), abe::parse_policy(item.policy));
+    network.run_until_idle();
   }
 
   std::printf("after 4 publications:\n");
@@ -120,5 +123,15 @@ int main() {
               received(p3s.rs().name()).c_str());
   std::printf("  feed:   received zero feedback; it cannot tell whether anyone\n"
               "          matched its lehman bombshell.\n");
-  return 0;
+
+  // The walkthrough's outcome; anything else fails the run.
+  const bool as_described =
+      goldman_read == std::vector<std::string>{
+                          "repo desk counterparties pulling lines",
+                          "chapter 11 imminent"} &&
+      morgan->delivery_count() == 1 && barclays->delivery_count() == 1 &&
+      p3s.rs().stored_items() == 4 &&
+      inbound["feed-endpoint"] == feedback_before;
+  if (!as_described) std::fprintf(stderr, "ma_dealroom: unexpected outcome\n");
+  return as_described ? 0 : 1;
 }

@@ -18,7 +18,7 @@
 
 #include "abe/policy.hpp"
 #include "crypto/drbg.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "obs/export.hpp"
 #include "p3s/system.hpp"
 
@@ -52,7 +52,7 @@ std::set<std::string> parse_set(const std::string& text) {
 
 struct Console {
   crypto::Drbg rng{str_to_bytes("p3s-repl")};
-  net::DirectNetwork network;
+  net::AsyncNetwork network;
   // Frames that reached each endpoint, by sender (counted by a wire tap).
   std::map<std::string, std::map<std::string, std::size_t>> inbound;
   std::unique_ptr<core::P3sSystem> system;
@@ -91,16 +91,19 @@ struct Console {
                       bytes_to_str(d.payload).c_str());
         });
         subs[name] = std::move(s);
+        network.run_until_idle();
         std::printf("ok: subscriber %s registered\n", name.c_str());
       } else if (cmd == "pub") {
         std::string name;
         ss >> name;
         pubs[name] = system->make_publisher(name, name, rng);
+        network.run_until_idle();
         std::printf("ok: publisher %s registered\n", name.c_str());
       } else if (cmd == "interest") {
         std::string name, kv;
         ss >> name >> kv;
         subs.at(name)->subscribe(parse_kv(kv));
+        network.run_until_idle();
         std::printf("ok: %s holds %zu token(s)\n", name.c_str(),
                     subs.at(name)->token_count());
       } else if (cmd == "publish") {
@@ -124,6 +127,7 @@ struct Console {
         const auto payload = trim(rest.substr(p2 + 1));
         const Guid guid =
             pubs.at(name)->publish(md, str_to_bytes(payload), policy);
+        network.run_until_idle();
         std::printf("ok: published %s\n", guid.to_hex().substr(0, 8).c_str());
       } else if (cmd == "stats") {
         std::string mode;
@@ -194,7 +198,16 @@ int main(int argc, char** argv) {
       std::printf("p3s> %s\n", line);
       console.handle(line);
     }
-    return 0;
+    // The script's outcome: alice reads the analyst-only item, bob matches
+    // it but cannot decrypt, and nobody matches the tech item.
+    const core::Subscriber& alice = *console.subs.at("alice");
+    const core::Subscriber& bob = *console.subs.at("bob");
+    const bool as_described =
+        alice.match_count() == 1 && alice.delivery_count() == 1 &&
+        bob.match_count() == 1 && bob.undecryptable_payloads() == 1 &&
+        console.system->rs().stored_items() == 2;
+    if (!as_described) std::fprintf(stderr, "p3s_repl: unexpected outcome\n");
+    return as_described ? 0 : 1;
   }
   std::string line;
   std::printf("p3s> ");

@@ -12,7 +12,7 @@
 
 #include "abe/policy.hpp"
 #include "crypto/drbg.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 
 using namespace p3s;  // NOLINT
@@ -22,12 +22,14 @@ namespace {
 // A chat participant is both a publisher (to send) and a subscriber (to
 // receive) — P3S supports clients in both roles.
 struct ChatUser {
+  net::AsyncNetwork* network = nullptr;
   std::unique_ptr<core::Subscriber> rx;
   std::unique_ptr<core::Publisher> tx;
   std::string handle;
 
   void join(const std::string& room) {
     rx->subscribe({{"room", room}});
+    network->run_until_idle();
   }
 
   void say(const std::string& room, const std::string& text) {
@@ -35,12 +37,15 @@ struct ChatUser {
                 str_to_bytes(handle + ": " + text),
                 abe::parse_policy("member:" + room),
                 /*ttl_seconds=*/300.0);  // messages fade after 5 minutes
+    network->run_until_idle();
   }
 };
 
-ChatUser make_user(core::P3sSystem& p3s, const std::string& handle,
+ChatUser make_user(net::AsyncNetwork& network, core::P3sSystem& p3s,
+                   const std::string& handle,
                    const std::set<std::string>& rooms, Rng& rng) {
   ChatUser u;
+  u.network = &network;
   u.handle = handle;
   std::set<std::string> attrs;
   for (const auto& r : rooms) attrs.insert("member:" + r);
@@ -50,6 +55,7 @@ ChatUser make_user(core::P3sSystem& p3s, const std::string& handle,
     std::printf("  [%s's screen] %s\n", handle.c_str(),
                 bytes_to_str(d.payload).c_str());
   });
+  network.run_until_idle();
   return u;
 }
 
@@ -62,7 +68,7 @@ int main() {
       {"room", {"ops", "social", "incident-4711", "board"}},
   });
 
-  net::DirectNetwork network;
+  net::AsyncNetwork network;
   // A wire tap counts the frames that reach each endpoint, by sender;
   // received("ds") reads them back as e.g. "pub x4, sub x2".
   std::map<std::string, std::map<std::string, std::size_t>> inbound;
@@ -82,9 +88,10 @@ int main() {
   core::P3sSystem p3s(network, config, rng);
 
   // dana is on the incident response; erin is ops+social; frank only social.
-  ChatUser dana = make_user(p3s, "dana", {"ops", "incident-4711"}, rng);
-  ChatUser erin = make_user(p3s, "erin", {"ops", "social"}, rng);
-  ChatUser frank = make_user(p3s, "frank", {"social"}, rng);
+  ChatUser dana =
+      make_user(network, p3s, "dana", {"ops", "incident-4711"}, rng);
+  ChatUser erin = make_user(network, p3s, "erin", {"ops", "social"}, rng);
+  ChatUser frank = make_user(network, p3s, "frank", {"social"}, rng);
 
   dana.join("incident-4711");
   dana.join("ops");
@@ -114,5 +121,12 @@ int main() {
               received(p3s.ds().name()).c_str(),
               received(p3s.rs().name()).c_str(),
               p3s.rs().stored_items());
-  return 0;
+
+  // The walkthrough's outcome; anything else fails the run.
+  const bool as_described =
+      dana.rx->delivery_count() == 3 && erin.rx->delivery_count() == 3 &&
+      frank.rx->delivery_count() == 1 && frank.rx->match_count() == 1 &&
+      p3s.rs().stored_items() == 4;
+  if (!as_described) std::fprintf(stderr, "private_chat: unexpected outcome\n");
+  return as_described ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 
 #include "abe/policy.hpp"
 #include "crypto/drbg.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 
 using namespace p3s;  // NOLINT
@@ -29,7 +29,9 @@ int main() {
   });
 
   // 2. Deploy the P3S services: ARA, DS, RS, PBE-TS and the anonymizer.
-  net::DirectNetwork network;
+  //    Like the paper's JMS transport, the network queues: a send returns
+  //    at once, and run_until_idle() delivers until nothing is in flight.
+  net::AsyncNetwork network;
   // A wire tap counts the frames that reach each endpoint, by sender;
   // received("ds") reads them back as e.g. "pub x4, sub x2".
   std::map<std::string, std::map<std::string, std::size_t>> inbound;
@@ -56,6 +58,7 @@ int main() {
   auto bob = p3s.make_subscriber("bob-endpoint", "bob",
                                  {"analyst", "clearance:high"}, rng);
   auto reuters = p3s.make_publisher("reuters-endpoint", "reuters", rng);
+  network.run_until_idle();
   std::printf("registered: alice (trader), bob (analyst), reuters (publisher)\n");
 
   // 4. Subscribe. The predicate goes to the PBE-TS in plaintext but through
@@ -63,6 +66,7 @@ int main() {
   //    but cannot tell which endpoint is interested in markets.
   alice->subscribe({{"topic", "markets"}});
   bob->subscribe({{"topic", "markets"}, {"region", "us"}});
+  network.run_until_idle();
   std::printf("subscribed: alice{topic=markets}, bob{topic=markets, region=us}\n");
 
   // 5. Publish. Metadata is HVE-encrypted (hides topic/region even from the
@@ -80,6 +84,7 @@ int main() {
   reuters->publish({{"topic", "markets"}, {"region", "us"}},
                    str_to_bytes("FOMC minutes leaked: rates unchanged"),
                    abe::parse_policy("analyst and clearance:high"));
+  network.run_until_idle();
 
   // 6. What happened:
   std::printf("\nresults:\n");
@@ -96,5 +101,13 @@ int main() {
               "  it never saw a topic, a predicate, or a payload byte in the "
               "clear.\n",
               received(p3s.ds().name()).c_str());
-  return 0;
+
+  // The walkthrough's outcome; anything else fails the run.
+  const bool as_described = alice->match_count() == 1 &&
+                            alice->delivery_count() == 0 &&
+                            alice->undecryptable_payloads() == 1 &&
+                            bob->match_count() == 1 &&
+                            bob->delivery_count() == 1;
+  if (!as_described) std::fprintf(stderr, "quickstart: unexpected outcome\n");
+  return as_described ? 0 : 1;
 }

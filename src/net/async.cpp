@@ -40,7 +40,7 @@ void AsyncNetwork::count_drop(const std::string& from, const std::string& to) {
 void AsyncNetwork::send(const std::string& from, const std::string& to,
                         Bytes frame) {
   ++tick_;
-  if (plan_.has_value() && plan_->in_blackout(from, now())) {
+  if (plan_.in_blackout(from, now())) {
     // A dark sender's frames never leave the host segment — they are lost
     // before the wire, so the tap never sees them. Plan drops and receiver
     // blackouts below happen PAST the observation point.
@@ -52,23 +52,19 @@ void AsyncNetwork::send(const std::string& from, const std::string& to,
   // happens past the observation point, and a duplicate is seen twice —
   // once per wire appearance.
   observe(from, to, frame.size(), frame);
-  if (!plan_.has_value()) {
-    queue_.push_back(InFlight{from, to, std::move(frame), tick_});
-    return;
-  }
   NetFaultMetrics& metrics = net_fault_metrics();
-  if (plan_->should_drop(from, to)) {
+  if (plan_.should_drop(from, to)) {
     count_drop(from, to);
     metrics.dropped.inc();
     return;
   }
   const auto delayed = [&] {
-    const std::uint64_t d = static_cast<std::uint64_t>(plan_->delay(from, to));
+    const std::uint64_t d = static_cast<std::uint64_t>(plan_.delay(from, to));
     if (d > 0) metrics.delayed.inc();
     return tick_ + d;
   };
   const std::uint64_t deliver_at = delayed();
-  if (plan_->should_duplicate(from, to)) {
+  if (plan_.should_duplicate(from, to)) {
     metrics.duplicated.inc();
     observe(from, to, frame.size(), frame);
     queue_.push_back(InFlight{from, to, frame, delayed()});
@@ -78,32 +74,25 @@ void AsyncNetwork::send(const std::string& from, const std::string& to,
 
 bool AsyncNetwork::pump_one() {
   while (!queue_.empty()) {
-    InFlight msg;
-    if (plan_.has_value()) {
-      // Earliest deliver_at first (FIFO on ties); a reorder fault lets a
-      // uniformly chosen in-flight frame overtake the scheduled one.
-      std::size_t idx = 0;
-      for (std::size_t i = 1; i < queue_.size(); ++i) {
-        if (queue_[i].deliver_at < queue_[idx].deliver_at) idx = i;
-      }
-      if (queue_.size() > 1 &&
-          plan_->should_reorder(queue_[idx].from, queue_[idx].to)) {
-        const std::size_t victim = plan_->pick(queue_.size());
-        if (victim != idx) net_fault_metrics().reordered.inc();
-        idx = victim;
-      }
-      msg = std::move(queue_[idx]);
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-      tick_ = std::max(tick_ + 1, msg.deliver_at);
-      if (plan_->in_blackout(msg.to, now())) {
-        count_drop(msg.from, msg.to);
-        net_fault_metrics().blackout_dropped.inc();
-        continue;  // receiver dark at delivery time
-      }
-    } else {
-      msg = std::move(queue_.front());
-      queue_.pop_front();
-      ++tick_;
+    // Earliest deliver_at first (FIFO on ties); a reorder fault lets a
+    // uniformly chosen in-flight frame overtake the scheduled one.
+    std::size_t idx = 0;
+    for (std::size_t i = 1; i < queue_.size(); ++i) {
+      if (queue_[i].deliver_at < queue_[idx].deliver_at) idx = i;
+    }
+    if (queue_.size() > 1 &&
+        plan_.should_reorder(queue_[idx].from, queue_[idx].to)) {
+      const std::size_t victim = plan_.pick(queue_.size());
+      if (victim != idx) net_fault_metrics().reordered.inc();
+      idx = victim;
+    }
+    InFlight msg = std::move(queue_[idx]);
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+    tick_ = std::max(tick_ + 1, msg.deliver_at);
+    if (plan_.in_blackout(msg.to, now())) {
+      count_drop(msg.from, msg.to);
+      net_fault_metrics().blackout_dropped.inc();
+      continue;  // receiver dark at delivery time
     }
     if (endpoints_.deliver(msg.from, msg.to, msg.frame)) return true;
   }

@@ -1,17 +1,16 @@
-// Deferred-delivery in-process network. Unlike DirectNetwork (inline,
-// synchronous), send() only enqueues; frames are delivered when the test or
-// application pumps the queue. This models true asynchronous message
-// passing — in-flight races, loss, reordering — while staying fully
-// deterministic and single-threaded.
+// Deferred-delivery in-process network: send() only enqueues, and frames
+// are delivered when the test or application pumps the queue. This models
+// true asynchronous message passing — in-flight races, loss, reordering —
+// while staying fully deterministic and single-threaded.
 //
 // Fault injection covers the §6.1 robustness discussion: "participants can
 // detect if network failures cause message loss at the application level"
 // and the slow-consumer/deletion races behind the T_G grace period. A
 // seeded net::FaultPlan drives probabilistic per-link drop/duplicate/
 // reorder/delay and endpoint blackout windows — every chaos schedule is
-// replayable from its seed. This is the only consumer of FaultPlan. Without
-// a plan installed the network delivers FIFO, one tick per send and per
-// delivery.
+// replayable from its seed. This is the only consumer of FaultPlan. The
+// network always holds a plan; the default one injects no fault, draws
+// nothing, and so delivers FIFO, one tick per send and per delivery.
 //
 // The wire tap sees a frame after the sender-blackout check (a dark
 // sender's frame never reaches the wire) and before any other fault, so a
@@ -21,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -45,8 +43,8 @@ class AsyncNetwork final : public Network {
   /// Advance logical time without delivering anything.
   void advance(std::uint64_t ticks) { tick_ += ticks; }
 
-  /// Deliver one in-flight frame (oldest first; earliest deliver_at first
-  /// under a FaultPlan). Returns false when nothing is in flight.
+  /// Deliver one in-flight frame: earliest deliver_at first, FIFO on ties.
+  /// Returns false when nothing is in flight.
   bool pump_one();
 
   /// Deliver until the queue drains (frames sent during delivery are also
@@ -58,13 +56,12 @@ class AsyncNetwork final : public Network {
 
   // --- fault injection -----------------------------------------------------
   /// Install a seeded fault schedule; all faults (and their replayability)
-  /// come from the plan. Delays are in ticks. clear_fault_plan() restores
-  /// plain FIFO delivery.
+  /// come from the plan. Delays are in ticks. Installing a fault-free plan
+  /// restores plain FIFO delivery.
   void set_fault_plan(FaultPlan plan) { plan_ = std::move(plan); }
-  void clear_fault_plan() { plan_.reset(); }
   /// Mutable access so a running chaos harness can add blackout windows at
-  /// the current network time. nullptr when no plan is installed.
-  FaultPlan* fault_plan() { return plan_.has_value() ? &*plan_ : nullptr; }
+  /// the current network time.
+  FaultPlan& fault_plan() { return plan_; }
 
   /// Every frame the plan lost (drop or blackout).
   std::size_t dropped_frames() const { return dropped_; }
@@ -85,7 +82,7 @@ class AsyncNetwork final : public Network {
   std::deque<InFlight> queue_;
   std::uint64_t tick_ = 0;
   std::size_t dropped_ = 0;
-  std::optional<FaultPlan> plan_;
+  FaultPlan plan_{0};
   std::map<std::pair<std::string, std::string>, std::size_t> dropped_by_link_;
 };
 

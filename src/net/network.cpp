@@ -20,11 +20,4 @@ bool EndpointTable::deliver(const std::string& from, const std::string& to,
   return true;
 }
 
-void DirectNetwork::send(const std::string& from, const std::string& to,
-                         Bytes frame) {
-  ++tick_;
-  observe(from, to, frame.size(), frame);
-  endpoints_.deliver(from, to, frame);
-}
-
 }  // namespace p3s::net

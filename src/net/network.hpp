@@ -1,11 +1,11 @@
 // In-process message-passing substrate standing in for the paper's
 // ActiveMQ/JMS transport. Components register named endpoints and exchange
-// opaque byte frames. Three implementations share one endpoint table:
-//   * DirectNetwork (this file) — immediate synchronous dispatch; used by
-//     functional tests and the runnable examples.
-//   * AsyncNetwork (net/async.hpp) — queued delivery pumped by the caller,
-//     with seeded fault injection; used by the reliability, chaos and
-//     attack suites.
+// opaque byte frames. Like JMS, every network here queues: `send` returns
+// before any handler runs, and handlers run when the caller drives delivery.
+// Two implementations share one endpoint table:
+//   * AsyncNetwork (net/async.hpp) — logical ticks, delivered when the
+//     caller drains it, with a seeded fault plan (fault-free by default);
+//     used by the tests, the runnable examples and the prototype bench.
 //   * sim::SimNetwork (src/sim) — discrete-event delivery with link latency
 //     and bandwidth; used for the performance experiments.
 //
@@ -16,7 +16,6 @@
 // enters the wire.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -49,11 +48,11 @@ class Network {
   virtual void register_endpoint(const std::string& name, Handler handler) = 0;
   /// Remove an endpoint (component crash/leave). Unknown names are ignored.
   virtual void unregister_endpoint(const std::string& name) = 0;
-  /// Queue a frame for delivery. Frames to unknown endpoints are dropped
-  /// (the tap sees them either way, like a real wire). Marked P3S_BLOCKING:
-  /// delivery may dispatch handlers inline or touch transport queues, so
-  /// pool tasks must never call it — sends stay serial on the caller
-  /// (p3s-lint no-block).
+  /// Queue a frame for delivery; no handler runs inside `send`. Frames to
+  /// unknown endpoints are dropped at delivery (the tap sees them either
+  /// way, like a real wire). Marked P3S_BLOCKING: a send touches the
+  /// transport queue, so pool tasks must never call it — sends stay serial
+  /// on the caller (p3s-lint no-block).
   virtual void send(const std::string& from, const std::string& to,
                     Bytes frame) P3S_BLOCKING = 0;
   /// Current network time in seconds (wall-free; simulated or logical).
@@ -90,29 +89,6 @@ class EndpointTable {
 
  private:
   std::map<std::string, Network::Handler> handlers_;
-};
-
-/// Immediate synchronous delivery: `send` invokes the receiver's handler
-/// inline (re-entrantly for protocol chains). Logical time is a counter.
-/// The tap sees every send.
-class DirectNetwork final : public Network {
- public:
-  void register_endpoint(const std::string& name, Handler handler) override {
-    endpoints_.add(name, std::move(handler));
-  }
-  void unregister_endpoint(const std::string& name) override {
-    endpoints_.remove(name);
-  }
-  void send(const std::string& from, const std::string& to,
-            Bytes frame) override;
-  double now() const override { return static_cast<double>(tick_); }
-
-  /// Advance logical time (e.g. to trigger RS garbage collection windows).
-  void advance(std::uint64_t ticks) { tick_ += ticks; }
-
- private:
-  EndpointTable endpoints_;
-  std::uint64_t tick_ = 0;
 };
 
 }  // namespace p3s::net

@@ -403,10 +403,8 @@ void DisseminationServer::handle_inner(const std::string& from,
                                  {body.request_id, body.content}))});
       if (inserted) metrics.content_forwarded.inc();
       // (Re-)forward the store; the RS overwrites by GUID so duplicates are
-      // harmless. On DirectNetwork the ack can arrive re-entrantly inside
-      // this send and erase the pending entry — do not touch `it` after.
-      Bytes store_frame = it->second.store_frame;
-      network_.send(name_, rs_name_, std::move(store_frame));
+      // harmless.
+      network_.send(name_, rs_name_, it->second.store_frame);
       return;
     }
     case FrameType::kMetaSyncRequest: {

@@ -247,12 +247,8 @@ void Publisher::submit_item(const EncodedItem& enc) {
   PendingPublish pending;
   pending.request_frame = req.take();
   pending.deadline = network_.now() + retry_timeout(reliability_, 0, rng_);
-  // Register the pending entry before sending: on DirectNetwork the whole
-  // store→fanout→ack chain runs inline inside this send, and the ack must
-  // find the entry to erase.
-  const Bytes request_frame = pending.request_frame;
-  pending_.emplace(request_id, std::move(pending));
-  send_sealed(request_frame);
+  const auto it = pending_.emplace(request_id, std::move(pending)).first;
+  send_sealed(it->second.request_frame);
 }
 
 Guid Publisher::publish(const pbe::Metadata& metadata, BytesView payload,

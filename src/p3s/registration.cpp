@@ -1,5 +1,7 @@
 #include "p3s/registration.hpp"
 
+#include <type_traits>
+
 #include "common/log.hpp"
 #include "common/serial.hpp"
 #include "crypto/aead.hpp"
@@ -89,75 +91,61 @@ void AraServer::on_frame(const std::string& from, BytesView data) {
   }
 }
 
-namespace {
-// Drive one request/response exchange on a synchronous network: register a
-// temporary endpoint, send, capture the response delivered inline.
-std::optional<Bytes> exchange(net::Network& network,
-                              const std::string& client_endpoint,
-                              const std::string& ara_name,
-                              const pairing::Pairing& pairing,
-                              const pairing::Point& ara_pk, FrameType type,
-                              const std::string& identity, Rng& rng) {
-  const Bytes ks = rng.bytes(32);
+template <class Credentials>
+RemoteRegistration<Credentials>::RemoteRegistration(
+    net::Network& network, const std::string& client_endpoint,
+    const std::string& ara_name, const pairing::Point& ara_pk,
+    pairing::PairingPtr pairing, const std::string& identity, Rng& rng)
+    : network_(network),
+      endpoint_(client_endpoint + ".reg"),
+      pairing_(std::move(pairing)),
+      ks_(rng.bytes(32)) {
   Writer plain;
-  plain.bytes(ks);
+  plain.bytes(ks_);
   plain.str(identity);
-  const Bytes blob = pairing::ecies_encrypt(pairing, ara_pk, plain.data(), rng);
+  const Bytes blob =
+      pairing::ecies_encrypt(*pairing_, ara_pk, plain.data(), rng);
+  constexpr FrameType type =
+      std::is_same_v<Credentials, SubscriberCredentials>
+          ? FrameType::kAraRegisterSubscriber
+          : FrameType::kAraRegisterPublisher;
+  network_.register_endpoint(
+      endpoint_,
+      [this](const std::string&, BytesView frame) { on_frame(frame); });
+  network_.send(endpoint_, ara_name, tagged_frame(type, 1, blob));
+}
 
-  std::optional<Bytes> result;
-  const std::string temp = client_endpoint + ".reg";
-  network.register_endpoint(temp, [&](const std::string&, BytesView data) {
-    try {
-      Reader r(data);
-      if (read_frame_type(r) != FrameType::kAraResponse) return;
-      const TaggedBody body = read_tagged(r);
-      const auto inner = crypto::aead_decrypt(
-          ks, crypto::AeadCiphertext::deserialize(body.payload),
-          str_to_bytes("ara-resp"));
-      if (!inner.has_value()) return;
-      Reader ir(*inner);
-      const std::uint8_t status = ir.u8();
-      Bytes creds = ir.bytes();
-      ir.expect_done();
-      if (status == kStatusOk) result = std::move(creds);
-    } catch (const std::exception&) {
-      // leave result empty
+template <class Credentials>
+void RemoteRegistration<Credentials>::on_frame(BytesView data) {
+  try {
+    Reader r(data);
+    if (read_frame_type(r) != FrameType::kAraResponse) return;
+    const TaggedBody body = read_tagged(r);
+    const auto inner = crypto::aead_decrypt(
+        ks_, crypto::AeadCiphertext::deserialize(body.payload),
+        str_to_bytes("ara-resp"));
+    if (!inner.has_value()) return;  // not sealed under this exchange's Ks
+    close();  // the answer has landed, whatever it says
+    Reader ir(*inner);
+    const std::uint8_t status = ir.u8();
+    const Bytes creds = ir.bytes();
+    ir.expect_done();
+    if (status == kStatusOk) {
+      credentials_ = Credentials::deserialize(pairing_, creds);
     }
-  });
-  network.send(temp, ara_name, tagged_frame(type, 1, blob));
-  network.unregister_endpoint(temp);
-  return result;
-}
-}  // namespace
-
-std::optional<SubscriberCredentials> register_subscriber_remote(
-    net::Network& network, const std::string& client_endpoint,
-    const std::string& ara_name, const pairing::Point& ara_pk,
-    pairing::PairingPtr pairing, const std::string& identity, Rng& rng) {
-  const auto blob =
-      exchange(network, client_endpoint, ara_name, *pairing, ara_pk,
-               FrameType::kAraRegisterSubscriber, identity, rng);
-  if (!blob.has_value()) return std::nullopt;
-  try {
-    return SubscriberCredentials::deserialize(std::move(pairing), *blob);
   } catch (const std::exception&) {
-    return std::nullopt;
+    // A malformed frame leaves no credentials.
   }
 }
 
-std::optional<PublisherCredentials> register_publisher_remote(
-    net::Network& network, const std::string& client_endpoint,
-    const std::string& ara_name, const pairing::Point& ara_pk,
-    pairing::PairingPtr pairing, const std::string& identity, Rng& rng) {
-  const auto blob =
-      exchange(network, client_endpoint, ara_name, *pairing, ara_pk,
-               FrameType::kAraRegisterPublisher, identity, rng);
-  if (!blob.has_value()) return std::nullopt;
-  try {
-    return PublisherCredentials::deserialize(std::move(pairing), *blob);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+template <class Credentials>
+void RemoteRegistration<Credentials>::close() {
+  if (!pending_) return;
+  pending_ = false;
+  network_.unregister_endpoint(endpoint_);
 }
+
+template class RemoteRegistration<SubscriberCredentials>;
+template class RemoteRegistration<PublisherCredentials>;
 
 }  // namespace p3s::core

@@ -49,17 +49,46 @@ class AraServer {
   std::size_t rejected_ = 0;
 };
 
-/// Client-side registration calls. These drive the Fig. 2 exchange on a
-/// synchronous network (DirectNetwork); they return nullopt when the ARA
-/// rejects the identity or the exchange fails.
-std::optional<SubscriberCredentials> register_subscriber_remote(
-    net::Network& network, const std::string& client_endpoint,
-    const std::string& ara_name, const pairing::Point& ara_pk,
-    pairing::PairingPtr pairing, const std::string& identity, Rng& rng);
+/// The client half of one Fig. 2 exchange: constructing it puts the request
+/// on the wire. It completes only when the caller drains the network; then
+/// credentials() can be read. Its temporary endpoint, `<client_endpoint>.reg`,
+/// goes when the ARA's answer lands or when the handle is destroyed,
+/// whichever comes first, so an ARA that never answers leaves nothing behind
+/// once the handle is gone.
+template <class Credentials>
+class RemoteRegistration {
+ public:
+  RemoteRegistration(net::Network& network, const std::string& client_endpoint,
+                     const std::string& ara_name, const pairing::Point& ara_pk,
+                     pairing::PairingPtr pairing, const std::string& identity,
+                     Rng& rng);
+  ~RemoteRegistration() { close(); }
+  RemoteRegistration(const RemoteRegistration&) = delete;
+  RemoteRegistration& operator=(const RemoteRegistration&) = delete;
 
-std::optional<PublisherCredentials> register_publisher_remote(
-    net::Network& network, const std::string& client_endpoint,
-    const std::string& ara_name, const pairing::Point& ara_pk,
-    pairing::PairingPtr pairing, const std::string& identity, Rng& rng);
+  /// True until the ARA's answer has landed.
+  bool pending() const { return pending_; }
+  /// The credentials once an acceptance has landed; nullopt before that,
+  /// and for good when the ARA rejected the identity.
+  const std::optional<Credentials>& credentials() const {
+    return credentials_;
+  }
+
+ private:
+  void on_frame(BytesView frame);
+  void close();
+
+  net::Network& network_;
+  std::string endpoint_;
+  pairing::PairingPtr pairing_;
+  Bytes ks_;
+  bool pending_ = true;
+  std::optional<Credentials> credentials_;
+};
+
+/// The credentials type picks the request: a subscriber gets the CP-ABE
+/// attributes the ARA's roster assigns it, a publisher gets none.
+using SubscriberRegistration = RemoteRegistration<SubscriberCredentials>;
+using PublisherRegistration = RemoteRegistration<PublisherCredentials>;
 
 }  // namespace p3s::core

@@ -2,11 +2,11 @@
 // default: with `enabled == false` every client behaves exactly like the
 // fire-and-forget protocol (bit-identical wire traffic, pinned by the
 // determinism tests). Enabled, each request the client sends — DS publish,
-// RS fetch, PBE-TS token grant, registration, metadata sync — carries a
+// RS fetch, PBE-TS token grant, DS registration, metadata sync — carries a
 // deadline; expiry re-sends with capped exponential backoff and jitter
 // drawn from the client's own DRBG, so retry schedules are deterministic
-// per client seed. All times are in the network's time units: logical ticks
-// on AsyncNetwork, the network whose seeded fault plans exercise this layer.
+// per client seed. All times are in the network's time units: on
+// AsyncNetwork, logical ticks, one per send and one per delivery.
 #pragma once
 
 #include <cstddef>

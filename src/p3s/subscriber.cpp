@@ -210,8 +210,6 @@ void Subscriber::request_token(InterestRecord& record) {
   const Bytes blob = pairing::ecies_encrypt(
       pairing, creds_.services.pbe_ts_pk, plain.data(), rng_);
 
-  // Record the tag and Ks before sending: on DirectNetwork the response
-  // arrives inside the send, and `record` is not touched after it.
   const std::uint64_t tag = next_tag_++;
   record.tag = tag;
   record.ks = ks;

@@ -209,19 +209,22 @@ HveKeys hve_setup(PairingPtr pairing, std::size_t width, Rng& rng) {
   keys.msk.y = p.random_nonzero_scalar(rng);
   keys.pk.omega = p.gt_pow(p.gt_generator(), keys.msk.y);
 
-  auto fill = [&](std::vector<BigInt>& exps, std::vector<Point>& pts) {
-    exps.reserve(width);
-    pts.reserve(width);
+  // The exponents are drawn t, v, r, m in turn; their 4·width generator
+  // products are one batch with one inversion.
+  std::vector<pairing::MulTerm> terms;
+  terms.reserve(4 * width);
+  for (auto* exps : {&keys.msk.t, &keys.msk.v, &keys.msk.r, &keys.msk.m}) {
     for (std::size_t i = 0; i < width; ++i) {
-      const BigInt e = p.random_nonzero_scalar(rng);
-      pts.push_back(p.mul(p.generator(), e));
-      exps.push_back(e);
+      exps->push_back(p.random_nonzero_scalar(rng));
+      terms.push_back({p.generator(), exps->back()});
     }
-  };
-  fill(keys.msk.t, keys.pk.t);
-  fill(keys.msk.v, keys.pk.v);
-  fill(keys.msk.r, keys.pk.r);
-  fill(keys.msk.m, keys.pk.m);
+  }
+  const std::vector<Point> points = p.mul_batch(terms);
+  auto first = points.begin();
+  for (auto* pts : {&keys.pk.t, &keys.pk.v, &keys.pk.r, &keys.pk.m}) {
+    pts->assign(first, first + static_cast<std::ptrdiff_t>(width));
+    first += static_cast<std::ptrdiff_t>(width);
+  }
   derive_inverses(keys.msk, p.r());
   return keys;
 }

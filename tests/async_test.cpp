@@ -22,13 +22,17 @@ namespace {
 
 TEST(AsyncNetwork, DeliversOnlyWhenPumped) {
   net::AsyncNetwork net;
-  int got = 0;
-  net.register_endpoint("b", [&](const std::string&, BytesView) { ++got; });
+  std::vector<std::pair<std::string, Bytes>> got;
+  net.register_endpoint("b", [&](const std::string& from, BytesView frame) {
+    got.emplace_back(from, Bytes(frame.begin(), frame.end()));
+  });
   net.send("a", "b", str_to_bytes("m"));
-  EXPECT_EQ(got, 0);
+  EXPECT_TRUE(got.empty());
   EXPECT_EQ(net.in_flight(), 1u);
   EXPECT_TRUE(net.pump_one());
-  EXPECT_EQ(got, 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].first, "a");
+  EXPECT_EQ(bytes_to_str(got[0].second), "m");
   EXPECT_FALSE(net.pump_one());
 }
 
@@ -147,7 +151,7 @@ TEST(FaultPlan, BlackoutWindowSilencesEndpoint) {
   // Sender-side blackout: frames from a dark endpoint are lost at send
   // time, BEFORE the wire — so unlike drops/receiver blackouts (lost past
   // the observation point) the tap never sees them.
-  net.fault_plan()->add_blackout("b", net.now(), net.now() + 1000.0);
+  net.fault_plan().add_blackout("b", net.now(), net.now() + 1000.0);
   const std::size_t wire_before = wire.size();
   net.send("b", "a", Bytes{3});
   net.run_until_idle();
@@ -175,6 +179,8 @@ TEST(FaultPlan, DelayHoldsFrameUntilItsTick) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
 }
 
+// Installing a fault-free plan over a lossy one restores plain FIFO
+// delivery with no drops.
 TEST(FaultPlan, ClearRestoresLegacyBehavior) {
   net::AsyncNetwork net;
   net::FaultPlan plan(9);
@@ -182,8 +188,7 @@ TEST(FaultPlan, ClearRestoresLegacyBehavior) {
   f.drop = 1.0;
   plan.set_default(f);
   net.set_fault_plan(std::move(plan));
-  net.clear_fault_plan();
-  EXPECT_EQ(net.fault_plan(), nullptr);
+  net.set_fault_plan(net::FaultPlan(9));
   std::vector<int> order;
   net.register_endpoint("b", [&](const std::string&, BytesView fr) {
     order.push_back(fr[0]);
@@ -380,7 +385,7 @@ TEST_F(AsyncP3sTest, ChannelRejectsReorderedRecordsButFlowRecovers) {
   pub->publish({{"topic", "a"}, {"tier", "y"}}, str_to_bytes("second"),
                abe::parse_policy("m"), 1e6);
   net_.run_until_idle();
-  net_.clear_fault_plan();
+  net_.set_fault_plan(net::FaultPlan(1));
   EXPECT_GT(reordered(), reordered_before);
   EXPECT_LE(got.deliveries().size(), 1u);
 

@@ -19,6 +19,7 @@
 #include "attack/attacks.hpp"
 #include "attack/scenario.hpp"
 #include "delivery_log.hpp"
+#include "net/async.hpp"
 #include "net/fault.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
@@ -280,7 +281,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- observer unit coverage --------------------------------------------------
 
 TEST(EavesdropperObserverTest, StripsContentAndTalliesLinks) {
-  net::DirectNetwork net;
+  net::AsyncNetwork net;
   EavesdropperObserver obs;
   obs.watch(net);
   net.register_endpoint("b", [](const std::string&, BytesView) {});

@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "broker/baseline.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 
 namespace p3s::broker {
 namespace {
 
 class BaselineTest : public ::testing::Test {
  protected:
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   BaselineBroker broker_{net_, "broker"};
 };
 
@@ -18,8 +18,10 @@ TEST_F(BaselineTest, DeliversToMatchingSubscribers) {
   BaselinePublisher pub(net_, "p", "broker");
   s1.subscribe({{"topic", "sports"}});
   s2.subscribe({{"topic", "finance"}});
+  net_.run_until_idle();
 
   pub.publish({{"topic", "sports"}, {"lang", "en"}}, str_to_bytes("goal!"));
+  net_.run_until_idle();
   ASSERT_EQ(s1.received().size(), 1u);
   EXPECT_EQ(bytes_to_str(s1.received()[0].payload), "goal!");
   EXPECT_TRUE(s2.received().empty());
@@ -29,9 +31,11 @@ TEST_F(BaselineTest, WildcardViaAbsentAttribute) {
   BaselineSubscriber s(net_, "s", "broker");
   BaselinePublisher pub(net_, "p", "broker");
   s.subscribe({{"lang", "en"}});  // any topic
+  net_.run_until_idle();
   pub.publish({{"topic", "a"}, {"lang", "en"}}, str_to_bytes("1"));
   pub.publish({{"topic", "b"}, {"lang", "en"}}, str_to_bytes("2"));
   pub.publish({{"topic", "b"}, {"lang", "fr"}}, str_to_bytes("3"));
+  net_.run_until_idle();
   EXPECT_EQ(s.received().size(), 2u);
 }
 
@@ -40,7 +44,9 @@ TEST_F(BaselineTest, OneDeliveryPerSubscriberEvenWithMultipleMatchingSubs) {
   BaselinePublisher pub(net_, "p", "broker");
   s.subscribe({{"topic", "x"}});
   s.subscribe({{"lang", "en"}});
+  net_.run_until_idle();
   pub.publish({{"topic", "x"}, {"lang", "en"}}, str_to_bytes("once"));
+  net_.run_until_idle();
   EXPECT_EQ(s.received().size(), 1u);
 }
 
@@ -50,8 +56,10 @@ TEST_F(BaselineTest, MatchCostIsPerSubscriptionPerPublication) {
   BaselinePublisher pub(net_, "p", "broker");
   s1.subscribe({{"topic", "a"}});
   s2.subscribe({{"topic", "b"}});
+  net_.run_until_idle();
   pub.publish({{"topic", "a"}}, str_to_bytes("m"));
   pub.publish({{"topic", "b"}}, str_to_bytes("m"));
+  net_.run_until_idle();
   // The broker tested each of the 2 subscriptions against each of the 2
   // publications — the N_s · t_match term of the paper's model.
   EXPECT_EQ(broker_.match_operations(), 4u);
@@ -64,7 +72,9 @@ TEST_F(BaselineTest, BrokerSeesEverythingInTheClear) {
   BaselineSubscriber s(net_, "s", "broker");
   BaselinePublisher pub(net_, "p", "broker");
   s.subscribe({{"topic", "merger"}});
+  net_.run_until_idle();
   pub.publish({{"topic", "merger"}}, str_to_bytes("m"));
+  net_.run_until_idle();
   ASSERT_EQ(broker_.visible_interests().size(), 1u);
   EXPECT_EQ(broker_.visible_interests()[0].at("topic"), "merger");
   ASSERT_EQ(broker_.visible_metadata().size(), 1u);
@@ -74,6 +84,7 @@ TEST_F(BaselineTest, BrokerSeesEverythingInTheClear) {
 TEST_F(BaselineTest, MalformedFramesIgnored) {
   EXPECT_NO_THROW(net_.send("x", "broker", Bytes{0xff, 1, 2}));
   EXPECT_NO_THROW(net_.send("x", "broker", Bytes{}));
+  EXPECT_NO_THROW(net_.run_until_idle());
   EXPECT_EQ(broker_.publications(), 0u);
 }
 
@@ -81,7 +92,9 @@ TEST_F(BaselineTest, DeliveryCarriesMetadata) {
   BaselineSubscriber s(net_, "s", "broker");
   BaselinePublisher pub(net_, "p", "broker");
   s.subscribe({{"topic", "t"}});
+  net_.run_until_idle();
   pub.publish({{"topic", "t"}, {"extra", "e"}}, str_to_bytes("m"));
+  net_.run_until_idle();
   ASSERT_EQ(s.received().size(), 1u);
   EXPECT_EQ(s.received()[0].metadata.at("extra"), "e");
 }

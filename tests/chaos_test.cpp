@@ -195,9 +195,8 @@ TEST_P(ChaosMatrix, ConvergesToExactlyOnceDelivery) {
     // registrations, replay ring), then comes back as a new incarnation.
     // Clients must notice, re-register, and resume exactly-once delivery.
     system_->ds().crash_and_restart();
-    ASSERT_NE(net_.fault_plan(), nullptr);
-    net_.fault_plan()->add_blackout(system_->directory().ds_name, net_.now(),
-                                    net_.now() + 900.0);
+    net_.fault_plan().add_blackout(system_->directory().ds_name, net_.now(),
+                                   net_.now() + 900.0);
     publish_matching("CHAOS-SECRET-AFTER-1");
     publish_matching("CHAOS-SECRET-AFTER-2");
     const auto phase2_done = [&] {
@@ -246,6 +245,22 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // --- The eavesdropper's view, pinned -------------------------------------------
+
+/// SHA-256 over everything the eavesdropper recorded: per frame, in wire
+/// order, the time, both endpoints, the size and the bytes.
+std::string wire_digest(const test::WireLog& wire) {
+  crypto::Sha256 digest;
+  for (const auto& rec : wire.frames()) {
+    Writer w;
+    w.u64(std::bit_cast<std::uint64_t>(rec.time));
+    w.str(rec.from);
+    w.str(rec.to);
+    w.u64(rec.size);
+    w.bytes(rec.bytes);
+    digest.update(w.data());
+  }
+  return to_hex(digest.finish());
+}
 
 // Known answer over everything a wire eavesdropper records during a seeded
 // run under faults: per frame, in wire order, the time, both endpoints, the
@@ -305,7 +320,7 @@ TEST(EavesdropperPin, FaultyRunWireDigest) {
   }));
   // The publisher goes dark: its first attempt never reaches the wire, and
   // a retry after the window delivers.
-  net.fault_plan()->add_blackout("pub1", net.now(), net.now() + 400.0);
+  net.fault_plan().add_blackout("pub1", net.now(), net.now() + 400.0);
   publish("PIN-TWO");
   ASSERT_TRUE(converge([&] {
     return sub->delivery_count() == 2 && pub->pending_publish_count() == 0;
@@ -316,19 +331,49 @@ TEST(EavesdropperPin, FaultyRunWireDigest) {
   EXPECT_GT(fault_count(obs::names::kNetFaultDelayedTotal), delayed0);
   EXPECT_GT(fault_count(obs::names::kNetFaultBlackoutDroppedTotal), dark0);
 
-  crypto::Sha256 digest;
-  for (const auto& rec : wire.frames()) {
-    Writer w;
-    w.u64(std::bit_cast<std::uint64_t>(rec.time));
-    w.str(rec.from);
-    w.str(rec.to);
-    w.u64(rec.size);
-    w.bytes(rec.bytes);
-    digest.update(w.data());
-  }
   EXPECT_EQ(wire.size(), 62u);
-  EXPECT_EQ(to_hex(digest.finish()),
+  EXPECT_EQ(wire_digest(wire),
             "3e33117f42791df052842c5d8515b8e5e5d6f56b0565957ff5b50eb384fa9554");
+}
+
+// The same run on a fault-free wire (no blackout either), once with the
+// reliable request layer and once with the base protocol. It pins plain
+// FIFO delivery: the order of frames and the tick of each one.
+TEST(EavesdropperPin, CleanRunWireDigest) {
+  const auto run = [](bool reliable) {
+    net::AsyncNetwork net;
+    test::WireLog wire(net);
+    TestRng rng(0xe4e5d409u);
+    P3sConfig config = chaos_config();
+    config.reliability.enabled = reliable;
+    P3sSystem system(net, std::move(config), rng);
+    auto sub = system.make_subscriber("sub1", "alice", {"m"}, rng);
+    auto other = system.make_subscriber("sub2", "bob", {"m"}, rng);
+    auto pub = system.make_publisher("pub1", "press", rng);
+    sub->subscribe({{"sector", "finance"}});
+    other->subscribe({{"sector", "tech"}});
+    net.run_until_idle();
+    EXPECT_TRUE(pub->connected() && sub->connected() && other->connected());
+    EXPECT_EQ(sub->token_count(), 1u);
+    EXPECT_EQ(other->token_count(), 1u);
+    for (const char* payload : {"PIN-ONE", "PIN-TWO"}) {
+      pub->publish({{"sector", "finance"}, {"grade", "x"}},
+                   str_to_bytes(payload), abe::parse_policy("m"), 1e9);
+      net.run_until_idle();
+    }
+    EXPECT_EQ(sub->delivery_count(), 2u);
+    EXPECT_EQ(other->delivery_count(), 0u);
+    EXPECT_EQ(net.dropped_frames(), 0u);
+    return std::pair{wire.size(), wire_digest(wire)};
+  };
+  const auto [reliable_frames, reliable_digest] = run(true);
+  EXPECT_EQ(reliable_frames, 37u);
+  EXPECT_EQ(reliable_digest,
+            "76c004fd3f2670a3653262052a00b980d0611491e6259d8198093a498279cc70");
+  const auto [base_frames, base_digest] = run(false);
+  EXPECT_EQ(base_frames, 35u);
+  EXPECT_EQ(base_digest,
+            "a315f047eb3f55b757d9f550ca1ca30df17f200eed1aa0e5adcd7243027e166c");
 }
 
 // A clean departure is not a lost channel: a reliable publisher that

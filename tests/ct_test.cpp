@@ -26,7 +26,7 @@
 #include "crypto/aead.hpp"
 #include "crypto/ct.hpp"
 #include "crypto/hmac.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 #include "pairing/ecies.hpp"
 #include "pairing/pairing.hpp"
@@ -263,7 +263,7 @@ namespace wire_shape {
 /// miss fetch under `pad_bucket`.
 std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
     std::size_t pad_bucket) {
-  net::DirectNetwork net;
+  net::AsyncNetwork net;
   test::WireLog wire(net);
   TestRng rng(0x3147);
   const pairing::PairingPtr pp = pairing::Pairing::test_pairing();
@@ -277,6 +277,7 @@ std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
   auto sub = system.make_subscriber("sub1", "alice", {"m"}, rng);
   auto pub = system.make_publisher("pub1", "press", rng);
   sub->subscribe({{"sector", "finance"}});
+  net.run_until_idle();
   EXPECT_EQ(sub->token_count(), 1u);
 
   const std::string rs = system.directory().rs_name;
@@ -297,6 +298,7 @@ std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
   pub->publish({{"sector", "finance"}, {"grade", "x"}},
                str_to_bytes("wire-shape-payload"), abe::parse_policy("m"),
                1e9);
+  net.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
   auto sizes = response_sizes();
   EXPECT_EQ(sizes.size(), 1u);  // exactly one response per fetch
@@ -313,6 +315,7 @@ std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
                                             plain.data(), rng);
   net.send("probe", rs,
            core::tagged_frame(core::FrameType::kContentRequest, 7, blob));
+  net.run_until_idle();
   sizes = response_sizes();
   EXPECT_EQ(sizes.size(), 2u);
   const std::size_t miss_size = sizes.size() < 2 ? 0 : sizes.back();

@@ -8,7 +8,7 @@
 #include "common/rng.hpp"
 #include "delivery_log.hpp"
 #include "model/analytic.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 #include "pbe/epoch.hpp"
 #include "wire_log.hpp"
@@ -70,12 +70,12 @@ class EpochSystemTest : public ::testing::Test {
     P3sConfig config;
     config.pairing = pairing::Pairing::test_pairing();
     config.schema = small_schema();
-    // DirectNetwork ticks are "seconds": 1000-tick epochs, 4 in the cycle.
+    // Network ticks are "seconds": 1000-tick epochs, 4 in the cycle.
     config.epoch = pbe::EpochPolicy(4, 1000.0);
     system_ = std::make_unique<P3sSystem>(net_, std::move(config), rng_);
   }
 
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   TestRng rng_{0xe90c};
   std::unique_ptr<P3sSystem> system_;
 };
@@ -84,7 +84,9 @@ TEST_F(EpochSystemTest, CurrentEpochTokenMatches) {
   auto sub = system_->make_subscriber("s1", "alice", {"member"}, rng_);
   auto pub = system_->make_publisher("p1", "press", rng_);
   sub->subscribe({{"topic", "a"}});
+  net_.run_until_idle();
   pub->publish(md("a", "x"), str_to_bytes("now"), abe::parse_policy("member"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
@@ -93,16 +95,20 @@ TEST_F(EpochSystemTest, StaleTokenStopsMatchingAfterRollover) {
   test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("p1", "press", rng_);
   sub->subscribe({{"topic", "a"}});
+  net_.run_until_idle();
 
   // Cross into the next epoch; the old token is now revoked de facto.
   net_.advance(1000);
   pub->publish(md("a", "x"), str_to_bytes("later"), abe::parse_policy("member"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->match_count(), 0u);
   EXPECT_EQ(sub->delivery_count(), 0u);
 
   // Refreshing tokens (re-keying for the new epoch) restores matching.
   sub->refresh_tokens();
+  net_.run_until_idle();
   pub->publish(md("a", "x"), str_to_bytes("fresh"), abe::parse_policy("member"));
+  net_.run_until_idle();
   EXPECT_EQ(got.deliveries().size(), 1u);
   EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "fresh");
 }
@@ -114,13 +120,16 @@ TEST_F(EpochSystemTest, HoardedTokensFromOldEpochsAreUseless) {
   auto pub = system_->make_publisher("p1", "press", rng_);
   // Accumulate tokens across two epochs.
   hoarder->subscribe({{"topic", "a"}});
+  net_.run_until_idle();
   net_.advance(1000);
   hoarder->subscribe({{"topic", "b"}});
+  net_.run_until_idle();
   EXPECT_EQ(hoarder->token_count(), 2u);
 
   net_.advance(1000);  // now in epoch 2: both hoarded tokens are stale
   pub->publish(md("a", "x"), str_to_bytes("m1"), abe::parse_policy("member"));
   pub->publish(md("b", "x"), str_to_bytes("m2"), abe::parse_policy("member"));
+  net_.run_until_idle();
   EXPECT_EQ(hoarder->match_count(), 0u);
 }
 
@@ -135,7 +144,7 @@ class SuperEncryptTest : public ::testing::Test {
     system_ = std::make_unique<P3sSystem>(net_, std::move(config), rng_);
   }
 
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   test::WireLog wire_{net_};
   TestRng rng_{0x5e};
   std::unique_ptr<P3sSystem> system_;
@@ -147,10 +156,12 @@ TEST_F(SuperEncryptTest, WrappedGuidStaysOffTheWire) {
   auto pub = system_->make_publisher("p1", "press", rng_);
   pub->set_guid_super_encryption(true);
   sub->subscribe({{"topic", "a"}});
+  net_.run_until_idle();
   wire_.clear();
 
   const Guid guid = pub->publish(md("a", "x"), str_to_bytes("payload"),
                                  abe::parse_policy("m"));
+  net_.run_until_idle();
   // Delivery still works end to end...
   ASSERT_EQ(got.deliveries().size(), 1u);
   EXPECT_EQ(got.deliveries()[0].guid, guid);
@@ -162,9 +173,11 @@ TEST_F(SuperEncryptTest, ClearGuidIsVisibleWithoutTheMitigation) {
   auto sub = system_->make_subscriber("s1", "alice", {"m"}, rng_);
   auto pub = system_->make_publisher("p1", "press", rng_);
   sub->subscribe({{"topic", "a"}});
+  net_.run_until_idle();
   wire_.clear();
   const Guid guid = pub->publish(md("a", "x"), str_to_bytes("payload"),
                                  abe::parse_policy("m"));
+  net_.run_until_idle();
   ASSERT_EQ(sub->delivery_count(), 1u);
   EXPECT_TRUE(wire_.contains(guid.to_bytes()));  // the documented leak
 }
@@ -181,7 +194,7 @@ class EmbeddedTsTest : public ::testing::Test {
     system_ = std::make_unique<P3sSystem>(net_, std::move(config), rng_);
   }
 
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   test::WireLog wire_{net_};
   TestRng rng_{0xe3b};
   std::unique_ptr<P3sSystem> system_;
@@ -190,8 +203,10 @@ class EmbeddedTsTest : public ::testing::Test {
 TEST_F(EmbeddedTsTest, InterestNeverLeavesTheSubscriber) {
   auto sub = system_->make_subscriber("s1", "alice", {"m"}, rng_);
   auto pub = system_->make_publisher("p1", "press", rng_);
+  net_.run_until_idle();
   wire_.clear();
   sub->subscribe({{"topic", "a"}});
+  net_.run_until_idle();
   EXPECT_EQ(sub->token_count(), 1u);
   // No token request crossed the network at all.
   for (const auto& rec : wire_.frames()) {
@@ -199,6 +214,7 @@ TEST_F(EmbeddedTsTest, InterestNeverLeavesTheSubscriber) {
   }
   // And the flow still works.
   pub->publish(md("a", "x"), str_to_bytes("m"), abe::parse_policy("m"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
@@ -214,8 +230,10 @@ TEST_F(EmbeddedTsTest, TradeOffSubscriberHoldsMasterKeyAndCanDecodeAllMetadata) 
   for (const char* t : {"a", "b", "c", "d"}) {
     sub->subscribe({{"topic", t}});
   }
+  net_.run_until_idle();
   pub->publish(md("c", "y"), str_to_bytes("supposedly-hidden"),
                abe::parse_policy("m"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->match_count(), 1u);  // she can probe everything
 }
 

@@ -5,10 +5,10 @@
 // in wire order, each opened with the service's own key. Privacy tests can
 // then check everything a curious service could read.
 //
-// Wire order is the order in which a service opens frames on DirectNetwork,
-// which delivers each send before the next one starts. The DS view replays
-// the channels' sequence numbers in that order, so every test that uses a
-// view runs on DirectNetwork.
+// Wire order is the order in which a service opens frames on a fault-free
+// AsyncNetwork, which delivers frames in the order they were sent. The DS
+// view replays the channels' sequence numbers in that order, so every test
+// that uses a view runs without a fault plan.
 #pragma once
 
 #include <algorithm>

@@ -12,7 +12,7 @@
 #include "delivery_log.hpp"
 #include "exec/pool.hpp"
 #include "hbc_view.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "p3s/system.hpp"
@@ -50,7 +50,7 @@ class P3sEndToEnd : public ::testing::Test {
         test::envelope_view(wire_, *pairing_, system_->rs()));
   }
 
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   test::WireLog wire_{net_};
   pairing::PairingPtr pairing_ = pairing::Pairing::test_pairing();
   TestRng rng_{0x935};
@@ -63,15 +63,18 @@ TEST_F(P3sEndToEnd, MatchingSubscriberReceivesPayload) {
                                       rng_);
   test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "acme-news", rng_);
+  net_.run_until_idle();
   ASSERT_TRUE(sub->connected());
   ASSERT_TRUE(pub->connected());
 
   sub->subscribe({{"sector", "finance"}});
+  net_.run_until_idle();
   ASSERT_EQ(sub->token_count(), 1u);
 
   const Bytes payload = str_to_bytes("lehman default imminent");
   const Guid guid = pub->publish(md("finance", "us", "default"), payload,
                                  abe::parse_policy("analyst and org:us"));
+  net_.run_until_idle();
 
   ASSERT_EQ(got.deliveries().size(), 1u);
   EXPECT_EQ(got.deliveries()[0].guid, guid);
@@ -85,9 +88,11 @@ TEST_F(P3sEndToEnd, NonMatchingSubscriberLearnsNothing) {
   auto sub = system_->make_subscriber("sub1", "bob", {"analyst"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
 
   pub->publish(md("finance", "us", "default"), str_to_bytes("secret"),
                abe::parse_policy("analyst"));
+  net_.run_until_idle();
 
   // Received the encrypted broadcast but no match, no fetch, no delivery.
   EXPECT_EQ(sub->metadata_received(), 1u);
@@ -102,9 +107,11 @@ TEST_F(P3sEndToEnd, MatchingButUnauthorizedCannotDecrypt) {
   auto sub = system_->make_subscriber("sub1", "eve", {"intern"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "finance"}});
+  net_.run_until_idle();
 
   pub->publish(md("finance", "us", "merger"), str_to_bytes("need-to-know"),
                abe::parse_policy("analyst and org:us"));
+  net_.run_until_idle();
 
   EXPECT_EQ(sub->match_count(), 1u);
   EXPECT_EQ(sub->undecryptable_payloads(), 1u);
@@ -117,6 +124,7 @@ TEST_F(P3sEndToEnd, WildcardInterestSpansValues) {
   auto pub = system_->make_publisher("pub1", "p", rng_);
   // Interested in any finance event in any region.
   sub->subscribe({{"sector", "finance"}});
+  net_.run_until_idle();
 
   for (const char* region : {"us", "eu", "apac"}) {
     pub->publish(md("finance", region, "ipo"), str_to_bytes(region),
@@ -124,6 +132,7 @@ TEST_F(P3sEndToEnd, WildcardInterestSpansValues) {
   }
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("no"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
 
   EXPECT_EQ(sub->delivery_count(), 3u);
   EXPECT_EQ(sub->metadata_received(), 4u);
@@ -140,21 +149,25 @@ TEST_F(P3sEndToEnd, MultipleInterestsMultipleSubscribers) {
   s1->subscribe({{"sector", "energy"}});
   s2->subscribe({{"sector", "tech"}, {"region", "eu"}});
   s3->subscribe({{"event", "merger"}});
+  net_.run_until_idle();
 
   pub->publish(md("tech", "eu", "merger"), str_to_bytes("m1"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(s1->delivery_count(), 1u);
   EXPECT_EQ(s2->delivery_count(), 1u);
   EXPECT_EQ(s3->delivery_count(), 1u);
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m2"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(s1->delivery_count(), 2u);
   EXPECT_EQ(s2->delivery_count(), 1u);  // region mismatch
   EXPECT_EQ(s3->delivery_count(), 1u);  // event mismatch
 
   pub->publish(md("energy", "apac", "earnings"), str_to_bytes("m3"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(s1->delivery_count(), 3u);  // second interest fired
 }
 
@@ -164,9 +177,11 @@ TEST_F(P3sEndToEnd, SubscriberWithTwoMatchingTokensFetchesOnce) {
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
   sub->subscribe({{"region", "us"}});
+  net_.run_until_idle();
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
   // RS served exactly one request for the item.
   const auto requests = rs_requests();
@@ -177,19 +192,22 @@ TEST_F(P3sEndToEnd, SubscriberWithTwoMatchingTokensFetchesOnce) {
 // --- Deletion semantics (paper §4.3 "Deletion") -----------------------------------
 
 TEST_F(P3sEndToEnd, ExpiredItemsAreGarbageCollected) {
-  // DirectNetwork ticks stand in for seconds; each send advances the clock
-  // by one, so keep generous margins around the TTL + T_G boundary.
-  build(/*with_anonymizer=*/true, /*grace=*/5.0);
+  // Network ticks stand in for seconds; every send and every delivery
+  // advances the clock by one, so keep generous margins around the
+  // TTL + T_G boundary.
+  build(/*with_anonymizer=*/true, /*grace=*/50.0);
   auto pub = system_->make_publisher("pub1", "p", rng_);
+  net_.run_until_idle();
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
-               abe::parse_policy("a"), /*ttl_seconds=*/10.0);
+               abe::parse_policy("a"), /*ttl_seconds=*/100.0);
+  net_.run_until_idle();
   EXPECT_EQ(system_->rs().stored_items(), 1u);
 
-  net_.advance(11);  // past TTL but inside TTL + T_G
+  net_.advance(110);  // past TTL but inside TTL + T_G
   EXPECT_EQ(system_->rs().garbage_collect(), 0u);
   EXPECT_EQ(system_->rs().stored_items(), 1u);
 
-  net_.advance(5);  // decisively past TTL + T_G
+  net_.advance(50);  // decisively past TTL + T_G
   EXPECT_EQ(system_->rs().garbage_collect(), 1u);
   EXPECT_EQ(system_->rs().stored_items(), 0u);
 }
@@ -200,20 +218,24 @@ TEST_F(P3sEndToEnd, StrictGraceZeroFailsSlowConsumers) {
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
   test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "p", rng_);
+  net_.run_until_idle();
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
-               abe::parse_policy("a"), /*ttl_seconds=*/1.0);
+               abe::parse_policy("a"), /*ttl_seconds=*/10.0);
+  net_.run_until_idle();
   // The slow subscriber only subscribes (and would match) after expiry.
-  net_.advance(5);
+  net_.advance(50);
   system_->rs().garbage_collect();
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
 
   // Republish the same metadata so the subscriber has something to match
   // against — but fetch the OLD guid is impossible; instead verify the
   // deleted item cannot be fetched: deliveries stay empty and stored == 1
   // for the new item only.
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("fresh"),
-               abe::parse_policy("a"), /*ttl_seconds=*/100.0);
+               abe::parse_policy("a"), /*ttl_seconds=*/1000.0);
+  net_.run_until_idle();
   EXPECT_EQ(got.deliveries().size(), 1u);
   EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "fresh");
   EXPECT_EQ(system_->rs().stored_items(), 1u);
@@ -227,12 +249,14 @@ TEST_F(P3sEndToEnd, MatchedButDeletedItemYieldsFetchFailure) {
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
 
   // TTL 0 + grace 0: the item expires the instant it is stored; by the time
   // the matched subscriber's request reaches the RS (later network ticks),
   // the item is gone.
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"), /*ttl_seconds=*/0.0);
+  net_.run_until_idle();
 
   EXPECT_EQ(sub->match_count(), 1u);
   EXPECT_EQ(sub->fetch_failures(), 1u);
@@ -247,15 +271,18 @@ TEST_F(P3sEndToEnd, DsRestartRequiresReregistration) {
   test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
 
   system_->ds().crash_and_restart();
 
   // Clients re-register (tokens survive client-side; paper §6.1).
   sub->reconnect();
   pub->connect();
+  net_.run_until_idle();
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("after-restart"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   ASSERT_EQ(got.deliveries().size(), 1u);
   EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "after-restart");
 }
@@ -264,8 +291,10 @@ TEST_F(P3sEndToEnd, RsSnapshotRestorePersistsEncryptedContent) {
   build();
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
+  net_.run_until_idle();
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("durable"),
                abe::parse_policy("a"), 1000.0);
+  net_.run_until_idle();
 
   // "Crash": persist, wipe, restore — no re-encryption needed.
   const Bytes snap = system_->rs().snapshot();
@@ -275,8 +304,10 @@ TEST_F(P3sEndToEnd, RsSnapshotRestorePersistsEncryptedContent) {
   EXPECT_EQ(system_->rs().stored_items(), 1u);
 
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("durable"),
                abe::parse_policy("a"), 1000.0);
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
@@ -284,8 +315,10 @@ TEST_F(P3sEndToEnd, RsFilePersistenceSurvivesRestart) {
   build();
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
+  net_.run_until_idle();
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("on-disk"),
                abe::parse_policy("a"), 1e6);
+  net_.run_until_idle();
 
   const std::string path = ::testing::TempDir() + "/p3s_rs_store.bin";
   system_->rs().save_to_file(path);
@@ -295,8 +328,10 @@ TEST_F(P3sEndToEnd, RsFilePersistenceSurvivesRestart) {
   EXPECT_EQ(system_->rs().stored_items(), 1u);
 
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("on-disk"),
                abe::parse_policy("a"), 1e6);
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
 
   EXPECT_THROW(system_->rs().load_from_file("/nonexistent/nope.bin"),
@@ -308,14 +343,17 @@ TEST_F(P3sEndToEnd, SubscriberRestartRefreshesTokens) {
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
   EXPECT_EQ(sub->token_count(), 1u);
 
   sub->reconnect();       // new channel
   sub->refresh_tokens();  // re-obtain tokens from the PBE-TS
+  net_.run_until_idle();
   EXPECT_EQ(sub->token_count(), 1u);
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
@@ -327,18 +365,22 @@ TEST_F(P3sEndToEnd, UnsubscribeStopsMatchingImmediately) {
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
   sub->subscribe({{"sector", "finance"}});
+  net_.run_until_idle();
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m1"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
 
   EXPECT_TRUE(sub->unsubscribe({{"sector", "tech"}}));
   EXPECT_EQ(sub->token_count(), 1u);  // finance token remains
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m2"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);  // no new delivery
   pub->publish(md("finance", "us", "ipo"), str_to_bytes("m3"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 2u);  // other interest still live
 
   EXPECT_FALSE(sub->unsubscribe({{"sector", "health"}}));  // never registered
@@ -354,6 +396,7 @@ TEST_F(P3sEndToEnd, SwapSendsOneTokenRequest) {
   sub->subscribe({{"sector", "finance"}});
   sub->subscribe({{"sector", "energy"}});
   sub->subscribe({{"region", "apac"}});
+  net_.run_until_idle();
   ASSERT_EQ(sub->token_count(), 4u);
 
   const auto count = [](const char* name) {
@@ -363,6 +406,7 @@ TEST_F(P3sEndToEnd, SwapSendsOneTokenRequest) {
   const std::uint64_t issued = count(obs::names::kTsTokensIssuedTotal);
   ASSERT_TRUE(sub->unsubscribe({{"sector", "tech"}}));
   sub->subscribe({{"event", "ipo"}});
+  net_.run_until_idle();
   EXPECT_EQ(count(obs::names::kSubTokenRequestsTotal) - requests, 1u);
   EXPECT_EQ(count(obs::names::kTsTokensIssuedTotal) - issued, 1u);
   EXPECT_EQ(sub->token_count(), 4u);
@@ -370,11 +414,13 @@ TEST_F(P3sEndToEnd, SwapSendsOneTokenRequest) {
   test::DeliveryLog got(*sub);
   pub->publish(md("tech", "us", "merger"), str_to_bytes("dropped"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_TRUE(got.deliveries().empty());
   pub->publish(md("energy", "eu", "merger"), str_to_bytes("kept"),
                abe::parse_policy("a"));
   pub->publish(md("health", "us", "ipo"), str_to_bytes("new"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   ASSERT_EQ(got.deliveries().size(), 2u);
   EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "kept");
   EXPECT_EQ(bytes_to_str(got.deliveries()[1].payload), "new");
@@ -385,25 +431,32 @@ TEST_F(P3sEndToEnd, DisconnectedSubscriberStopsReceivingBroadcasts) {
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
   sub->disconnect();
+  net_.run_until_idle();
   EXPECT_FALSE(sub->connected());
   EXPECT_EQ(system_->ds().subscriber_count(), 0u);
 
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->metadata_received(), 0u);
 
   // Rejoin: reconnect and matching resumes with the kept tokens.
   sub->reconnect();
+  net_.run_until_idle();
   pub->publish(md("tech", "us", "ipo"), str_to_bytes("back"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
 }
 
 TEST_F(P3sEndToEnd, DisconnectedPublisherCannotPublish) {
   build();
   auto pub = system_->make_publisher("pub1", "p", rng_);
+  net_.run_until_idle();
   pub->disconnect();
+  net_.run_until_idle();
   EXPECT_EQ(system_->ds().publisher_count(), 0u);
   EXPECT_THROW(pub->publish(md("tech", "us", "ipo"), str_to_bytes("m"),
                             abe::parse_policy("a")),
@@ -419,6 +472,7 @@ TEST_F(P3sEndToEnd, ForgedCertificateRejectedByTokenServer) {
   Subscriber sub(net_, "subx", creds, rng_);
   sub.connect();
   sub.subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
   EXPECT_EQ(sub.token_count(), 0u);
   EXPECT_EQ(sub.token_rejections(), 1u);
   EXPECT_EQ(system_->token_server().rejected_requests(), 1u);
@@ -433,8 +487,38 @@ TEST_F(P3sEndToEnd, PublisherCertificateCannotGetTokens) {
   Subscriber shim(net_, "shim", sub_creds, rng_);
   shim.connect();
   shim.subscribe({{"sector", "tech"}});
+  net_.run_until_idle();
   EXPECT_EQ(shim.token_count(), 0u);
   EXPECT_EQ(shim.token_rejections(), 1u);
+}
+
+// --- Handler timers ------------------------------------------------------------------
+
+// A handler's timer covers its own work only. The handlers a publication
+// sets off run when the queue is drained, after publish() has returned, so
+// on the network's tick clock the publish timer counts the ticks of
+// publish()'s own sends and none of theirs.
+TEST_F(P3sEndToEnd, PublishTimerDoesNotCountTheHandlersItTriggers) {
+  build();
+  auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
+  auto pub = system_->make_publisher("pub1", "p", rng_);
+  sub->subscribe({{"sector", "finance"}});
+  net_.run_until_idle();
+
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Histogram& publish_seconds =
+      reg.histogram(obs::names::kPubPublishSeconds);
+  const obs::ClockGuard ticks(reg, [this] { return net_.now(); });
+  const double recorded = publish_seconds.sum();
+  const double start = net_.now();
+  pub->publish(md("finance", "us", "ipo"), str_to_bytes("m"),
+               abe::parse_policy("a"));
+  const double own = net_.now() - start;
+  EXPECT_EQ(own, 2.0);  // the content frame, then the metadata frame
+  net_.run_until_idle();
+  EXPECT_EQ(publish_seconds.sum() - recorded, own);
+  EXPECT_EQ(sub->delivery_count(), 1u);
+  EXPECT_GT(net_.now() - start, own);
 }
 
 // --- Batch publishing --------------------------------------------------------------
@@ -445,6 +529,7 @@ TEST_F(P3sEndToEnd, PublishBatchDeliversLikeIndividualPublishes) {
   test::DeliveryLog got(*sub);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "finance"}});
+  net_.run_until_idle();
 
   std::vector<PublishItem> items;
   items.push_back({md("finance", "us", "ipo"), str_to_bytes("m1"),
@@ -454,6 +539,7 @@ TEST_F(P3sEndToEnd, PublishBatchDeliversLikeIndividualPublishes) {
   items.push_back({md("finance", "eu", "merger"), str_to_bytes("m3"),
                    abe::parse_policy("a")});
   const std::vector<Guid> guids = pub->publish_batch(items);
+  net_.run_until_idle();
 
   ASSERT_EQ(guids.size(), 3u);
   EXPECT_EQ(sub->metadata_received(), 3u);
@@ -470,7 +556,7 @@ TEST_F(P3sEndToEnd, PublishBatchDeliversLikeIndividualPublishes) {
 TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
   const auto run = [](std::size_t threads) {
     exec::Pool::set_global_threads(threads);
-    net::DirectNetwork net;
+    net::AsyncNetwork net;
     test::WireLog wire(net);
     TestRng rng(0x77aa);
     P3sConfig config;
@@ -482,6 +568,7 @@ TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
     auto pub = system.make_publisher("pub1", "p", rng);
     sub->subscribe({{"sector", "finance"}});
     sub->subscribe({{"event", "merger"}});
+    net.run_until_idle();
 
     std::vector<PublishItem> items;
     items.push_back({md("finance", "us", "ipo"), str_to_bytes("a"),
@@ -493,6 +580,7 @@ TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
     items.push_back({md("finance", "apac", "merger"), str_to_bytes("dddd"),
                      abe::parse_policy("a")});
     pub->publish_batch(items);
+    net.run_until_idle();
 
     std::vector<test::WireLog::Frame> traffic = wire.frames();
     std::vector<Bytes> payloads;
@@ -520,8 +608,10 @@ TEST_F(P3sEndToEnd, WorksWithoutAnonymizer) {
   auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
   auto pub = system_->make_publisher("pub1", "p", rng_);
   sub->subscribe({{"sector", "finance"}});
+  net_.run_until_idle();
   pub->publish(md("finance", "us", "ipo"), str_to_bytes("m"),
                abe::parse_policy("a"));
+  net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
   // Without anonymization the PBE-TS sees the subscriber's network identity.
   const test::HbcView ts =

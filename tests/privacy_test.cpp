@@ -13,7 +13,6 @@
 #include "delivery_log.hpp"
 #include "hbc_view.hpp"
 #include "net/async.hpp"
-#include "net/network.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "p3s/messages.hpp"
@@ -42,6 +41,7 @@ class PrivacyTest : public ::testing::Test {
                                     rng_);
     other_ = system_->make_subscriber("sub2", "bob", {"analyst"}, rng_);
     pub_ = system_->make_publisher("pub1", "acme", rng_);
+    net_.run_until_idle();
     // The services' views need the setup frames (the DS's channel hellos);
     // tests about the steady-state protocol alone count from here.
     setup_frames_ = wire_.size();
@@ -50,15 +50,17 @@ class PrivacyTest : public ::testing::Test {
   void run_flow() {
     sub_->subscribe({{"sector", "finance"}, {"event", "default"}});
     other_->subscribe({{"sector", "tech"}});
+    net_.run_until_idle();
     pub_->publish({{"sector", "finance"}, {"region", "us"}, {"event", "default"}},
                   str_to_bytes(kPayloadMarker),
                   abe::parse_policy("analyst and org:us"));
+    net_.run_until_idle();
   }
 
   static constexpr const char* kPayloadMarker =
       "TOP-SECRET-PAYLOAD-0x5ca1ab1e";
 
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   test::WireLog wire_{net_};
   std::size_t setup_frames_ = 0;
   pairing::PairingPtr pairing_ = pairing::Pairing::test_pairing();
@@ -209,6 +211,7 @@ TEST_F(PrivacyTest, PublisherLearnsNothingAboutMatching) {
   // is identical (same count of acks per publish: zero — fire and forget).
   pub_->publish({{"sector", "health"}, {"region", "eu"}, {"event", "ipo"}},
                 str_to_bytes("unmatched"), abe::parse_policy("analyst"));
+  net_.run_until_idle();
   const auto to_pub2 = to_pub_since(second_flow);
   // In both flows the publisher receives zero feedback frames: it cannot
   // distinguish matched from unmatched publications.

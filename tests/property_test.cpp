@@ -7,7 +7,7 @@
 #include "abe/cpabe.hpp"
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/system.hpp"
 #include "pbe/hve.hpp"
 #include "pbe/schema.hpp"
@@ -195,7 +195,7 @@ TEST_F(Corruption, PointBitFlipsRejectedOrHarmless) {
 
 TEST(ScaleSweep, TwentySubscribersMatchOracle) {
   TestRng rng(0x5ca1e);
-  net::DirectNetwork net;
+  net::AsyncNetwork net;
   core::P3sConfig config;
   config.pairing = Pairing::test_pairing();
   config.schema = pbe::MetadataSchema({
@@ -220,6 +220,7 @@ TEST(ScaleSweep, TwentySubscribersMatchOracle) {
     subs[i]->subscribe(interest);
   }
   auto pub = system.make_publisher("pub", "press", rng);
+  net.run_until_idle();
 
   std::vector<std::size_t> expected(n_subs, 0);
   for (int k = 0; k < 6; ++k) {
@@ -228,6 +229,7 @@ TEST(ScaleSweep, TwentySubscribersMatchOracle) {
     md["tier"] = rng.uniform(2) == 0 ? "gold" : "silver";
     pub->publish(md, str_to_bytes("msg" + std::to_string(k)),
                  abe::parse_policy("member"));
+    net.run_until_idle();
     for (std::size_t i = 0; i < n_subs; ++i) {
       if (pbe::interest_matches(interests[i], md)) ++expected[i];
     }

@@ -6,7 +6,7 @@
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
 #include "delivery_log.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/registration.hpp"
 #include "p3s/system.hpp"
 #include "wire_log.hpp"
@@ -29,7 +29,7 @@ class RegistrationTest : public ::testing::Test {
         std::make_unique<AraServer>(net_, "ara", system_->ara(), rng_);
   }
 
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   TestRng rng_{0xa5a};
   std::unique_ptr<P3sSystem> system_;
   std::unique_ptr<AraServer> ara_server_;
@@ -49,6 +49,7 @@ TEST_F(RegistrationTest, SubscriberCredentialsSerializeRoundTrip) {
   // The deserialized key still verifies/decrypts: run a full flow with it.
   Subscriber sub(net_, "sub-x", creds2, rng_);
   sub.connect();
+  net_.run_until_idle();
   EXPECT_TRUE(sub.connected());
 }
 
@@ -82,11 +83,14 @@ TEST_F(RegistrationTest, RemoteRegistrationEndToEnd) {
   ara_server_->enroll_publisher("press");
   const auto pairing = pairing::Pairing::test_pairing();
 
-  const auto sub_creds = register_subscriber_remote(
+  const SubscriberRegistration sub_reg(
       net_, "sub1", "ara", ara_server_->public_key(), pairing, "alice", rng_);
-  ASSERT_TRUE(sub_creds.has_value());
-  const auto pub_creds = register_publisher_remote(
+  const PublisherRegistration pub_reg(
       net_, "pub1", "ara", ara_server_->public_key(), pairing, "press", rng_);
+  net_.run_until_idle();
+  const auto& sub_creds = sub_reg.credentials();
+  ASSERT_TRUE(sub_creds.has_value());
+  const auto& pub_creds = pub_reg.credentials();
   ASSERT_TRUE(pub_creds.has_value());
 
   // Remotely-registered clients interoperate with the running system.
@@ -96,44 +100,71 @@ TEST_F(RegistrationTest, RemoteRegistrationEndToEnd) {
   sub.connect();
   pub.connect();
   sub.subscribe({{"topic", "a"}});
+  net_.run_until_idle();
   pub.publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("hello"),
               abe::parse_policy("analyst"));
+  net_.run_until_idle();
   ASSERT_EQ(got.deliveries().size(), 1u);
   EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "hello");
 }
 
 TEST_F(RegistrationTest, UnenrolledIdentityRejected) {
   const auto pairing = pairing::Pairing::test_pairing();
-  const auto creds = register_subscriber_remote(
+  const SubscriberRegistration reg(
       net_, "sub1", "ara", ara_server_->public_key(), pairing, "mallory", rng_);
-  EXPECT_FALSE(creds.has_value());
+  net_.run_until_idle();
+  EXPECT_FALSE(reg.credentials().has_value());
   EXPECT_EQ(ara_server_->rejected_requests(), 1u);
 }
 
 TEST_F(RegistrationTest, PublisherIdentityCannotRegisterAsSubscriber) {
   ara_server_->enroll_publisher("press");
   const auto pairing = pairing::Pairing::test_pairing();
-  EXPECT_FALSE(register_subscriber_remote(net_, "x", "ara",
-                                          ara_server_->public_key(), pairing,
-                                          "press", rng_)
-                   .has_value());
+  const SubscriberRegistration reg(
+      net_, "x", "ara", ara_server_->public_key(), pairing, "press", rng_);
+  net_.run_until_idle();
+  EXPECT_FALSE(reg.credentials().has_value());
 }
 
 TEST_F(RegistrationTest, WrongAraKeyFailsClosed) {
   ara_server_->enroll_subscriber("alice", {"m"});
   const auto pairing = pairing::Pairing::test_pairing();
   const auto wrong = pairing::ecies_keygen(*pairing, rng_);
-  EXPECT_FALSE(register_subscriber_remote(net_, "x", "ara", wrong.public_key,
-                                          pairing, "alice", rng_)
-                   .has_value());
+  const SubscriberRegistration reg(net_, "x", "ara", wrong.public_key, pairing,
+                                   "alice", rng_);
+  net_.run_until_idle();
+  EXPECT_FALSE(reg.credentials().has_value());
+}
+
+// An ARA that cannot open the request never answers. The exchange then
+// leaves nothing behind once its handle is gone: no credentials, and no
+// endpoint, so the same client endpoint can register again.
+TEST_F(RegistrationTest, UnansweredRequestLeavesNothingBehind) {
+  ara_server_->enroll_subscriber("alice", {"m"});
+  const auto pairing = pairing::Pairing::test_pairing();
+  const auto wrong = pairing::ecies_keygen(*pairing, rng_);
+  {
+    const SubscriberRegistration reg(net_, "x", "ara", wrong.public_key,
+                                     pairing, "alice", rng_);
+    net_.run_until_idle();
+    EXPECT_EQ(ara_server_->rejected_requests(), 1u);
+    EXPECT_TRUE(reg.pending());
+    EXPECT_FALSE(reg.credentials().has_value());
+  }
+  const SubscriberRegistration again(
+      net_, "x", "ara", ara_server_->public_key(), pairing, "alice", rng_);
+  net_.run_until_idle();
+  EXPECT_FALSE(again.pending());
+  EXPECT_TRUE(again.credentials().has_value());
 }
 
 TEST_F(RegistrationTest, IdentityIsEncryptedOnTheWire) {
   ara_server_->enroll_subscriber("super-secret-identity", {"m"});
   const auto pairing = pairing::Pairing::test_pairing();
   test::WireLog wire(net_);
-  (void)register_subscriber_remote(net_, "x", "ara", ara_server_->public_key(),
+  const SubscriberRegistration reg(net_, "x", "ara", ara_server_->public_key(),
                                    pairing, "super-secret-identity", rng_);
+  net_.run_until_idle();
   EXPECT_FALSE(wire.contains(str_to_bytes("super-secret-identity")));
 }
 

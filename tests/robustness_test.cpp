@@ -1,11 +1,12 @@
 // Component-level robustness: every P3S service must survive malformed,
 // truncated, misrouted, and adversarial frames without crashing or leaking —
-// fail-closed behaviour at the frame-handling layer.
+// fail-closed behaviour at the frame-handling layer. Handlers run when the
+// network is drained, so each test drains where a throw would surface.
 #include <gtest/gtest.h>
 
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
-#include "net/network.hpp"
+#include "net/async.hpp"
 #include "p3s/messages.hpp"
 #include "p3s/system.hpp"
 #include "wire_log.hpp"
@@ -24,16 +25,19 @@ class RobustnessTest : public ::testing::Test {
     sub_ = system_->make_subscriber("sub1", "s", {"m"}, rng_);
     pub_ = system_->make_publisher("pub1", "p", rng_);
     sub_->subscribe({{"topic", "a"}});
+    net_.run_until_idle();
   }
 
   void expect_system_still_works() {
+    EXPECT_NO_THROW(net_.run_until_idle());
     const std::size_t before = sub_->delivery_count();
     pub_->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("alive"),
                   abe::parse_policy("m"));
+    net_.run_until_idle();
     EXPECT_EQ(sub_->delivery_count(), before + 1);
   }
 
-  net::DirectNetwork net_;
+  net::AsyncNetwork net_;
   test::WireLog wire_{net_};
   TestRng rng_{0x0b0b};
   std::unique_ptr<P3sSystem> system_;
@@ -72,8 +76,10 @@ TEST_F(RobustnessTest, UnregisteredClientCannotPublishThroughDs) {
   // registry only for this client via a fresh DS session without register.
   // Simplest equivalent: DS drops registrations on restart.
   ghost.connect();
+  net_.run_until_idle();
   system_->ds().crash_and_restart();
   sub_->reconnect();
+  net_.run_until_idle();
   // ghost still believes it is connected but the DS lost its registration;
   // its publish is dropped at the DS (no session), not delivered.
   const std::size_t before = sub_->metadata_received();
@@ -83,6 +89,7 @@ TEST_F(RobustnessTest, UnregisteredClientCannotPublishThroughDs) {
   } catch (const std::exception&) {
     // acceptable: client-side detection
   }
+  net_.run_until_idle();
   EXPECT_EQ(sub_->metadata_received(), before);
 }
 
@@ -94,6 +101,7 @@ TEST_F(RobustnessTest, RsIgnoresStoreWithTruncatedBody) {
   w.raw(Bytes(4));  // ...provides 4
   const std::size_t before = system_->rs().stored_items();
   EXPECT_NO_THROW(net_.send("attacker", "rs", w.take()));
+  EXPECT_NO_THROW(net_.run_until_idle());
   EXPECT_EQ(system_->rs().stored_items(), before);
 }
 
@@ -134,6 +142,7 @@ TEST_F(RobustnessTest, ClientsIgnoreUnsolicitedResponses) {
                             tagged_frame(FrameType::kTokenResponse, 9, Bytes(8))));
   EXPECT_NO_THROW(net_.send(
       "attacker", "sub1", tagged_frame(FrameType::kContentResponse, 9, Bytes(8))));
+  EXPECT_NO_THROW(net_.run_until_idle());
   EXPECT_EQ(sub_->token_count(), 1u);
   expect_system_still_works();
 }

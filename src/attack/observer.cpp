@@ -1,7 +1,5 @@
 #include "attack/observer.hpp"
 
-#include "exec/pool.hpp"
-
 namespace p3s::attack {
 
 std::vector<Sighting> EavesdropperObserver::on_link(
@@ -27,12 +25,13 @@ bool EavesdropperObserver::sent_in_window(const std::string& from,
 
 std::map<std::pair<std::string, std::string>, LinkStats>
 EavesdropperObserver::link_tally() const {
-  LinkTally tally;
-  exec::Pool::global().parallel_for(
-      0, sightings_.size(),
-      [&](std::size_t i) { tally.add(sightings_[i]); },
-      /*grain=*/64);
-  return tally.snapshot();
+  std::map<std::pair<std::string, std::string>, LinkStats> tally;
+  for (const Sighting& s : sightings_) {
+    LinkStats& stats = tally[{s.from, s.to}];
+    ++stats.frames;
+    stats.bytes += s.size;
+  }
+  return tally;
 }
 
 std::set<std::size_t> EavesdropperObserver::sizes_on(

@@ -8,13 +8,11 @@
 
 #include <cstddef>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "net/network.hpp"
 
 namespace p3s::attack {
@@ -31,29 +29,6 @@ struct Sighting {
 struct LinkStats {
   std::size_t frames = 0;
   std::size_t bytes = 0;
-};
-
-/// Thread-safe per-link accumulator for the parallel sweep in
-/// EavesdropperObserver::link_tally(). Accumulation is commutative, so the
-/// tally is deterministic regardless of worker interleaving.
-class LinkTally {
- public:
-  void add(const Sighting& s) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    LinkStats& stats = links_[{s.from, s.to}];
-    ++stats.frames;
-    stats.bytes += s.size;
-  }
-
-  std::map<std::pair<std::string, std::string>, LinkStats> snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return links_;
-  }
-
- private:
-  mutable std::mutex mutex_;  // guards the tally during the parallel sweep
-  std::map<std::pair<std::string, std::string>, LinkStats> links_
-      P3S_GUARDED_BY(mutex_);
 };
 
 class EavesdropperObserver {
@@ -77,7 +52,7 @@ class EavesdropperObserver {
   bool sent_in_window(const std::string& from, const std::string& to,
                       double after, double until) const;
 
-  /// Per-link frame/byte totals, swept in parallel on the global pool.
+  /// Per-link frame/byte totals.
   std::map<std::pair<std::string, std::string>, LinkStats> link_tally() const;
 
   /// Distinct frame sizes seen on a link — the padding check: a hardened

@@ -7,11 +7,21 @@
 #include "common/serial.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
-#include "pairing/ecies.hpp"
+#include "p3s/exchange.hpp"
 
 namespace p3s::core {
 
 namespace {
+// A destination that does not exist never replies, and neither does a
+// service that cannot open the request, so without a cap their tag-table
+// entries would stay forever. Tags only increase, so the front of a table
+// is its oldest entry, and that is the one evicted; a reply that arrives
+// after its entry went is dropped like any unknown tag.
+template <class Table>
+void evict_oldest(Table& table) {
+  while (table.size() > Anonymizer::kTagCap) table.erase(table.begin());
+}
+
 struct AnonMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& forwarded = reg.counter(obs::names::kAnonForwardedTotal);
@@ -62,14 +72,6 @@ void Anonymizer::enable_cover(pairing::PairingPtr pairing, std::string rs_name,
   cover_ = Cover{std::move(pairing), std::move(rs_name), rs_pk};
 }
 
-double Anonymizer::jittered(double base) {
-  if (hard_.flush_jitter <= 0.0) return base;
-  std::uint64_t x = 0;
-  for (const std::uint8_t b : drbg_.bytes(8)) x = (x << 8) | b;
-  return base +
-         hard_.flush_jitter * (static_cast<double>(x >> 11) * 0x1.0p-53);
-}
-
 Bytes Anonymizer::maybe_pad(Bytes frame) {
   if (hard_.pad_bucket == 0) return frame;
   const std::size_t before = frame.size();
@@ -84,21 +86,19 @@ void Anonymizer::relay(const Held& h) {
 }
 
 Anonymizer::Held Anonymizer::make_decoy() {
-  // Byte-compatible with Subscriber::request_content: fresh 32-byte Ks and a
-  // random "GUID" inside an ECIES envelope to the RS. The RS answers a clean
-  // kStatusNotFound sealed under the throwaway Ks; the reply is absorbed
-  // here. Neither the wire nor the RS can tell a decoy from a real miss.
-  Writer plain;
-  plain.bytes(drbg_.bytes(32));
-  plain.raw(drbg_.bytes(Guid::kSize));
-  const Bytes blob = pairing::ecies_encrypt(*cover_->pairing, cover_->rs_pk,
-                                            plain.data(), drbg_);
+  // The same exchange as Subscriber::request_content: a fresh 32-byte Ks and
+  // a random "GUID" sealed to the RS. The RS answers a clean
+  // kStatusNotFound under the throwaway Ks; the reply is absorbed here.
+  // Neither the wire nor the RS can tell a decoy from a real miss.
+  const Bytes ks = drbg_.bytes(32);
+  const Bytes guid = drbg_.bytes(Guid::kSize);
   Held h;
   h.destination = cover_->rs_name;
   h.type = FrameType::kContentRequest;
   h.tag = next_tag_++;
-  h.payload = blob;
+  h.payload = seal_request(*cover_->pairing, cover_->rs_pk, ks, guid, drbg_);
   decoy_tags_.insert(h.tag);
+  evict_oldest(decoy_tags_);
   anon_metrics().cover.inc();
   return h;
 }
@@ -116,13 +116,7 @@ void Anonymizer::flush() {
   while (cover_.has_value() && held_.size() < hard_.min_batch) {
     held_.push_back(make_decoy());
   }
-  // DRBG Fisher–Yates: the flush order is independent of arrival order, so
-  // position in the burst cannot link a forward back to its requester.
-  for (std::size_t i = held_.size(); i > 1; --i) {
-    std::uint64_t x = 0;
-    for (const std::uint8_t b : drbg_.bytes(8)) x = (x << 8) | b;
-    std::swap(held_[i - 1], held_[static_cast<std::size_t>(x % i)]);
-  }
+  drbg_shuffle(held_, drbg_);
   for (const Held& h : held_) relay(h);
   metrics.batch_flushes.inc();
   metrics.batch_size.record(static_cast<double>(held_.size()));
@@ -151,6 +145,7 @@ void Anonymizer::on_frame(const std::string& from, BytesView data) {
       TaggedBody body = read_tagged(rr);
       const std::uint64_t tag = next_tag_++;
       pending_[tag] = Pending{from, body.tag};
+      evict_oldest(pending_);
       AnonMetrics& metrics = anon_metrics();
       metrics.forwarded.inc();
       metrics.pending.set(static_cast<std::int64_t>(pending_.size()));
@@ -168,7 +163,8 @@ void Anonymizer::on_frame(const std::string& from, BytesView data) {
       if (held_.size() >= hard_.batch_size) {
         flush();
       } else if (!flush_deadline_.has_value()) {
-        flush_deadline_ = network_.now() + jittered(hard_.flush_interval);
+        flush_deadline_ = network_.now() + jittered(hard_.flush_interval,
+                                                    hard_.flush_jitter, drbg_);
       }
       return;
     }

@@ -30,6 +30,9 @@ namespace p3s::core {
 
 class Anonymizer {
  public:
+  /// Cap on each tag table (anonymizer.cpp says why).
+  static constexpr std::size_t kTagCap = 4096;
+
   Anonymizer(net::Network& network, std::string name,
              AnonHardening hardening = {});
   ~Anonymizer();
@@ -71,7 +74,6 @@ class Anonymizer {
   /// Shuffle, top up with decoys, and send the held batch.
   void flush();
   Held make_decoy();
-  double jittered(double base);
   Bytes maybe_pad(Bytes frame);
 
   net::Network& network_;
@@ -85,6 +87,7 @@ class Anonymizer {
     std::uint64_t original_tag;
   };
   std::uint64_t next_tag_ = 1;
+  // Both tag tables hold at most kTagCap entries.
   std::map<std::uint64_t, Pending> pending_;  // rewritten tag -> origin
   std::set<std::uint64_t> decoy_tags_;        // replies to absorb, not relay
   std::vector<Held> held_;                    // batch awaiting flush

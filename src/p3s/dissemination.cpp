@@ -43,6 +43,21 @@ DsMetrics& ds_metrics() {
   static DsMetrics m;
   return m;
 }
+
+// The broadcast inner frame: indexed (kMetadataDeliverySeq) for reliable
+// subscribers, plain kMetadataDelivery for fire-and-forget ones.
+Bytes broadcast_frame(BytesView hve_ciphertext,
+                      std::optional<std::uint64_t> index) {
+  Writer w;
+  if (index.has_value()) {
+    w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
+    w.u64(*index);
+  } else {
+    w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDelivery));
+  }
+  w.bytes(hve_ciphertext);
+  return w.take();
+}
 }  // namespace
 
 DisseminationServer::DisseminationServer(
@@ -93,17 +108,11 @@ std::size_t DisseminationServer::replay_broadcasts() {
     const Bytes& hve = meta_ring_[static_cast<std::size_t>(i - meta_base_)];
     for (const std::string& sub : subscribers_) {
       if (!sessions_.contains(sub)) continue;
-      Writer w;
-      if (reliable_subs_.contains(sub)) {
-        // Same broadcast index as the original: the sequenced layer can
-        // (and must) recognize and suppress the replay.
-        w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
-        w.u64(i);
-      } else {
-        w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDelivery));
-      }
-      w.bytes(hve);
-      send_sealed(sub, w.data());
+      // Same broadcast index as the original: the sequenced layer can (and
+      // must) recognize and suppress the replay.
+      send_sealed(sub, broadcast_frame(hve, reliable_subs_.contains(sub)
+                                                ? std::optional(i)
+                                                : std::nullopt));
       ++sent;
     }
   }
@@ -128,14 +137,6 @@ void DisseminationServer::set_hardening(DsHardening hardening) {
   }
 }
 
-double DisseminationServer::jittered(double base) {
-  if (!hard_drbg_.has_value() || hard_.flush_jitter <= 0.0) return base;
-  std::uint64_t x = 0;
-  for (const std::uint8_t b : hard_drbg_->bytes(8)) x = (x << 8) | b;
-  return base +
-         hard_.flush_jitter * (static_cast<double>(x >> 11) * 0x1.0p-53);
-}
-
 void DisseminationServer::schedule_fanout(const Bytes& hve_ciphertext) {
   last_hve_size_ = hve_ciphertext.size();
   if (!hard_.batching) {
@@ -146,21 +147,18 @@ void DisseminationServer::schedule_fanout(const Bytes& hve_ciphertext) {
   if (pending_fanout_.size() >= hard_.batch_size) {
     flush_broadcasts();
   } else if (!fanout_deadline_.has_value()) {
-    fanout_deadline_ = network_.now() + jittered(hard_.flush_interval);
+    fanout_deadline_ = network_.now() + jittered(hard_.flush_interval,
+                                                 hard_.flush_jitter,
+                                                 *hard_drbg_);
   }
 }
 
 void DisseminationServer::flush_broadcasts() {
   fanout_deadline_.reset();
   if (pending_fanout_.empty()) return;
-  // DRBG Fisher–Yates over the queued broadcasts: a reacting subscriber is
-  // attributable to the batch, not to any publication's arrival order.
-  for (std::size_t i = pending_fanout_.size(); i > 1; --i) {
-    std::uint64_t x = 0;
-    for (const std::uint8_t b : hard_drbg_->bytes(8)) x = (x << 8) | b;
-    std::swap(pending_fanout_[i - 1],
-              pending_fanout_[static_cast<std::size_t>(x % i)]);
-  }
+  // A reacting subscriber is attributable to the batch, not to any
+  // publication's arrival order.
+  drbg_shuffle(pending_fanout_, *hard_drbg_);
   for (const Bytes& ct : pending_fanout_) fan_out_metadata(ct);
   pending_fanout_.clear();
   ds_metrics().batch_flushes.inc();
@@ -174,7 +172,8 @@ void DisseminationServer::poll() {
   }
   if (hard_.cover_interval > 0.0) {
     if (!next_cover_.has_value()) {
-      next_cover_ = now + jittered(hard_.cover_interval);
+      next_cover_ =
+          now + jittered(hard_.cover_interval, hard_.flush_jitter, *hard_drbg_);
     } else if (now >= *next_cover_) {
       // Garbage of a real ciphertext's size: after sealing (and bucketed
       // padding, when on) a cover broadcast is indistinguishable from a
@@ -182,7 +181,8 @@ void DisseminationServer::poll() {
       // non-match (no pairing work done).
       fan_out_metadata(hard_drbg_->bytes(last_hve_size_));
       ds_metrics().cover.inc();
-      next_cover_ = network_.now() + jittered(hard_.cover_interval);
+      next_cover_ = network_.now() + jittered(hard_.cover_interval,
+                                              hard_.flush_jitter, *hard_drbg_);
     }
   }
 }
@@ -276,15 +276,8 @@ void DisseminationServer::fan_out_metadata(const Bytes& hve_ciphertext) {
   // pre-drawn serially in subscriber order and replayed per task — the wire
   // bytes are identical to the sequential loop for any pool size. Sends stay
   // on this thread: net::Network is not thread-safe.
-  Writer legacy_w;
-  legacy_w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDelivery));
-  legacy_w.bytes(hve_ciphertext);
-  Writer indexed_w;
-  indexed_w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
-  indexed_w.u64(index);
-  indexed_w.bytes(hve_ciphertext);
-  Bytes legacy = legacy_w.take();
-  Bytes indexed = indexed_w.take();
+  Bytes legacy = broadcast_frame(hve_ciphertext, std::nullopt);
+  Bytes indexed = broadcast_frame(hve_ciphertext, index);
   if (hard_.pad_bucket > 0) {
     // Bucketed broadcast padding: the sealed record size then rounds with
     // the bucket instead of tracking the metadata ciphertext byte-for-byte.
@@ -415,11 +408,10 @@ void DisseminationServer::handle_inner(const std::string& from,
       r.expect_done();
       const std::uint64_t start = std::max(from_index, meta_base_);
       for (std::uint64_t i = start; i < next_meta_index_; ++i) {
-        Writer replay;
-        replay.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
-        replay.u64(i);
-        replay.bytes(meta_ring_[static_cast<std::size_t>(i - meta_base_)]);
-        send_sealed(from, replay.data());
+        send_sealed(from, broadcast_frame(
+                              meta_ring_[static_cast<std::size_t>(
+                                  i - meta_base_)],
+                              i));
         metrics.fanout.inc();
       }
       Writer info;

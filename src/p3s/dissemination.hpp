@@ -94,7 +94,6 @@ class DisseminationServer {
   /// hardening batches, otherwise fan out immediately (base behavior).
   void schedule_fanout(const Bytes& hve_ciphertext);
   void flush_broadcasts();
-  double jittered(double base);
   void handle_store_ack(const std::string& from, Reader& r);
   void mark_done(const Bytes& request_id);
 

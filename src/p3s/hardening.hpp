@@ -22,6 +22,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace p3s::core {
 
@@ -75,5 +79,21 @@ struct DsHardening {
     return batching || pad_bucket > 0 || cover_interval > 0.0;
   }
 };
+
+/// `base` plus a uniform [0, jitter) extra drawn from `drbg`: a flush time
+/// that leaks nothing. Draws nothing when jitter is off.
+inline double jittered(double base, double jitter, Rng& drbg) {
+  if (jitter <= 0.0) return base;
+  return base + jitter * (static_cast<double>(drbg.u64() >> 11) * 0x1.0p-53);
+}
+
+/// DRBG Fisher–Yates: a batch's flush order is independent of its arrival
+/// order, so position in the burst links nothing back to its trigger.
+template <class T>
+void drbg_shuffle(std::vector<T>& batch, Rng& drbg) {
+  for (std::size_t i = batch.size(); i > 1; --i) {
+    std::swap(batch[i - 1], batch[static_cast<std::size_t>(drbg.u64() % i)]);
+  }
+}
 
 }  // namespace p3s::core

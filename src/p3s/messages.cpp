@@ -60,9 +60,25 @@ Bytes content_body(const ContentBody& c) {
   Writer w;
   w.u8(c.guid_wrapped ? 1 : 0);
   w.bytes(c.guid_field);
-  w.u64(static_cast<std::uint64_t>(c.ttl_seconds * 1000.0));  // ms precision
+  w.u64(to_wire_ms(c.ttl_seconds));  // ms precision
   w.bytes(c.abe_ciphertext);
   return w.take();
+}
+
+constexpr double kWireMsLimit = 0x1p64;  // the first ms past the u64 range
+
+void check_ttl(double ttl_seconds) {
+  if (!(ttl_seconds >= 0.0 && ttl_seconds * 1000.0 < kWireMsLimit)) {
+    throw std::invalid_argument("TTL must be finite, non-negative and fit "
+                                "the wire's u64 milliseconds");
+  }
+}
+
+std::uint64_t to_wire_ms(double seconds) {
+  const double ms = seconds * 1000.0;
+  if (!(ms > 0.0)) return 0;
+  if (ms >= kWireMsLimit) return ~std::uint64_t{0};
+  return static_cast<std::uint64_t>(ms);
 }
 
 // The content body is nested length-prefixed inside the reliable-layer

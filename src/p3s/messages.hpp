@@ -101,6 +101,13 @@ struct ContentBody {
 };
 Bytes content_body(const ContentBody& c);
 ContentBody read_content(Reader& r);
+/// Throws std::invalid_argument unless `ttl_seconds` is finite,
+/// non-negative and small enough for its milliseconds to fit the u64 the
+/// content body carries.
+void check_ttl(double ttl_seconds);
+/// Seconds as the wire's u64 milliseconds, saturating: negative and NaN
+/// read 0, and anything past the u64 range reads its maximum.
+std::uint64_t to_wire_ms(double seconds);
 
 // kPublishRequest body: the idempotency key, the content submission, and the
 // HVE metadata ciphertext in one frame (retried atomically).

@@ -28,13 +28,6 @@ struct PubMetrics {
   obs::Histogram& batch_items = reg.histogram(obs::names::kPubBatchItems);
   obs::Histogram& batch_seconds =
       reg.histogram(obs::names::kPubBatchSeconds);
-  // Reliable request layer (shared p3s.client.* vocabulary).
-  obs::Counter& retry = reg.counter(obs::names::kClientRetryTotal);
-  obs::Counter& retry_exhausted =
-      reg.counter(obs::names::kClientRetryExhaustedTotal);
-  obs::Counter& reconnects =
-      reg.counter(obs::names::kClientRetryReconnectsTotal);
-  obs::Counter& timeouts = reg.counter(obs::names::kClientTimeoutTotal);
 };
 
 PubMetrics& pub_metrics() {
@@ -50,7 +43,9 @@ Publisher::Publisher(net::Network& network, std::string name,
       name_(std::move(name)),
       creds_(std::move(credentials)),
       rng_(rng),
-      reliability_(reliability) {
+      reliability_(reliability),
+      channel_(network_, name_, creds_.services, creds_.abe_pk.pairing, rng_,
+               reliability_, frame(FrameType::kRegisterPublisher)) {
   network_.register_endpoint(
       name_, [this](const std::string& from, BytesView frame) {
         on_frame(from, frame);
@@ -59,55 +54,20 @@ Publisher::Publisher(net::Network& network, std::string name,
 
 Publisher::~Publisher() { network_.unregister_endpoint(name_); }
 
-void Publisher::send_sealed(BytesView inner) {
-  if (!session_.has_value()) throw std::logic_error("Publisher: not connected");
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kChannelRecord));
-  w.bytes(session_->seal(inner, rng_));
-  network_.send(name_, creds_.services.ds_name, w.take());
-}
+// The publisher stays connected through a re-registration: publish() keeps
+// working while a reconnect's ack is in flight.
+void Publisher::connect() { channel_.connect(); }
 
-void Publisher::connect() {
-  const pairing::Pairing& pairing = *creds_.abe_pk.pairing;
-  Bytes hello;
-  session_ = net::SecureSession::initiate(pairing, creds_.services.ds_pk, rng_,
-                                          hello);
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kChannelHello));
-  w.bytes(hello);
-  network_.send(name_, creds_.services.ds_name, w.take());
-  send_sealed(frame(FrameType::kRegisterPublisher));
-  if (reliability_.enabled) {
-    register_deadline_ =
-        network_.now() + retry_timeout(reliability_, register_attempts_, rng_);
-  }
-}
-
-void Publisher::disconnect() {
-  if (!session_.has_value()) return;
-  send_sealed(frame(FrameType::kUnregister));
-  session_.reset();
-  connected_ = false;
-}
+void Publisher::disconnect() { channel_.disconnect(); }
 
 void Publisher::on_frame(const std::string& from, BytesView data) {
   try {
     Reader r(data);
-    const FrameType type = read_frame_type(r);
-    if (type != FrameType::kChannelRecord || !session_.has_value()) return;
-    const Bytes record = r.bytes();
-    r.expect_done();
-    const auto inner = session_->open(record);
+    if (read_frame_type(r) != FrameType::kChannelRecord) return;
+    const auto inner = channel_.open(r);
     if (!inner.has_value()) return;
     Reader ir(*inner);
-    const FrameType inner_type = read_frame_type(ir);
-    if (inner_type == FrameType::kAck) {
-      connected_ = true;
-      register_deadline_.reset();
-      register_attempts_ = 0;
-      return;
-    }
-    if (inner_type == FrameType::kPublishAck) {
+    if (read_frame_type(ir) == FrameType::kPublishAck) {
       const Bytes request_id = ir.raw(kRequestIdSize);
       ir.expect_done();
       pending_.erase(request_id);  // duplicate acks miss and are ignored
@@ -122,55 +82,24 @@ void Publisher::poll() {
   // clean departure is not a lost channel: nothing re-registers or re-sends
   // until the application's next connect(). The DS dedupes the held
   // publishes by request id then.
-  if (!reliability_.enabled || !session_.has_value()) return;
+  if (!reliability_.enabled || !channel_.has_session()) return;
   const double now = network_.now();
-  PubMetrics& metrics = pub_metrics();
-
-  if (!connected_ && register_deadline_.has_value() &&
-      now >= *register_deadline_) {
-    metrics.timeouts.inc();
-    ++register_attempts_;
-    if (register_attempts_ >= reliability_.max_attempts) {
-      metrics.retry_exhausted.inc();
-      register_deadline_.reset();
-    } else {
-      metrics.retry.inc();
-      metrics.reconnects.inc();
-      ++retries_;
-      connect();  // fresh hello + register (also resets the deadline)
-    }
-  }
+  if (channel_.poll(now)) ++retries_;
 
   bool reconnected_this_poll = false;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    PendingPublish& p = it->second;
-    if (now < p.deadline) {
-      ++it;
-      continue;
-    }
-    metrics.timeouts.inc();
-    if (p.attempts >= reliability_.max_attempts) {
-      ++publish_failures_;
-      metrics.retry_exhausted.inc();
-      it = pending_.erase(it);
-      continue;
-    }
-    // Every reconnect_after-th attempt assumes the channel (not just the
-    // frame) is gone — e.g. the DS restarted and lost our registration —
-    // and re-establishes it before re-sending.
-    if (p.attempts % reliability_.reconnect_after == 0 &&
-        !reconnected_this_poll) {
-      metrics.reconnects.inc();
-      reconnected_this_poll = true;
-      connect();
-    }
-    ++p.attempts;
-    ++retries_;
-    metrics.retry.inc();
-    send_sealed(p.request_frame);
-    p.deadline = now + retry_timeout(reliability_, p.attempts - 1, rng_);
-    ++it;
-  }
+  retry_due(pending_, now, reliability_, rng_, publish_failures_, retries_,
+            [&](const PendingPublish& p) {
+              // Every reconnect_after-th attempt assumes the channel (not
+              // just the frame) is gone — e.g. the DS restarted and lost our
+              // registration — and re-establishes it before re-sending.
+              if (p.attempts % reliability_.reconnect_after == 0 &&
+                  !reconnected_this_poll) {
+                client_metrics().reconnects.inc();
+                reconnected_this_poll = true;
+                connect();
+              }
+              channel_.send(p.request_frame);
+            });
 }
 
 Publisher::EncodedItem Publisher::encode_item(const pbe::Metadata& metadata,
@@ -228,11 +157,11 @@ void Publisher::submit_item(const EncodedItem& enc) {
     // the metadata broadcast so that a subscriber whose match races the
     // store never misses (the paper's model takes max(t_p, t_b) for the
     // same reason).
-    send_sealed(frame(FrameType::kPublishContent, enc.content_body));
+    channel_.send(frame(FrameType::kPublishContent, enc.content_body));
     Writer meta;
     meta.u8(static_cast<std::uint8_t>(FrameType::kPublishMetadata));
     meta.bytes(enc.hve_ciphertext);
-    send_sealed(meta.data());
+    channel_.send(meta.data());
     return;
   }
   // Reliable: one retryable request carrying both halves; the DS broadcasts
@@ -248,12 +177,13 @@ void Publisher::submit_item(const EncodedItem& enc) {
   pending.request_frame = req.take();
   pending.deadline = network_.now() + retry_timeout(reliability_, 0, rng_);
   const auto it = pending_.emplace(request_id, std::move(pending)).first;
-  send_sealed(it->second.request_frame);
+  channel_.send(it->second.request_frame);
 }
 
 Guid Publisher::publish(const pbe::Metadata& metadata, BytesView payload,
                         const abe::PolicyNode& policy, double ttl_seconds) {
-  if (!connected_) throw std::logic_error("Publisher: not connected");
+  if (!connected()) throw std::logic_error("Publisher: not connected");
+  check_ttl(ttl_seconds);
 
   PubMetrics& metrics = pub_metrics();
   obs::ScopedTimer publish_timer(metrics.reg, metrics.publish_seconds,
@@ -269,7 +199,8 @@ Guid Publisher::publish(const pbe::Metadata& metadata, BytesView payload,
 
 std::vector<Guid> Publisher::publish_batch(
     const std::vector<PublishItem>& items) {
-  if (!connected_) throw std::logic_error("Publisher: not connected");
+  if (!connected()) throw std::logic_error("Publisher: not connected");
+  for (const PublishItem& item : items) check_ttl(item.ttl_seconds);
 
   PubMetrics& metrics = pub_metrics();
   obs::ScopedTimer batch_timer(metrics.reg, metrics.batch_seconds,

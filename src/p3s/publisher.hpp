@@ -19,7 +19,7 @@
 
 #include "common/guid.hpp"
 #include "net/network.hpp"
-#include "net/secure.hpp"
+#include "p3s/channel_client.hpp"
 #include "p3s/credentials.hpp"
 #include "p3s/reliability.hpp"
 
@@ -42,14 +42,16 @@ class Publisher {
 
   /// Establish the DS channel and register as a publisher.
   void connect();
-  bool connected() const { return connected_; }
+  bool connected() const { return channel_.connected(); }
   /// Clean departure: deregister from the DS and drop the channel. poll()
   /// then holds unacknowledged publishes until the next connect().
   void disconnect();
 
   /// Publish one item. `ttl_seconds` is the publisher's deletion intent
   /// (T_pub). Returns the fresh GUID. Throws std::logic_error when not
-  /// connected, std::invalid_argument on metadata/policy errors. When the
+  /// connected, std::invalid_argument on metadata/policy errors and on a
+  /// negative, non-finite or out-of-range TTL (checked before any
+  /// randomness is drawn, for every item of a batch). When the
   /// credentials carry an epoch policy, the metadata is stamped with the
   /// current epoch automatically.
   Guid publish(const pbe::Metadata& metadata, BytesView payload,
@@ -96,7 +98,6 @@ class Publisher {
   };
 
   void on_frame(const std::string& from, BytesView frame);
-  void send_sealed(BytesView inner);
   void submit_item(const EncodedItem& enc);
   /// The pure (sendless) per-item cryptography, shared by publish() and the
   /// batch path; safe to run concurrently for distinct items when each call
@@ -110,13 +111,10 @@ class Publisher {
   PublisherCredentials creds_;
   Rng& rng_;
   ReliabilityConfig reliability_;
-  std::optional<net::SecureSession> session_;
-  bool connected_ = false;
+  ChannelClient channel_;
   bool super_encrypt_guid_ = false;
 
   std::map<Bytes, PendingPublish> pending_;
-  std::optional<double> register_deadline_;
-  std::size_t register_attempts_ = 0;
   std::size_t publish_failures_ = 0;
   std::size_t retries_ = 0;
 };

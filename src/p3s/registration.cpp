@@ -4,8 +4,7 @@
 
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/aead.hpp"
-#include "p3s/messages.hpp"
+#include "p3s/exchange.hpp"
 
 namespace p3s::core {
 
@@ -44,47 +43,33 @@ void AraServer::on_frame(const std::string& from, BytesView data) {
       return;
     }
     const TaggedBody body = read_tagged(r);
-    const auto plain =
-        pairing::ecies_decrypt(*pairing, keys_.secret, body.payload);
-    if (!plain.has_value()) {
+    const auto request = open_request(*pairing, keys_.secret, body.payload);
+    if (!request.has_value()) {
       ++rejected_;
       return;
     }
-    Reader pr(*plain);
-    const Bytes ks = pr.bytes();
+    Reader pr(request->fields);
     const std::string identity = pr.str();
     pr.expect_done();
 
-    auto respond = [&](std::uint8_t status, BytesView payload) {
-      Writer inner;
-      inner.u8(status);
-      inner.bytes(payload);
-      const Bytes sealed =
-          crypto::aead_encrypt(ks, inner.data(), str_to_bytes("ara-resp"), rng_)
-              .serialize();
-      network_.send(name_, from,
-                    tagged_frame(FrameType::kAraResponse, body.tag, sealed));
-    };
-
+    // Only the roster's identities get credentials; anyone else is told
+    // no under the same Ks.
+    std::optional<Bytes> creds;
     if (type == FrameType::kAraRegisterSubscriber) {
       const auto it = subscriber_roster_.find(identity);
-      if (it == subscriber_roster_.end()) {
-        ++rejected_;
-        respond(kStatusRejected, {});
-        return;
+      if (it != subscriber_roster_.end()) {
+        creds = ara_.register_subscriber(identity, it->second, rng_)
+                    .serialize(pairing);
       }
-      const SubscriberCredentials creds =
-          ara_.register_subscriber(identity, it->second, rng_);
-      respond(kStatusOk, creds.serialize(pairing));
-    } else {
-      if (!publisher_roster_.contains(identity)) {
-        ++rejected_;
-        respond(kStatusRejected, {});
-        return;
-      }
-      const PublisherCredentials creds = ara_.register_publisher(identity, rng_);
-      respond(kStatusOk, creds.serialize(pairing));
+    } else if (publisher_roster_.contains(identity)) {
+      creds = ara_.register_publisher(identity, rng_).serialize(pairing);
     }
+    if (!creds.has_value()) ++rejected_;
+    network_.send(name_, from,
+                  response_frame(FrameType::kAraResponse, body.tag,
+                                 request->ks,
+                                 creds ? kStatusOk : kStatusRejected,
+                                 creds.value_or(Bytes{}), rng_));
   } catch (const std::exception& e) {
     ++rejected_;
     log_warn("ara") << "bad registration from " << from << ": " << e.what();
@@ -100,11 +85,10 @@ RemoteRegistration<Credentials>::RemoteRegistration(
       endpoint_(client_endpoint + ".reg"),
       pairing_(std::move(pairing)),
       ks_(rng.bytes(32)) {
-  Writer plain;
-  plain.bytes(ks_);
-  plain.str(identity);
-  const Bytes blob =
-      pairing::ecies_encrypt(*pairing_, ara_pk, plain.data(), rng);
+  Writer fields;
+  fields.str(identity);
+  const Bytes envelope =
+      seal_request(*pairing_, ara_pk, ks_, fields.data(), rng);
   constexpr FrameType type =
       std::is_same_v<Credentials, SubscriberCredentials>
           ? FrameType::kAraRegisterSubscriber
@@ -112,7 +96,7 @@ RemoteRegistration<Credentials>::RemoteRegistration(
   network_.register_endpoint(
       endpoint_,
       [this](const std::string&, BytesView frame) { on_frame(frame); });
-  network_.send(endpoint_, ara_name, tagged_frame(type, 1, blob));
+  network_.send(endpoint_, ara_name, tagged_frame(type, 1, envelope));
 }
 
 template <class Credentials>
@@ -121,17 +105,12 @@ void RemoteRegistration<Credentials>::on_frame(BytesView data) {
     Reader r(data);
     if (read_frame_type(r) != FrameType::kAraResponse) return;
     const TaggedBody body = read_tagged(r);
-    const auto inner = crypto::aead_decrypt(
-        ks_, crypto::AeadCiphertext::deserialize(body.payload),
-        str_to_bytes("ara-resp"));
-    if (!inner.has_value()) return;  // not sealed under this exchange's Ks
+    const auto response =
+        open_response(FrameType::kAraResponse, ks_, body.payload);
+    if (!response.has_value()) return;  // not sealed under this Ks
     close();  // the answer has landed, whatever it says
-    Reader ir(*inner);
-    const std::uint8_t status = ir.u8();
-    const Bytes creds = ir.bytes();
-    ir.expect_done();
-    if (status == kStatusOk) {
-      credentials_ = Credentials::deserialize(pairing_, creds);
+    if (response->status == kStatusOk) {
+      credentials_ = Credentials::deserialize(pairing_, response->body);
     }
   } catch (const std::exception&) {
     // A malformed frame leaves no credentials.

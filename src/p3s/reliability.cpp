@@ -2,7 +2,18 @@
 
 #include <algorithm>
 
+#include "obs/catalog.hpp"
+
 namespace p3s::core {
+
+ClientMetrics& client_metrics() {
+  obs::Registry& reg = obs::Registry::global();
+  static ClientMetrics m{reg.counter(obs::names::kClientRetryTotal),
+                         reg.counter(obs::names::kClientRetryExhaustedTotal),
+                         reg.counter(obs::names::kClientRetryReconnectsTotal),
+                         reg.counter(obs::names::kClientTimeoutTotal)};
+  return m;
+}
 
 double retry_timeout(const ReliabilityConfig& config, std::size_t attempt,
                      Rng& rng) {

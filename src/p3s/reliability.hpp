@@ -12,6 +12,7 @@
 #include <cstddef>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 
 namespace p3s::core {
 
@@ -40,5 +41,46 @@ struct ReliabilityConfig {
 /// request) stays cheap and deterministic.
 double retry_timeout(const ReliabilityConfig& config, std::size_t attempt,
                      Rng& rng);
+
+/// The reliable layer's p3s.client.* counters, shared by every client.
+struct ClientMetrics {
+  obs::Counter& retry;
+  obs::Counter& retry_exhausted;
+  obs::Counter& reconnects;
+  obs::Counter& timeouts;
+};
+ClientMetrics& client_metrics();
+
+/// One retry pass over `pending` (a map to entries with `deadline` and
+/// `attempts`, the sends so far): each entry past its deadline is re-sent
+/// by `resend(entry)`, counted, and given the next backoff. One out of
+/// attempts is dropped and counted in `failures` instead, surfacing the
+/// failure at the application level (§6.1) rather than retrying forever.
+template <class Map, class Resend>
+void retry_due(Map& pending, double now, const ReliabilityConfig& config,
+               Rng& rng, std::size_t& failures, std::size_t& retries,
+               Resend&& resend) {
+  ClientMetrics& metrics = client_metrics();
+  for (auto it = pending.begin(); it != pending.end();) {
+    auto& p = it->second;
+    if (now < p.deadline) {
+      ++it;
+      continue;
+    }
+    metrics.timeouts.inc();
+    if (p.attempts >= config.max_attempts) {
+      ++failures;
+      metrics.retry_exhausted.inc();
+      it = pending.erase(it);
+      continue;
+    }
+    resend(p);
+    ++p.attempts;
+    ++retries;
+    metrics.retry.inc();
+    p.deadline = now + retry_timeout(config, p.attempts - 1, rng);
+    ++it;
+  }
+}
 
 }  // namespace p3s::core

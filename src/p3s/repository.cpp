@@ -4,10 +4,9 @@
 
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/aead.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
-#include "p3s/messages.hpp"
+#include "p3s/exchange.hpp"
 
 namespace p3s::core {
 
@@ -114,40 +113,27 @@ void RepositoryServer::on_frame(const std::string& from, BytesView data) {
 
     if (type == FrameType::kContentRequest) {
       const TaggedBody body = read_tagged(r);
-      const auto plain =
-          pairing::ecies_decrypt(*pairing_, keys_.secret, body.payload);
-      if (!plain.has_value()) return;
-      Reader pr(*plain);
-      const Bytes ks = pr.bytes();
+      const auto request = open_request(*pairing_, keys_.secret, body.payload);
+      if (!request.has_value()) return;
+      Reader pr(request->fields);
       const Guid guid = Guid::from_bytes(pr.raw(Guid::kSize));
       pr.expect_done();
 
-      Writer inner;
       const auto it = store_.find(guid);
-      if (it == store_.end() || it->second.expires_at <= network_.now()) {
-        rs_metrics().fetch_notfound.inc();
-        inner.u8(kStatusNotFound);
-        inner.bytes({});
-      } else {
-        rs_metrics().fetch_ok.inc();
-        inner.u8(kStatusOk);
-        inner.bytes(it->second.abe_ciphertext);
-      }
+      const bool hit =
+          it != store_.end() && it->second.expires_at > network_.now();
+      (hit ? rs_metrics().fetch_ok : rs_metrics().fetch_notfound).inc();
       // Super-encrypted under the requester's Ks so eavesdroppers cannot
       // tell whether two subscribers fetched the same payload (paper §6.1).
       // With padding on, hit and miss plaintexts round up to the same bucket
       // before sealing, so response SIZE leaks nothing either (DESIGN.md §11).
-      Bytes plain_resp = inner.take();
-      if (response_pad_bucket_ > 0) {
-        plain_resp =
-            pad_to_bucket(std::move(plain_resp), response_pad_bucket_, rng_);
-      }
-      const Bytes sealed =
-          crypto::aead_encrypt(ks, plain_resp, str_to_bytes("content-resp"),
-                               rng_)
-              .serialize();
-      network_.send(name_, from,
-                    tagged_frame(FrameType::kContentResponse, body.tag, sealed));
+      network_.send(
+          name_, from,
+          response_frame(FrameType::kContentResponse, body.tag, request->ks,
+                         hit ? kStatusOk : kStatusNotFound,
+                         hit ? BytesView(it->second.abe_ciphertext)
+                             : BytesView(),
+                         rng_, response_pad_bucket_));
       return;
     }
     log_warn("rs") << "unexpected frame type from " << from;
@@ -161,7 +147,7 @@ Bytes RepositoryServer::snapshot() const {
   w.u32(static_cast<std::uint32_t>(store_.size()));
   for (const auto& [guid, item] : store_) {
     w.raw(guid.to_bytes());
-    w.u64(static_cast<std::uint64_t>(item.expires_at * 1000.0));
+    w.u64(to_wire_ms(item.expires_at));
     w.bytes(item.abe_ciphertext);
   }
   return w.take();

@@ -5,10 +5,9 @@
 
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/aead.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
-#include "p3s/messages.hpp"
+#include "p3s/exchange.hpp"
 
 namespace p3s::core {
 
@@ -33,18 +32,18 @@ struct SubMetrics {
       reg.counter(obs::names::kSubTokenRequestsTotal);
   obs::Counter& token_rejections =
       reg.counter(obs::names::kSubTokenRejectionsTotal);
-  // Reliable request layer (shared p3s.client.* vocabulary).
-  obs::Counter& retry = reg.counter(obs::names::kClientRetryTotal);
-  obs::Counter& retry_exhausted =
-      reg.counter(obs::names::kClientRetryExhaustedTotal);
-  obs::Counter& reconnects =
-      reg.counter(obs::names::kClientRetryReconnectsTotal);
-  obs::Counter& timeouts = reg.counter(obs::names::kClientTimeoutTotal);
 };
 
 SubMetrics& sub_metrics() {
   static SubMetrics m;
   return m;
+}
+
+// Reliable registration: the flag byte asks the DS for the sequenced
+// metadata stream, and the ack carries (incarnation, joined index).
+Bytes register_frame(bool reliable) {
+  return reliable ? frame(FrameType::kRegisterSubscriber, Bytes{1})
+                  : frame(FrameType::kRegisterSubscriber);
 }
 }  // namespace
 
@@ -57,7 +56,9 @@ Subscriber::Subscriber(net::Network& network, std::string name,
       rng_(rng),
       use_anonymizer_(use_anonymizer &&
                       !creds_.services.anonymizer_name.empty()),
-      reliability_(reliability) {
+      reliability_(reliability),
+      channel_(network_, name_, creds_.services, creds_.abe_pk.pairing, rng_,
+               reliability_, register_frame(reliability_.enabled)) {
   network_.register_endpoint(
       name_, [this](const std::string& from, BytesView frame) {
         on_frame(from, frame);
@@ -66,36 +67,9 @@ Subscriber::Subscriber(net::Network& network, std::string name,
 
 Subscriber::~Subscriber() { network_.unregister_endpoint(name_); }
 
-void Subscriber::send_sealed(BytesView inner) {
-  if (!session_.has_value()) throw std::logic_error("Subscriber: not connected");
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kChannelRecord));
-  w.bytes(session_->seal(inner, rng_));
-  network_.send(name_, creds_.services.ds_name, w.take());
-}
-
-void Subscriber::connect() {
-  const pairing::Pairing& pairing = *creds_.abe_pk.pairing;
-  Bytes hello;
-  session_ = net::SecureSession::initiate(pairing, creds_.services.ds_pk, rng_,
-                                          hello);
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kChannelHello));
-  w.bytes(hello);
-  network_.send(name_, creds_.services.ds_name, w.take());
-  if (reliability_.enabled) {
-    // Reliable registration: the flag byte asks the DS for the sequenced
-    // metadata stream, and the ack carries (incarnation, joined index).
-    connected_ = false;
-    Writer reg;
-    reg.u8(1);
-    send_sealed(frame(FrameType::kRegisterSubscriber, reg.data()));
-    register_deadline_ =
-        network_.now() + retry_timeout(reliability_, register_attempts_, rng_);
-  } else {
-    send_sealed(frame(FrameType::kRegisterSubscriber));
-  }
-}
+// A reliable subscriber is not connected until the ack brings its
+// (incarnation, joined index).
+void Subscriber::connect() { channel_.connect(reliability_.enabled); }
 
 void Subscriber::reconnect() { connect(); }
 
@@ -121,13 +95,10 @@ std::size_t Subscriber::token_count() const {
 }
 
 void Subscriber::disconnect() {
-  if (!session_.has_value()) return;
-  send_sealed(frame(FrameType::kUnregister));
-  session_.reset();
-  connected_ = false;
+  if (!channel_.has_session()) return;
+  channel_.disconnect();
   // A clean departure is not a lost channel: stop the reliable machinery
   // from re-registering or syncing behind the application's back.
-  register_deadline_.reset();
   sync_deadline_.reset();
   force_sync_ = false;
 }
@@ -200,62 +171,57 @@ void Subscriber::request_token(InterestRecord& record) {
     return;
   }
 
-  // Fig. 3: 3-tuple (Ks, subscriber certificate, plaintext predicate)
-  // under the PBE-TS public key.
-  const Bytes ks = rng_.bytes(32);
-  Writer plain;
-  plain.bytes(ks);
-  plain.bytes(creds_.certificate.serialize(pairing));
-  plain.bytes(pbe::serialize_string_map(effective));
-  const Bytes blob = pairing::ecies_encrypt(
-      pairing, creds_.services.pbe_ts_pk, plain.data(), rng_);
-
-  const std::uint64_t tag = next_tag_++;
-  record.tag = tag;
-  record.ks = ks;
-  Bytes request = tagged_frame(FrameType::kTokenRequest, tag, blob);
-  if (reliability_.enabled) {
-    // Retries re-send the exact same bytes: same tag, same Ks, so a late
-    // first response and a retry response are interchangeable and the
-    // second one finds no record holding the tag — deduplicated for free.
-    PendingRequest p;
-    p.request = request;
-    p.service = creds_.services.pbe_ts_name;
-    p.deadline = network_.now() + retry_timeout(reliability_, 0, rng_);
-    pending_token_requests_.emplace(tag, std::move(p));
-  }
-  send_service_request(creds_.services.pbe_ts_name, std::move(request));
+  // Fig. 3: (Ks, subscriber certificate, plaintext predicate) under the
+  // PBE-TS public key.
+  Bytes ks = rng_.bytes(32);
+  Writer fields;
+  fields.bytes(creds_.certificate.serialize(pairing));
+  fields.bytes(pbe::serialize_string_map(effective));
+  record.tag = send_request(FrameType::kTokenRequest,
+                            creds_.services.pbe_ts_name,
+                            creds_.services.pbe_ts_pk, ks, fields.data(),
+                            pending_token_requests_);
+  record.ks = std::move(ks);
 }
 
 void Subscriber::request_content(const Guid& guid) {
   if (!requested_guids_.insert(guid).second) return;  // already in flight
-  const pairing::Pairing& pairing = *creds_.abe_pk.pairing;
-  // Fig. 4: 2-tuple (Ks, GUID) under the RS public key.
-  const Bytes ks = rng_.bytes(32);
-  Writer plain;
-  plain.bytes(ks);
-  plain.raw(guid.to_bytes());
-  const Bytes blob = pairing::ecies_encrypt(pairing, creds_.services.rs_pk,
-                                            plain.data(), rng_);
+  // Fig. 4: (Ks, GUID) under the RS public key.
+  Bytes ks = rng_.bytes(32);
+  const std::uint64_t tag = send_request(
+      FrameType::kContentRequest, creds_.services.rs_name,
+      creds_.services.rs_pk, ks, guid.to_bytes(), pending_content_requests_);
+  pending_content_ks_[tag] = PendingFetch{std::move(ks), guid};
+}
+
+std::uint64_t Subscriber::send_request(
+    FrameType type, const std::string& service,
+    const pairing::Point& service_pk, BytesView ks, BytesView fields,
+    std::map<std::uint64_t, PendingRequest>& pending) {
+  const Bytes envelope =
+      seal_request(*creds_.abe_pk.pairing, service_pk, ks, fields, rng_);
   const std::uint64_t tag = next_tag_++;
-  pending_content_ks_[tag] = PendingFetch{ks, guid};
-  Bytes request = tagged_frame(FrameType::kContentRequest, tag, blob);
+  Bytes request = tagged_frame(type, tag, envelope);
   if (reliability_.enabled) {
+    // Retries re-send the exact same bytes: same tag, same Ks, so a late
+    // first response and a retry response are interchangeable and the
+    // second one finds nothing waiting on the tag — deduplicated for free.
     PendingRequest p;
     p.request = request;
-    p.service = creds_.services.rs_name;
+    p.service = service;
     p.deadline = network_.now() + retry_timeout(reliability_, 0, rng_);
-    pending_content_requests_.emplace(tag, std::move(p));
+    pending.emplace(tag, std::move(p));
   }
-  send_service_request(creds_.services.rs_name, std::move(request));
+  send_service_request(service, std::move(request));
+  return tag;
 }
 
 void Subscriber::request_metadata_replay(std::uint64_t from_index) {
-  if (!session_.has_value()) return;
+  if (!channel_.has_session()) return;
   Writer w;
   w.u8(static_cast<std::uint8_t>(FrameType::kMetaSyncRequest));
   w.u64(from_index);
-  send_sealed(w.data());
+  channel_.send(w.data());
 }
 
 void Subscriber::send_sync(double now) {
@@ -267,64 +233,29 @@ void Subscriber::send_sync(double now) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(FrameType::kMetaSyncRequest));
   w.u64(from);
-  send_sealed(w.data());
+  channel_.send(w.data());
   force_sync_ = false;
   sync_deadline_ = now + retry_timeout(reliability_, sync_failures_, rng_);
   next_heartbeat_ = now + reliability_.sync_interval;
 }
 
-void Subscriber::retry_requests(
-    std::map<std::uint64_t, PendingRequest>& pending, double now) {
-  SubMetrics& metrics = sub_metrics();
-  for (auto it = pending.begin(); it != pending.end();) {
-    PendingRequest& p = it->second;
-    if (now < p.deadline) {
-      ++it;
-      continue;
-    }
-    metrics.timeouts.inc();
-    if (p.attempts >= reliability_.max_attempts) {
-      // Surface the failure at the application level (§6.1) instead of
-      // retrying forever; the request's tag and Ks stay so a very late
-      // response can still complete it.
-      ++request_failures_;
-      metrics.retry_exhausted.inc();
-      it = pending.erase(it);
-      continue;
-    }
-    ++p.attempts;
-    ++retries_;
-    metrics.retry.inc();
-    send_service_request(p.service, p.request);
-    p.deadline = now + retry_timeout(reliability_, p.attempts - 1, rng_);
-    ++it;
-  }
-}
-
 void Subscriber::poll() {
   if (!reliability_.enabled) return;
   const double now = network_.now();
-  SubMetrics& metrics = sub_metrics();
+  ClientMetrics& metrics = client_metrics();
+  if (channel_.poll(now)) ++retries_;
 
-  if (!connected_ && register_deadline_.has_value() &&
-      now >= *register_deadline_) {
-    metrics.timeouts.inc();
-    ++register_attempts_;
-    if (register_attempts_ >= reliability_.max_attempts) {
-      metrics.retry_exhausted.inc();
-      register_deadline_.reset();
-    } else {
-      metrics.retry.inc();
-      metrics.reconnects.inc();
-      ++retries_;
-      connect();  // fresh hello + register (also resets the deadline)
-    }
-  }
+  // A request out of attempts keeps its tag and Ks, so a very late
+  // response can still complete it.
+  const auto resend = [&](const PendingRequest& p) {
+    send_service_request(p.service, p.request);
+  };
+  retry_due(pending_token_requests_, now, reliability_, rng_,
+            request_failures_, retries_, resend);
+  retry_due(pending_content_requests_, now, reliability_, rng_,
+            request_failures_, retries_, resend);
 
-  retry_requests(pending_token_requests_, now);
-  retry_requests(pending_content_requests_, now);
-
-  if (!connected_ || !meta_baseline_) return;
+  if (!channel_.connected() || !meta_baseline_) return;
   if (sync_deadline_.has_value() && now >= *sync_deadline_) {
     metrics.timeouts.inc();
     sync_deadline_.reset();
@@ -353,10 +284,7 @@ void Subscriber::on_frame(const std::string& from, BytesView data) {
     const FrameType type = read_frame_type(r);
     switch (type) {
       case FrameType::kChannelRecord: {
-        if (!session_.has_value()) return;
-        const Bytes record = r.bytes();
-        r.expect_done();
-        const auto inner = session_->open(record);
+        const auto inner = channel_.open(r);
         if (inner.has_value()) handle_inner(*inner);
         return;
       }
@@ -378,9 +306,6 @@ void Subscriber::handle_inner(BytesView inner) {
   Reader r(inner);
   const FrameType type = read_frame_type(r);
   if (type == FrameType::kAck) {
-    connected_ = true;
-    register_deadline_.reset();
-    register_attempts_ = 0;
     if (!r.done()) handle_reliable_ack(r);
     return;
   }
@@ -525,20 +450,16 @@ void Subscriber::handle_token_response(BytesView body) {
   rec->tag.reset();
   pending_token_requests_.erase(tagged.tag);
 
-  const auto plain = crypto::aead_decrypt(
-      ks, crypto::AeadCiphertext::deserialize(tagged.payload),
-      str_to_bytes("token-resp"));
-  if (!plain.has_value()) return;
-  Reader pr(*plain);
-  const std::uint8_t status = pr.u8();
-  const Bytes token_bytes = pr.bytes();
-  pr.expect_done();
-  if (status != kStatusOk) {
+  const auto response =
+      open_response(FrameType::kTokenResponse, ks, tagged.payload);
+  if (!response.has_value()) return;
+  if (response->status != kStatusOk) {
     ++token_rejections_;
     sub_metrics().token_rejections.inc();
     return;
   }
-  rec->token = pbe::HveToken::deserialize(*creds_.abe_pk.pairing, token_bytes);
+  rec->token =
+      pbe::HveToken::deserialize(*creds_.abe_pk.pairing, response->body);
   reindex_tokens();
 }
 
@@ -551,16 +472,11 @@ void Subscriber::handle_content_response(BytesView body) {
   pending_content_ks_.erase(it);
   pending_content_requests_.erase(tagged.tag);
 
-  const auto plain = crypto::aead_decrypt(
-      fetch.ks, crypto::AeadCiphertext::deserialize(tagged.payload),
-      str_to_bytes("content-resp"));
-  if (!plain.has_value()) return;
-  Reader pr(*plain);
-  const std::uint8_t status = pr.u8();
-  const Bytes abe_ct = pr.bytes();
-  skip_pad(pr);  // hardened RS pads responses inside the AEAD
+  const auto response =
+      open_response(FrameType::kContentResponse, fetch.ks, tagged.payload);
+  if (!response.has_value()) return;
   SubMetrics& metrics = sub_metrics();
-  if (status != kStatusOk) {
+  if (response->status != kStatusOk) {
     ++fetch_failures_;
     metrics.fetch_failures.inc();
     return;
@@ -569,7 +485,8 @@ void Subscriber::handle_content_response(BytesView body) {
   const auto tuple = [&] {
     obs::ScopedTimer t(metrics.reg, metrics.decrypt_seconds,
                        obs::names::kSubDecryptSeconds);
-    return abe::cpabe_decrypt_bytes(creds_.abe_pk, creds_.abe_sk, abe_ct);
+    return abe::cpabe_decrypt_bytes(creds_.abe_pk, creds_.abe_sk,
+                                    response->body);
   }();
   if (!tuple.has_value()) {
     ++undecryptable_;

@@ -31,8 +31,9 @@
 #include "common/guid.hpp"
 #include "common/serial.hpp"
 #include "net/network.hpp"
-#include "net/secure.hpp"
+#include "p3s/channel_client.hpp"
 #include "p3s/credentials.hpp"
+#include "p3s/messages.hpp"
 #include "p3s/reliability.hpp"
 
 namespace p3s::core {
@@ -54,7 +55,7 @@ class Subscriber {
 
   /// Establish the DS channel and register as a subscriber.
   void connect();
-  bool connected() const { return connected_; }
+  bool connected() const { return channel_.connected(); }
 
   /// Register an interest: requests a PBE token for it. The predicate must
   /// constrain at least one attribute (all-wildcard rejected by schema).
@@ -148,11 +149,15 @@ class Subscriber {
   void handle_content_response(BytesView body);
   void request_token(InterestRecord& record);
   void request_content(const Guid& guid);
-  void send_sealed(BytesView inner);
+  /// The one send path of token and content requests: seal Ks and `fields`
+  /// to the service, tag the frame, arm its retry in `pending` (reliable
+  /// mode) and send it. Returns the tag.
+  std::uint64_t send_request(FrameType type, const std::string& service,
+                             const pairing::Point& service_pk, BytesView ks,
+                             BytesView fields,
+                             std::map<std::uint64_t, PendingRequest>& pending);
   void send_service_request(const std::string& service, Bytes request);
   void send_sync(double now);
-  void retry_requests(std::map<std::uint64_t, PendingRequest>& pending,
-                      double now);
   /// Rebuild the position union after any token is added or dropped.
   void reindex_tokens();
 
@@ -162,9 +167,8 @@ class Subscriber {
   Rng& rng_;
   bool use_anonymizer_;
   ReliabilityConfig reliability_;
+  ChannelClient channel_;
 
-  std::optional<net::SecureSession> session_;
-  bool connected_ = false;
   std::vector<InterestRecord> interests_;
   // Ascending union of the positions the tokens probe: the per-broadcast
   // Miller precompute covers only positions some token actually probes.
@@ -180,8 +184,6 @@ class Subscriber {
   // --- reliable-layer state ------------------------------------------------
   std::map<std::uint64_t, PendingRequest> pending_token_requests_;
   std::map<std::uint64_t, PendingRequest> pending_content_requests_;
-  std::optional<double> register_deadline_;
-  std::size_t register_attempts_ = 0;
   // Sequenced metadata stream. Invariant once the baseline is set: every
   // index < next_meta_index_ was either processed or sits in missing_meta_.
   // Frames arriving before the first (incarnation, joined-index) ack are

@@ -2,10 +2,9 @@
 
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/aead.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
-#include "p3s/messages.hpp"
+#include "p3s/exchange.hpp"
 
 namespace p3s::core {
 
@@ -55,29 +54,21 @@ void PbeTokenServer::on_frame(const std::string& from, BytesView data) {
     }
     const TaggedBody body = read_tagged(r);
 
-    const auto plain = pairing::ecies_decrypt(*pairing_, keys_.secret,
-                                              body.payload);
-    if (!plain.has_value()) {
+    const auto request = open_request(*pairing_, keys_.secret, body.payload);
+    if (!request.has_value()) {
       ++rejected_;
       ts_metrics().rejected.inc();
       return;  // cannot even recover Ks: silently drop
     }
-    Reader pr(*plain);
-    const Bytes ks = pr.bytes();
+    Reader pr(request->fields);
     const Bytes cert_bytes = pr.bytes();
     const Bytes interest_bytes = pr.bytes();
     pr.expect_done();
 
     auto respond = [&](std::uint8_t status, BytesView payload) {
-      Writer inner;
-      inner.u8(status);
-      inner.bytes(payload);
-      const Bytes sealed =
-          crypto::aead_encrypt(ks, inner.data(), str_to_bytes("token-resp"),
-                               rng_)
-              .serialize();
       network_.send(name_, from,
-                    tagged_frame(FrameType::kTokenResponse, body.tag, sealed));
+                    response_frame(FrameType::kTokenResponse, body.tag,
+                                   request->ks, status, payload, rng_));
     };
 
     const Certificate cert = Certificate::deserialize(*pairing_, cert_bytes);

@@ -186,6 +186,42 @@ TEST(AnonHardeningTest, FlushAcrossRsBlackoutConvergesExactlyOnce) {
   EXPECT_EQ(sub->request_failures(), 0u);
 }
 
+// A destination that never answers must not grow the relay's tag table.
+// Forwards to an endpoint that does not exist used to stay pending one
+// each; past the cap the oldest entry goes, so the gauge stays at the cap,
+// and a real fetch afterwards is still relayed and delivered.
+TEST(AnonHardeningTest, UnansweredForwardsStayCapped) {
+  net::AsyncNetwork net;
+  TestRng rng(0x7a6);
+  P3sSystem system(net, base_config(), rng);
+  auto sub = system.make_subscriber("sub1", "alice", {"m"}, rng);
+  auto pub = system.make_publisher("pub1", "press", rng);
+  sub->subscribe({{"sector", "finance"}});
+  net.run_until_idle();
+  ASSERT_EQ(sub->token_count(), 1u);
+
+  const obs::Gauge& pending =
+      obs::Registry::global().gauge(obs::names::kAnonPending);
+  const Bytes request =
+      tagged_frame(FrameType::kContentRequest, 1, rng.bytes(64));
+  for (std::size_t i = 0; i < Anonymizer::kTagCap + 500; ++i) {
+    Writer w;
+    w.u8(static_cast<std::uint8_t>(FrameType::kAnonForward));
+    w.str("nowhere");
+    w.bytes(request);
+    net.send("attacker", "anon", w.take());
+  }
+  net.run_until_idle(1000000);
+  EXPECT_EQ(pending.value(),
+            static_cast<std::int64_t>(Anonymizer::kTagCap));
+
+  pub->publish({{"sector", "finance"}, {"grade", "x"}},
+               str_to_bytes("still-delivered"), abe::parse_policy("m"), 1e9);
+  net.run_until_idle(1000000);
+  EXPECT_EQ(sub->delivery_count(), 1u);
+  EXPECT_LE(pending.value(), static_cast<std::int64_t>(Anonymizer::kTagCap));
+}
+
 TEST(DsHardeningTest, CoverBroadcastsFlowWithoutConfusingSubscribers) {
   net::AsyncNetwork net;
   TestRng rng(0xc0ffe);

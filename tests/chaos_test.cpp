@@ -27,6 +27,7 @@
 #include "net/async.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
+#include "p3s/registration.hpp"
 #include "p3s/system.hpp"
 #include "wire_log.hpp"
 
@@ -374,6 +375,126 @@ TEST(EavesdropperPin, CleanRunWireDigest) {
   EXPECT_EQ(base_frames, 35u);
   EXPECT_EQ(base_digest,
             "a315f047eb3f55b757d9f550ca1ca30df17f200eed1aa0e5adcd7243027e166c");
+}
+
+// Fig. 2 over the wire: three exchanges with the ARA's network front end,
+// an enrolled subscriber, an enrolled publisher and an unknown identity,
+// each sealed under its own Ks and answered under it.
+TEST(EavesdropperPin, RemoteRegistrationWireDigest) {
+  net::AsyncNetwork net;
+  test::WireLog wire(net);
+  TestRng rng(0x5e9a7u);
+  P3sSystem system(net, chaos_config(), rng);
+  AraServer ara(net, "ara", system.ara(), rng);
+  ara.enroll_subscriber("alice", {"m"});
+  ara.enroll_publisher("press");
+  const pairing::PairingPtr pairing = system.ara().abe_pk().pairing;
+  const SubscriberRegistration sub(net, "sub1", "ara", ara.public_key(),
+                                   pairing, "alice", rng);
+  const PublisherRegistration pub(net, "pub1", "ara", ara.public_key(),
+                                  pairing, "press", rng);
+  const SubscriberRegistration unknown(net, "sub2", "ara", ara.public_key(),
+                                       pairing, "mallory", rng);
+  net.run_until_idle();
+  EXPECT_TRUE(sub.credentials().has_value());
+  EXPECT_TRUE(pub.credentials().has_value());
+  EXPECT_FALSE(unknown.credentials().has_value());
+  EXPECT_FALSE(unknown.pending());
+  EXPECT_EQ(ara.rejected_requests(), 1u);
+  EXPECT_EQ(wire.size(), 6u);
+  EXPECT_EQ(wire_digest(wire),
+            "74a3768cd3ac9e284a08b50201bb648cf9b02f9d678255af883748228cd2de24");
+}
+
+// Fig. 3 refused: the PBE-TS answers a forged certificate with a rejection
+// sealed under the requester's Ks, relayed through the anonymizer.
+TEST(EavesdropperPin, RejectedTokenRequestWireDigest) {
+  net::AsyncNetwork net;
+  test::WireLog wire(net);
+  TestRng rng(0x70c3u);
+  P3sConfig config = chaos_config();
+  config.reliability.enabled = false;
+  P3sSystem system(net, std::move(config), rng);
+  auto creds = system.ara().register_subscriber("mallory", {"m"}, rng);
+  creds.certificate.pseudonym = "admin";  // tampered after signing
+  Subscriber sub(net, "subx", std::move(creds), rng);
+  sub.connect();
+  sub.subscribe({{"sector", "tech"}});
+  net.run_until_idle();
+  EXPECT_TRUE(sub.connected());
+  EXPECT_EQ(sub.token_count(), 0u);
+  EXPECT_EQ(sub.token_rejections(), 1u);
+  EXPECT_EQ(system.token_server().rejected_requests(), 1u);
+  EXPECT_EQ(wire.size(), 7u);
+  EXPECT_EQ(wire_digest(wire),
+            "cf1ac281a0a0fc7a5913040cfa7ad44843e2a735573f48cfd81d9b931559d0ff");
+}
+
+// The attack suite's hardened deployment: anonymizer batching with decoy
+// top-up and padding, DS batching and padding, RS response padding. One
+// publication matches a subscriber and is fetched through a mixed batch;
+// the other matches nobody.
+TEST(EavesdropperPin, HardenedRunWireDigest) {
+  net::AsyncNetwork net;
+  test::WireLog wire(net);
+  TestRng rng(0x4a2du);
+  P3sConfig config = chaos_config();
+  config.reliability.enabled = false;
+  config.anon_hardening.batching = true;
+  config.anon_hardening.batch_size = 3;
+  config.anon_hardening.flush_interval = 200.0;
+  config.anon_hardening.flush_jitter = 100.0;
+  config.anon_hardening.min_batch = 3;
+  config.anon_hardening.pad_bucket = 512;
+  config.anon_hardening.seed = 0xa110'5eed;
+  config.ds_hardening.batching = true;
+  config.ds_hardening.batch_size = 4;
+  config.ds_hardening.flush_interval = 300.0;
+  config.ds_hardening.flush_jitter = 150.0;
+  config.ds_hardening.pad_bucket = 1024;
+  config.ds_hardening.seed = 0xd5'5eed;
+  config.rs_response_pad_bucket = 1024;
+  P3sSystem system(net, std::move(config), rng);
+  const obs::Counter& decoys =
+      obs::Registry::global().counter(obs::names::kAnonCoverTotal);
+  const auto decoys0 = decoys.value();
+  auto sub = system.make_subscriber("sub1", "alice", {"m"}, rng);
+  auto other = system.make_subscriber("sub2", "bob", {"m"}, rng);
+  auto pub = system.make_publisher("pub1", "press", rng);
+  sub->subscribe({{"sector", "finance"}});
+  other->subscribe({{"grade", "y"}});
+  const auto converge = [&](const std::function<bool()>& done) {
+    for (int round = 0; round < 500; ++round) {
+      net.run_until_idle();
+      if (done() && net.in_flight() == 0 &&
+          system.ds().queued_broadcast_count() == 0 &&
+          system.anonymizer()->held_count() == 0) {
+        return true;
+      }
+      system.ds().poll();
+      system.anonymizer()->poll();
+      if (net.in_flight() == 0) net.advance(97);
+    }
+    return false;
+  };
+  ASSERT_TRUE(converge([&] {
+    return pub->connected() && sub->connected() && other->connected() &&
+           sub->token_count() == 1 && other->token_count() == 1;
+  }));
+  pub->publish({{"sector", "finance"}, {"grade", "x"}},
+               str_to_bytes("HARD-ONE"), abe::parse_policy("m"), 1e9);
+  ASSERT_TRUE(converge([&] { return sub->delivery_count() == 1; }));
+  pub->publish({{"sector", "tech"}, {"grade", "x"}}, str_to_bytes("HARD-TWO"),
+               abe::parse_policy("m"), 1e9);
+  ASSERT_TRUE(converge([&] {
+    return sub->metadata_received() == 2 && other->metadata_received() == 2;
+  }));
+  EXPECT_EQ(sub->delivery_count(), 1u);
+  EXPECT_EQ(other->match_count(), 0u);
+  EXPECT_GT(decoys.value(), decoys0);
+  EXPECT_EQ(wire.size(), 37u);
+  EXPECT_EQ(wire_digest(wire),
+            "e00905790d86524fe1d99153d9b6282857f97110750a0f7d35a87ebba44ea16b");
 }
 
 // A clean departure is not a lost channel: a reliable publisher that

@@ -28,7 +28,7 @@
 #include "crypto/hmac.hpp"
 #include "net/async.hpp"
 #include "p3s/system.hpp"
-#include "pairing/ecies.hpp"
+#include "p3s/exchange.hpp"
 #include "pairing/pairing.hpp"
 #include "pbe/hve.hpp"
 #include "wire_log.hpp"
@@ -304,17 +304,16 @@ std::pair<std::size_t, std::size_t> hit_miss_response_sizes(
   EXPECT_EQ(sizes.size(), 1u);  // exactly one response per fetch
   const std::size_t hit_size = sizes.empty() ? 0 : sizes.back();
 
-  // Miss: the same 2-tuple request shape for a GUID the RS never stored
-  // (byte-compatible with Subscriber::request_content and the relay's
-  // decoys). The observer endpoint just swallows the reply.
+  // Miss: the same (Ks, GUID) exchange as Subscriber::request_content and
+  // the relay's decoys, for a GUID the RS never stored. The observer
+  // endpoint just swallows the reply.
   net.register_endpoint("probe", [](const std::string&, BytesView) {});
-  Writer plain;
-  plain.bytes(rng.bytes(32));
-  plain.raw(Guid::random(rng).to_bytes());
-  const Bytes blob = pairing::ecies_encrypt(*pp, system.directory().rs_pk,
-                                            plain.data(), rng);
+  const Bytes ks = rng.bytes(32);
+  const Bytes guid = Guid::random(rng).to_bytes();
+  const Bytes envelope =
+      core::seal_request(*pp, system.directory().rs_pk, ks, guid, rng);
   net.send("probe", rs,
-           core::tagged_frame(core::FrameType::kContentRequest, 7, blob));
+           core::tagged_frame(core::FrameType::kContentRequest, 7, envelope));
   net.run_until_idle();
   sizes = response_sizes();
   EXPECT_EQ(sizes.size(), 2u);

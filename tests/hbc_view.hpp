@@ -23,8 +23,8 @@
 #include "net/secure.hpp"
 #include "p3s/anonymizer.hpp"
 #include "p3s/dissemination.hpp"
+#include "p3s/exchange.hpp"
 #include "p3s/messages.hpp"
-#include "pairing/ecies.hpp"
 #include "wire_log.hpp"
 
 namespace p3s::test {
@@ -81,9 +81,9 @@ inline HbcView ds_view(const WireLog& wire, const pairing::Pairing& pairing,
 }
 
 /// RS and PBE-TS (`Service` is either): a kContentRequest or kTokenRequest
-/// appears as its ECIES envelope opened with the service's key, that is
-/// (Ks, GUID) or (Ks, certificate, interest). Other frames, such as the
-/// DS's stores, appear as they crossed.
+/// appears as its envelope opened with the service's key, that is
+/// bytes(Ks) followed by the request fields: (Ks, GUID) or (Ks, certificate,
+/// interest). Other frames, such as the DS's stores, appear as they crossed.
 template <typename Service>
 HbcView envelope_view(const WireLog& wire, const pairing::Pairing& pairing,
                       const Service& service) {
@@ -94,10 +94,13 @@ HbcView envelope_view(const WireLog& wire, const pairing::Pairing& pairing,
     const core::FrameType type = core::read_frame_type(r);
     if (type == core::FrameType::kContentRequest ||
         type == core::FrameType::kTokenRequest) {
-      const auto plain = pairing::ecies_decrypt(
+      const auto request = core::open_request(
           pairing, service.identity().secret, core::read_tagged(r).payload);
-      if (plain.has_value()) {
-        view.push_back({f.from, type, *plain});
+      if (request.has_value()) {
+        Writer plain;
+        plain.bytes(request->ks);
+        plain.raw(request->fields);
+        view.push_back({f.from, type, plain.take()});
         continue;
       }
     }

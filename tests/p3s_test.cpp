@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "abe/policy.hpp"
@@ -309,6 +310,65 @@ TEST_F(P3sEndToEnd, RsSnapshotRestorePersistsEncryptedContent) {
                abe::parse_policy("a"), 1000.0);
   net_.run_until_idle();
   EXPECT_EQ(sub->delivery_count(), 1u);
+}
+
+// A TTL that the content body's u64 milliseconds cannot carry is refused
+// before any randomness is drawn, by publish() and by every item of a
+// batch. Cast unchecked, -5 s went on the wire as 1.84e16 s and NaN as
+// 9.22e15 s.
+TEST_F(P3sEndToEnd, PublishRejectsUnrepresentableTtl) {
+  build();
+  auto pub = system_->make_publisher("pub1", "p", rng_);
+  net_.run_until_idle();
+  const std::size_t frames = wire_.size();
+  for (const double ttl :
+       {-5.0, -1e-3, std::nan(""), HUGE_VAL, -HUGE_VAL, 1e17}) {
+    const TestRng before = rng_;
+    EXPECT_THROW(pub->publish(md("tech", "us", "ipo"), str_to_bytes("x"),
+                              abe::parse_policy("a"), ttl),
+                 std::invalid_argument)
+        << ttl;
+    std::vector<PublishItem> batch(
+        2, PublishItem{md("tech", "us", "ipo"), str_to_bytes("x"),
+                       abe::parse_policy("a"), 60.0});
+    batch[1].ttl_seconds = ttl;
+    EXPECT_THROW(pub->publish_batch(batch), std::invalid_argument) << ttl;
+    TestRng untouched = before;
+    EXPECT_EQ(rng_.bytes(16), untouched.bytes(16)) << "drew for TTL " << ttl;
+  }
+  net_.run_until_idle();
+  EXPECT_EQ(wire_.size(), frames);
+  // The largest TTLs that fit still publish.
+  EXPECT_NO_THROW(pub->publish(md("tech", "us", "ipo"), str_to_bytes("x"),
+                               abe::parse_policy("a"), 1.8e16));
+}
+
+// A publisher can put u64-max milliseconds on the wire. The RS keeps that
+// item, and its snapshot carries the expiry saturated at the u64 maximum:
+// cast past the u64 range it read back from restore() as 0, and the next
+// collection deleted the item.
+TEST_F(P3sEndToEnd, RsSnapshotKeepsAMaximalExpiry) {
+  build();
+  Writer store;
+  store.u8(static_cast<std::uint8_t>(FrameType::kStoreContent));
+  store.u8(0);  // clear GUID
+  store.bytes(Guid::random(rng_).to_bytes());
+  store.u64(~std::uint64_t{0});  // TTL, ms
+  store.bytes(str_to_bytes("abe-ciphertext"));
+  net_.send("ds", system_->rs().name(), store.take());
+  net_.run_until_idle();
+  ASSERT_EQ(system_->rs().stored_items(), 1u);
+
+  const Bytes snap = system_->rs().snapshot();
+  Reader r(snap);
+  EXPECT_EQ(r.u32(), 1u);
+  r.raw(Guid::kSize);
+  EXPECT_EQ(r.u64(), ~std::uint64_t{0});
+  system_->rs().restore(snap);
+  net_.advance(1e6);
+  EXPECT_EQ(system_->rs().garbage_collect(), 0u);
+  EXPECT_EQ(system_->rs().stored_items(), 1u);
+  EXPECT_EQ(system_->rs().snapshot(), snap);
 }
 
 TEST_F(P3sEndToEnd, RsFilePersistenceSurvivesRestart) {

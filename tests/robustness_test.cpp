@@ -4,6 +4,9 @@
 // network is drained, so each test drains where a throw would surface.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
 #include "net/async.hpp"
@@ -145,6 +148,41 @@ TEST_F(RobustnessTest, ClientsIgnoreUnsolicitedResponses) {
   EXPECT_NO_THROW(net_.run_until_idle());
   EXPECT_EQ(sub_->token_count(), 1u);
   expect_system_still_works();
+}
+
+// A reliability config no client can run on is refused where the client is
+// built: reconnect_after 0 divided by zero on the publisher's first
+// publish retry (SIGFPE), and a jitter outside [0, 1] makes a retry timeout
+// negative. Nothing is left behind: the endpoint name stays free.
+TEST(ClientConfigTest, ClientsRejectUnusableReliabilityConfig) {
+  net::AsyncNetwork net;
+  TestRng rng(0xc0f);
+  P3sConfig config;
+  config.pairing = pairing::Pairing::test_pairing();
+  P3sSystem system(net, std::move(config), rng);
+  const auto sub_creds = system.ara().register_subscriber("s", {"m"}, rng);
+  const auto pub_creds = system.ara().register_publisher("p", rng);
+  const auto with = [](auto change) {
+    ReliabilityConfig r;
+    r.enabled = true;
+    change(r);
+    return r;
+  };
+  for (const ReliabilityConfig& bad :
+       {with([](ReliabilityConfig& r) { r.reconnect_after = 0; }),
+        with([](ReliabilityConfig& r) { r.jitter = -0.01; }),
+        with([](ReliabilityConfig& r) { r.jitter = 1.01; }),
+        with([](ReliabilityConfig& r) { r.jitter = std::nan(""); })}) {
+    EXPECT_THROW(Publisher(net, "pub1", pub_creds, rng, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(Subscriber(net, "sub1", sub_creds, rng, true, bad),
+                 std::invalid_argument);
+  }
+  for (const ReliabilityConfig& good :
+       {ReliabilityConfig{}, with([](ReliabilityConfig&) {})}) {
+    EXPECT_NO_THROW(Publisher(net, "pub1", pub_creds, rng, good));
+    EXPECT_NO_THROW(Subscriber(net, "sub1", sub_creds, rng, true, good));
+  }
 }
 
 }  // namespace

@@ -77,6 +77,38 @@ void BM_FeMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FeMul)->Arg(3)->Arg(8);
 
+// One F_q inversion (the safegcd kernel behind every affine conversion and
+// F_q² inversion), chained like BM_FeMul, and the Fermat exponentiation
+// x^(q−2) it replaced, as the reference.
+pairing::fqm::Fe random_unit(const pairing::Pairing& p, Rng& rng) {
+  const math::BigInt one{1};
+  return pairing::fqm::fe_from(
+      p.mont_q(), one + math::BigInt::random_below(rng, p.q() - one));
+}
+
+void BM_FeInv(benchmark::State& state) {
+  TestRng rng(16);
+  const auto p = group_with_limbs(state.range(0));
+  pairing::fqm::Fe x = random_unit(*p, rng);
+  for (auto _ : state) {
+    x = pairing::fqm::fe_inv(p->mont_q(), x);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeInv)->Arg(3)->Arg(8);
+
+void BM_FeInv_Fermat(benchmark::State& state) {
+  TestRng rng(16);
+  const auto p = group_with_limbs(state.range(0));
+  const math::BigInt e = p->q() - math::BigInt{2};
+  pairing::fqm::Fe x = random_unit(*p, rng);
+  for (auto _ : state) {
+    x = pairing::fqm::fe_pow(p->mont_q(), x, e);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeInv_Fermat)->Arg(3)->Arg(8);
+
 // The ciphertext-side Miller chain of one G1 point (hve_match_prepare runs
 // one per ciphertext point on every broadcast).
 void BM_MillerPrecompute(benchmark::State& state) {

@@ -22,7 +22,8 @@ end it prints, per end-to-end metric of BENCHMARK.json, the base and head
 medians with their [Q1, Q3] and the number of pairs the head won, then the
 cache-line offset of perfbench's `calibration_kernel` in each build (from
 `nm`): the harness divides every timing by that kernel's speed, which
-depends on where the linker puts it.
+depends on where the linker puts it. A WARNING line follows when the two
+offsets differ; it gates nothing.
 """
 
 import argparse
@@ -90,15 +91,15 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def calibration_offset(tree):
+def calibration_address(tree):
+    """calibration_kernel's address in the tree's perfbench, or None."""
     binary = tree / ".bench_build" / "p3s_perfbench"
     proc = subprocess.run(["nm", "-C", str(binary)], stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     for line in proc.stdout.splitlines():
         if "calibration_kernel" in line:
-            address = int(line.split()[0], 16)
-            return f"{address:#x} (cache-line offset {address % 64})"
-    return "not found"
+            return int(line.split()[0], 16)
+    return None
 
 
 def main():
@@ -158,9 +159,19 @@ def main():
             cells.append(f"{q2:.4g} [{q1:.4g}, {q3:.4g}]")
         print(f"{name:<18} {cells[0]:>28} {cells[1]:>28} "
               f"{wins:>6}/{args.pairs}")
+    offsets = {}
     for side in ("base", "head"):
-        print(f"calibration_kernel ({side}): "
-              f"{calibration_offset(sides[side][1])}")
+        address = calibration_address(sides[side][1])
+        if address is None:
+            print(f"calibration_kernel ({side}): not found")
+            continue
+        offsets[side] = address % 64
+        print(f"calibration_kernel ({side}): {address:#x} "
+              f"(cache-line offset {offsets[side]})")
+    if len(offsets) == 2 and offsets["base"] != offsets["head"]:
+        print(f"WARNING: calibration_kernel sits at cache-line offset "
+              f"{offsets['base']} in base and {offsets['head']} in head; "
+              "timings scaled by its speed may differ from layout alone")
 
 
 if __name__ == "__main__":

@@ -63,22 +63,29 @@ void AsyncNetwork::send(const std::string& from, const std::string& to,
     if (d > 0) metrics.delayed.inc();
     return tick_ + d;
   };
+  const auto enqueue = [&](Bytes f, std::uint64_t at) {
+    if (at != tick_) ++delayed_in_flight_;
+    queue_.push_back(InFlight{from, to, std::move(f), at, at != tick_});
+  };
   const std::uint64_t deliver_at = delayed();
   if (plan_.should_duplicate(from, to)) {
     metrics.duplicated.inc();
     observe(from, to, frame.size(), frame);
-    queue_.push_back(InFlight{from, to, frame, delayed()});
+    enqueue(frame, delayed());
   }
-  queue_.push_back(InFlight{from, to, std::move(frame), deliver_at});
+  enqueue(std::move(frame), deliver_at);
 }
 
 bool AsyncNetwork::pump_one() {
   while (!queue_.empty()) {
-    // Earliest deliver_at first (FIFO on ties); a reorder fault lets a
-    // uniformly chosen in-flight frame overtake the scheduled one.
+    // Earliest deliver_at first (FIFO on ties), which is the front unless a
+    // delayed frame is in flight; a reorder fault lets a uniformly chosen
+    // in-flight frame overtake the scheduled one.
     std::size_t idx = 0;
-    for (std::size_t i = 1; i < queue_.size(); ++i) {
-      if (queue_[i].deliver_at < queue_[idx].deliver_at) idx = i;
+    if (delayed_in_flight_ > 0) {
+      for (std::size_t i = 1; i < queue_.size(); ++i) {
+        if (queue_[i].deliver_at < queue_[idx].deliver_at) idx = i;
+      }
     }
     if (queue_.size() > 1 &&
         plan_.should_reorder(queue_[idx].from, queue_[idx].to)) {
@@ -88,6 +95,7 @@ bool AsyncNetwork::pump_one() {
     }
     InFlight msg = std::move(queue_[idx]);
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+    if (msg.delayed) --delayed_in_flight_;
     tick_ = std::max(tick_ + 1, msg.deliver_at);
     if (plan_.in_blackout(msg.to, now())) {
       count_drop(msg.from, msg.to);

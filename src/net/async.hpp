@@ -74,12 +74,17 @@ class AsyncNetwork final : public Network {
     std::string to;
     Bytes frame;
     std::uint64_t deliver_at = 0;
+    bool delayed = false;  // deliver_at lies past the send tick
   };
 
   void count_drop(const std::string& from, const std::string& to);
 
   EndpointTable endpoints_;
   std::deque<InFlight> queue_;
+  // Frames in queue_ with a plan delay. While there are none, deliver_at is
+  // non-decreasing along queue_ (send ticks strictly increase, and a
+  // duplicate ties with its original), so the front is the earliest.
+  std::size_t delayed_in_flight_ = 0;
   std::uint64_t tick_ = 0;
   std::size_t dropped_ = 0;
   FaultPlan plan_{0};

@@ -1,5 +1,6 @@
 #include "p3s/messages.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace p3s::core {
@@ -75,7 +76,7 @@ void check_ttl(double ttl_seconds) {
 }
 
 std::uint64_t to_wire_ms(double seconds) {
-  const double ms = seconds * 1000.0;
+  const double ms = std::round(seconds * 1000.0);
   if (!(ms > 0.0)) return 0;
   if (ms >= kWireMsLimit) return ~std::uint64_t{0};
   return static_cast<std::uint64_t>(ms);

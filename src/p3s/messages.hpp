@@ -105,8 +105,10 @@ ContentBody read_content(Reader& r);
 /// non-negative and small enough for its milliseconds to fit the u64 the
 /// content body carries.
 void check_ttl(double ttl_seconds);
-/// Seconds as the wire's u64 milliseconds, saturating: negative and NaN
-/// read 0, and anything past the u64 range reads its maximum.
+/// Seconds as the wire's u64 milliseconds, rounded to the nearest and
+/// saturating: negative and NaN read 0, and anything that rounds past the
+/// u64 range reads its maximum. A TTL read back as ms / 1000 re-encodes to
+/// the same ms.
 std::uint64_t to_wire_ms(double seconds);
 
 // kPublishRequest body: the idempotency key, the content submission, and the

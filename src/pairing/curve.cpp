@@ -326,7 +326,7 @@ std::vector<Point> jacm_batch_normalize(const Montgomery& m,
 }
 
 namespace {
-// A batch of one: one (Fermat, in-domain) inversion per multiplication or
+// A batch of one: one (safegcd, in-domain) inversion per multiplication or
 // sum.
 Point jacm_to_point(const Montgomery& m, const JacPoint& p) {
   return jacm_batch_normalize(m, std::span<const JacPoint>(&p, 1))[0];

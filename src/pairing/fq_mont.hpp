@@ -4,10 +4,11 @@
 // math::Montgomery::kMaxFixedLimbs 64-bit limbs; only the context's
 // limb_count() low limbs are significant (3 in the test group, 8 in the
 // paper group) and the rest stay zero, so == compares values. Every
-// operation below ends in Montgomery::mul_limbs/add_limbs/sub_limbs, which
-// pick a kernel compiled for the context's limb count, so the Miller loop,
-// scalar multiplication and GT arithmetic run unrolled limb loops with zero
-// heap allocations; BigInt appears only at the boundaries (fe_from/fe_to).
+// operation below ends in Montgomery::mul_limbs/add_limbs/sub_limbs (and
+// fe_inv in inv_limbs), which pick a kernel compiled for the context's
+// limb count, so the Miller loop, scalar multiplication and GT arithmetic
+// run unrolled limb loops with zero heap allocations; BigInt appears only
+// at the boundaries (fe_from/fe_to).
 // There is no fallback for wider moduli: Pairing refuses a q wider than
 // 512 bits, the kernels throw std::logic_error for such a context, and so
 // do fe_pack and fe_unpack, where BigInts enter and leave an Fe.
@@ -124,12 +125,14 @@ inline Fe fe_pow(const Montgomery& m, const Fe& x, const BigInt& e) {
   return acc;
 }
 
-/// x⁻¹ = x^(q−2) (Fermat; q must be prime) — several times cheaper than
-/// the BigInt extended-gcd inverse for the field sizes here. Throws
+/// x⁻¹ by Montgomery::inv_limbs, the constant-time safegcd kept out of
+/// line in montgomery.cpp (Montgomery form in and out). Throws
 /// std::domain_error on zero.
 inline Fe fe_inv(const Montgomery& m, const Fe& x) {
   if (fe_is_zero(x, m.limb_count())) throw std::domain_error("fe_inv: zero");
-  return fe_pow(m, x, m.modulus() - BigInt{2});
+  Fe out;
+  m.inv_limbs(x.w.data(), out.w.data());
+  return out;
 }
 
 /// Karatsuba-style product: 3 F_q multiplications. out must not alias x/y.
@@ -164,7 +167,7 @@ inline Fe2 fe2_one(const Montgomery& m) { return {fe_one(m), Fe{}}; }
 
 /// 1/(a + bi) = (a − bi)/(a² + b²): the norm is nonzero for x ≠ 0 because
 /// −1 is a non-residue (q ≡ 3 mod 4). A norm of 1 — every element of GT —
-/// skips the Fermat inversion: the inverse is then the conjugate. Throws
+/// skips the F_q inversion: the inverse is then the conjugate. Throws
 /// std::domain_error on zero.
 inline Fe2 fe2_inv(const Montgomery& m, const Fe2& x) {
   Fe na, nb, norm;

@@ -49,6 +49,26 @@ TEST(AsyncNetwork, FifoOrderByDefault) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// With no delayed frame in flight the queue's front is the earliest
+// frame, so a long backlog drains in send order in linear time.
+TEST(AsyncNetwork, DrainsALongBacklogInSendOrder) {
+  constexpr std::size_t kFrames = 10000;
+  net::AsyncNetwork net;
+  std::vector<std::size_t> order;
+  order.reserve(kFrames);
+  net.register_endpoint("b", [&](const std::string&, BytesView f) {
+    order.push_back(f[0] | std::size_t{f[1]} << 8);
+  });
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    net.send("a", "b",
+             Bytes{static_cast<std::uint8_t>(i),
+                   static_cast<std::uint8_t>(i >> 8)});
+  }
+  EXPECT_EQ(net.run_until_idle(), kFrames);
+  ASSERT_EQ(order.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) ASSERT_EQ(order[i], i);
+}
+
 TEST(AsyncNetwork, CascadingSendsAreProcessed) {
   net::AsyncNetwork net;
   int sink = 0;

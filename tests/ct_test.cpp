@@ -11,10 +11,12 @@
 //   - crypto::ct_equal itself (the blessed primitive),
 //   - crypto::hmac_verify (MAC check),
 //   - crypto::aead_decrypt tag rejection (poly1305 tag, pre-decrypt),
-//   - pbe::hve_query_bytes match decision (KEM query + DEM tag check).
+//   - pbe::hve_query_bytes match decision (KEM query + DEM tag check),
+//   - pairing::fqm::fe_inv, the F_q inversion (fixed vs random input).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -29,6 +31,7 @@
 #include "net/async.hpp"
 #include "p3s/system.hpp"
 #include "p3s/exchange.hpp"
+#include "pairing/fq_mont.hpp"
 #include "pairing/pairing.hpp"
 #include "pbe/hve.hpp"
 #include "wire_log.hpp"
@@ -216,6 +219,41 @@ TEST(ConstantTime, HveMatchDecisionIndependentOfMismatchPosition) {
       },
       150, rng);
   EXPECT_LT(std::abs(t), kMaxCtT) << "HVE match decision leaks mismatch position";
+}
+
+// --- field inversion ---------------------------------------------------------
+
+// fe_inv (Montgomery::inv_limbs, the safegcd kernel) runs a divstep count
+// fixed by q's bit length, and every step is branch-free, so the fixed
+// input one must cost what fresh random inputs cost: a branch on the
+// divstep's parity or sign tests is predictable on the fixed input and
+// not on random ones. Both classes read their input from a same-sized pool
+// at the same position and go through one reused buffer.
+TEST(ConstantTime, FeInvIndependentOfInput) {
+  namespace fqm = pairing::fqm;
+  constexpr std::size_t kSamples = 4000;
+  const auto pp = pairing::Pairing::test_pairing();
+  const math::Montgomery& mq = pp->mont_q();
+  TestRng rng(0xcc);
+  fqm::Fe one;
+  one.w[0] = 1;
+  std::array<std::vector<fqm::Fe>, 2> pools{
+      std::vector<fqm::Fe>(kSamples + 1, one), {}};
+  for (std::size_t i = 0; i <= kSamples; ++i) {
+    pools[1].push_back(fqm::fe_pack(
+        math::BigInt{1} +
+        math::BigInt::random_below(rng, pp->q() - math::BigInt{1})));
+  }
+  std::array<std::size_t, 2> next{};
+  fqm::Fe input;
+  volatile std::uint64_t sink = 0;
+  const double t = measure_t(
+      [&](std::uint8_t cls) {
+        input = pools[cls][next[cls]++];
+        sink = fqm::fe_inv(mq, input).w[0];
+      },
+      kSamples, rng);
+  EXPECT_LT(std::abs(t), kMaxCtT) << "fe_inv timing depends on its input";
 }
 
 // --- sensitivity control -----------------------------------------------------

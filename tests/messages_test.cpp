@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
 #include "net/async.hpp"
@@ -103,6 +106,28 @@ TEST(Messages, ContentBodyRoundTripClearGuid) {
   EXPECT_EQ(out.guid_field, body.guid_field);
   EXPECT_NEAR(out.ttl_seconds, body.ttl_seconds, 0.001);  // ms precision
   EXPECT_EQ(out.abe_ciphertext, body.abe_ciphertext);
+}
+
+// TTLs travel as milliseconds rounded to the nearest: every ms survives
+// the publisher's seconds → wire conversion and the DS's re-encoding of a
+// content body on its way to the RS (read_content, then content_body).
+TEST(Messages, TtlMillisecondsSurviveEncodingAndReencoding) {
+  ContentBody body;
+  body.guid_field = Bytes(Guid::kSize, 7);
+  for (std::uint64_t ms = 0; ms < 2'000'000; ++ms) {
+    body.ttl_seconds = static_cast<double>(ms) / 1000.0;
+    ASSERT_EQ(to_wire_ms(body.ttl_seconds), ms);
+    const Bytes wire = content_body(body);
+    Reader r(wire);
+    ASSERT_EQ(content_body(read_content(r)), wire) << ms;
+  }
+  EXPECT_EQ(to_wire_ms(1.001), 1001u);
+  EXPECT_EQ(to_wire_ms(0.0004), 0u);
+  EXPECT_EQ(to_wire_ms(0.0006), 1u);
+  EXPECT_EQ(to_wire_ms(-1.0), 0u);
+  EXPECT_EQ(to_wire_ms(std::nan("")), 0u);
+  EXPECT_EQ(to_wire_ms(0x1p64 / 1000.0), ~std::uint64_t{0});
+  EXPECT_EQ(to_wire_ms(1e300), ~std::uint64_t{0});
 }
 
 TEST(Messages, ContentBodyRoundTripWrappedGuid) {

@@ -201,6 +201,16 @@ TEST(Montgomery, FixedLimbApiMatchesBigIntOps) {
       buf = ap;
       mont.sub_limbs(buf.data(), bp.data(), buf.data());
       EXPECT_EQ(unpack(buf), mod_sub(a, b, n)) << tag;
+      // inv_limbs keeps Montgomery form and maps 0 to 0; aliased too. One
+      // modulus above is composite: it inverts the a coprime to it.
+      if (!a.is_zero() && gcd(a, n) != BigInt{1}) continue;
+      mont.inv_limbs(am.data(), out.data());
+      EXPECT_EQ(mont.from_mont(unpack(out)),
+                a.is_zero() ? BigInt{} : mod_inv(a, n))
+          << tag;
+      buf = am;
+      mont.inv_limbs(buf.data(), buf.data());
+      EXPECT_EQ(buf, out) << tag;
     }
   }
 }
@@ -229,6 +239,7 @@ TEST(Montgomery, WideModulusDoesNotFitFixed) {
                std::logic_error);
   EXPECT_THROW(mont.sub_limbs(buf.data(), buf.data(), buf.data()),
                std::logic_error);
+  EXPECT_THROW(mont.inv_limbs(buf.data(), buf.data()), std::logic_error);
 }
 
 TEST(Montgomery, ModPowFastPathAgreesWithItself) {

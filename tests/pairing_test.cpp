@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "math/modular.hpp"
+#include "math/prime.hpp"
 #include "pairing/curve.hpp"
 #include "pairing/ecies.hpp"
 #include "pairing/fq2.hpp"
@@ -631,6 +634,74 @@ TEST_F(PairingTest, MontgomeryFq2PowMatchesPlain) {
     const Fq2 x = random_fq2(rng_);
     const BigInt e = BigInt::random_bits(rng_, 150);
     EXPECT_EQ(fqm::fe2_pow(mq, x, e), fq2_pow(x, e, mq));
+  }
+}
+
+// --- F_q inversion -----------------------------------------------------------
+
+// fe_inv (the safegcd kernel, Montgomery::inv_limbs) against the Fermat
+// reference x^(q−2) through fe_pow, and x·x⁻¹ = 1. The inputs are raw
+// Montgomery-form limbs, the values the kernel itself sees: 1, q−1, 2,
+// (q+1)/2, R mod q (the Montgomery one), the largest values below q (all
+// top bits set when q is just below a power of two) and `random` uniform
+// nonzero values.
+void expect_fe_inv_matches_fermat(const math::Montgomery& m, Rng& rng,
+                                  int random) {
+  const BigInt& q = m.modulus();
+  const BigInt fermat = q - BigInt{2};
+  std::vector<BigInt> raw{BigInt{1}, q - BigInt{1}, BigInt{2},
+                          (q + BigInt{1}) >> 1, m.one_mont()};
+  for (std::uint64_t j : {2ull, 3ull, 0x100000001ull, ~0ull}) {
+    if (BigInt{j} < q) raw.push_back(q - BigInt{j});
+  }
+  for (int i = 0; i < random; ++i) {
+    raw.push_back(BigInt{1} + BigInt::random_below(rng, q - BigInt{1}));
+  }
+  for (const BigInt& v : raw) {
+    const fqm::Fe x = fqm::fe_pack(v);
+    const fqm::Fe inv = fqm::fe_inv(m, x);
+    EXPECT_EQ(inv, fqm::fe_pow(m, x, fermat)) << q.to_hex() << " " << v.to_hex();
+    fqm::Fe prod;
+    fqm::fe_mul(m, x, inv, prod);
+    EXPECT_EQ(prod, fqm::fe_one(m)) << q.to_hex() << " " << v.to_hex();
+  }
+  EXPECT_THROW(fqm::fe_inv(m, fqm::Fe{}), std::domain_error);
+}
+
+TEST(FieldInverse, MatchesFermatInBakedGroups) {
+  TestRng rng(0x1a7);
+  expect_fe_inv_matches_fermat(Pairing::test_pairing()->mont_q(), rng, 500);
+  expect_fe_inv_matches_fermat(Pairing::paper_pairing()->mont_q(), rng, 100);
+}
+
+// Every limb count the kernels accept (1–8), under primes with spare top
+// bits, with the top bit set and just below 2^(64k), and under primes
+// below 46 bits, where the divstep bound takes its other form.
+TEST(FieldInverse, MatchesFermatForEveryLimbCount) {
+  TestRng rng(0x1a8);
+  std::vector<BigInt> primes{
+      BigInt{3}, BigInt{65537}, (BigInt{1} << 31) - BigInt{1},
+      (BigInt{1} << 61) - BigInt{1}, (BigInt{1} << 127) - BigInt{1},
+      (BigInt{1} << 255) - BigInt{19}};
+  for (std::size_t limbs = 1; limbs <= math::Montgomery::kMaxFixedLimbs;
+       ++limbs) {
+    primes.push_back(math::random_prime(rng, 64 * limbs - 5));
+    primes.push_back(math::random_prime(rng, 64 * limbs));
+  }
+  primes.push_back((BigInt{1} << 64) - BigInt{59});
+  primes.push_back((BigInt{1} << 512) - BigInt{569});
+  for (const BigInt& q : primes) {
+    const math::Montgomery m(q);
+    ASSERT_TRUE(m.fits_fixed());
+    expect_fe_inv_matches_fermat(m, rng, 40);
+  }
+  // Every input under a small prime.
+  const math::Montgomery small(BigInt{65537});
+  for (std::uint64_t v = 1; v < 65537; ++v) {
+    const fqm::Fe x = fqm::fe_pack(BigInt{v});
+    fqm::Fe prod;
+    fqm::fe_mul(small, x, fqm::fe_inv(small, x), prod);
+    ASSERT_EQ(prod, fqm::fe_one(small)) << v;
   }
 }
 

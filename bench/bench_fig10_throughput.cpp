@@ -1,12 +1,13 @@
 // Figure 10 reproduction: throughput at f = 50% — the match-rate ablation.
 // "increasing the match rate benefits P3S ... if more subscribers match, the
-// baseline loses its advantage."
+// baseline loses its advantage." Closed-form model only; bench_figs_measured
+// runs the real system.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "model/analytic.hpp"
-#include "model/flowsim.hpp"
 
 using namespace p3s;  // NOLINT
 using benchutil::human_bytes;
@@ -16,9 +17,6 @@ int main() {
   p50.match_fraction = 0.50;
   model::ModelParams p5 = model::ModelParams::paper_defaults();
   p5.match_fraction = 0.05;
-  // Same P3S_THREADS knob as fig9: subscriber match parallelism.
-  p50.sub_match_threads = benchutil::env_threads(p50.sub_match_threads);
-  p5.sub_match_threads = p50.sub_match_threads;
 
   std::printf("=== Fig. 10: Throughput vs message size (f=50%%, B=10Mbps, N_s=%zu, w=%u) ===\n\n",
               p50.n_subscribers, p50.sub_match_threads);
@@ -58,11 +56,12 @@ int main() {
   const double cross50 = crossover(p50);
   const double cross5 = crossover(p5);
   std::printf("\nShape checks vs paper:\n");
+  const bool crossover_moves = cross50 > 0 && cross50 * 4 <= cross5;
   std::printf("  [%s] raising f from 5%% to 50%% improves P3S's relative throughput at every size\n",
               f50_always_better ? "ok" : "FAIL");
   std::printf("  [%s] 10x crossover moves from %s (f=5%%) down to %s (f=50%%): the baseline loses its advantage\n",
-              cross50 > 0 && cross50 * 4 <= cross5 ? "ok" : "FAIL",
-              human_bytes(cross5).c_str(), human_bytes(cross50).c_str());
+              crossover_moves ? "ok" : "FAIL", human_bytes(cross5).c_str(),
+              human_bytes(cross50).c_str());
 
   // Paper: "increasing the network bandwidth from 10 to 100 Mbps helps both
   // systems equally."
@@ -73,9 +72,9 @@ int main() {
                            model::baseline_throughput(p50, c).total();
   const double gain_p3s = model::p3s_throughput(p100, c).total() /
                           model::p3s_throughput(p50, c).total();
+  const bool helps_equally = std::abs(gain_base - gain_p3s) < 0.5;
   std::printf("  [%s] 10->100 Mbps helps both equally (base x%.1f, p3s x%.1f)\n",
-              std::abs(gain_base - gain_p3s) < 0.5 ? "ok" : "FAIL", gain_base,
-              gain_p3s);
+              helps_equally ? "ok" : "FAIL", gain_base, gain_p3s);
   // Privacy/throughput trade-off at the high match rate (DESIGN.md §11):
   // with f=50% the RS NIC carries most of the load, so padding+cover bite
   // hardest exactly where P3S was winning.
@@ -94,5 +93,5 @@ int main() {
                 plain, hard, (1.0 - hard / plain) * 100.0);
   }
   p3s::benchutil::emit_metrics("fig10_throughput");
-  return 0;
+  return f50_always_better && crossover_moves && helps_equally ? 0 : 1;
 }

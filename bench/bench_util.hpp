@@ -33,18 +33,6 @@ inline void emit_metrics(const std::string& name) {
   }
 }
 
-/// The P3S_THREADS override (same variable the exec::Pool honours), or
-/// `fallback` when unset/invalid. The figure benches feed this into the
-/// model's subscriber-match thread count so a thread-scaling sweep on real
-/// hardware and the analytic model use one knob.
-inline unsigned env_threads(unsigned fallback) {
-  const char* env = std::getenv("P3S_THREADS");
-  if (env == nullptr) return fallback;
-  const long v = std::strtol(env, nullptr, 10);
-  if (v < 1 || v > 256) return fallback;
-  return static_cast<unsigned>(v);
-}
-
 /// Wall-clock seconds for `iters` runs of `fn`, averaged.
 inline double time_op(int iters, const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();

@@ -89,7 +89,7 @@ void BaselineSubscriber::on_frame(const std::string& from, BytesView data) {
     d.metadata = pbe::deserialize_string_map(r.bytes());
     d.payload = r.bytes();
     r.expect_done();
-    received_.push_back(std::move(d));
+    if (handler_) handler_(d);
   } catch (const std::exception& e) {
     log_warn("baseline-sub") << "bad frame from " << from << ": " << e.what();
   }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,12 +57,18 @@ class BaselineBroker {
 
 class BaselineSubscriber {
  public:
+  using DeliveryHandler = std::function<void(const BaselineDelivery&)>;
+
   BaselineSubscriber(net::Network& network, std::string name,
                      std::string broker);
   ~BaselineSubscriber();
 
   void subscribe(const pbe::Interest& interest);
-  const std::vector<BaselineDelivery>& received() const { return received_; }
+  /// The only output of delivered payloads: each one is handed to the
+  /// handler once and not kept.
+  void set_delivery_handler(DeliveryHandler handler) {
+    handler_ = std::move(handler);
+  }
   const std::string& name() const { return name_; }
 
  private:
@@ -70,7 +77,7 @@ class BaselineSubscriber {
   net::Network& network_;
   std::string name_;
   std::string broker_;
-  std::vector<BaselineDelivery> received_;
+  DeliveryHandler handler_;
 };
 
 class BaselinePublisher {

@@ -79,13 +79,14 @@ P3sThroughput p3s_throughput(const ModelParams& p, double payload_bytes);
 /// P3S throughput when the DS broadcast runs over a relay tree of fan-out
 /// `fanout`: each node forwards the PBE metadata to at most `fanout`
 /// children, so the per-NIC broadcast cost drops from N_s·ser(P_E) to
-/// fanout·ser(P_E). Requires fanout >= 2.
+/// fanout·ser(P_E). Throws std::invalid_argument when fanout < 2.
 P3sThroughput p3s_throughput_hierarchical(const ModelParams& p,
                                           double payload_bytes,
                                           unsigned fanout);
 
 /// Latency with the relay tree: the fan-out term becomes
 /// levels·(ℓ + fanout·ser(P_E)) with levels = ceil(log_fanout(N_s)).
+/// Throws std::invalid_argument when fanout < 2.
 P3sLatency p3s_latency_hierarchical(const ModelParams& p, double payload_bytes,
                                     unsigned fanout);
 

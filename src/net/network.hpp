@@ -5,9 +5,10 @@
 // Two implementations share one endpoint table:
 //   * AsyncNetwork (net/async.hpp) — logical ticks, delivered when the
 //     caller drains it, with a seeded fault plan (fault-free by default);
-//     used by the tests, the runnable examples and the prototype bench.
+//     used by the tests and the runnable examples.
 //   * sim::SimNetwork (src/sim) — discrete-event delivery with link latency
-//     and bandwidth; used for the performance experiments.
+//     and bandwidth, every endpoint its own machine; used for the measured
+//     performance experiments.
 //
 // A network keeps no copy of the frames it carries. Whoever wants the
 // "eavesdropper's view" (the paper's §6.1 analysis of what network observers
@@ -32,7 +33,7 @@ struct TrafficRecord {
   double time = 0.0;
   std::string_view from;
   std::string_view to;
-  std::size_t size = 0;  // wire size (SimNetwork::send_sized may model more)
+  std::size_t size = 0;  // wire size: the frame's length
   BytesView frame;       // ciphertext as seen on the wire
 };
 

@@ -15,9 +15,8 @@
 //     across cache lines for concurrent writers) and allocation-free; a
 //     disabled registry reduces every write to one relaxed atomic load.
 //  3. Time. Latency spans ride the registry clock: std::steady_clock by
-//     default, or the discrete-event sim::SimEngine clock when a ClockGuard
-//     installs one — so simulated latencies land in the same histograms as
-//     wall-clock ones.
+//     default, or whatever clock a ClockGuard installs (a test can install
+//     a network's logical clock).
 #pragma once
 
 #include <array>
@@ -256,8 +255,7 @@ class Registry {
 };
 
 /// RAII clock override: installs `clock` on construction, restores the
-/// steady default on destruction. Used by the discrete-event benches so
-/// latency histograms record SIMULATED seconds during the run.
+/// steady default on destruction.
 class ClockGuard {
  public:
   ClockGuard(Registry& registry, Registry::Clock clock) : registry_(registry) {

@@ -1,6 +1,7 @@
-// Discrete-event engine for the performance experiments: the paper evaluated
-// P3S at scale (100 subscribers) with analytic models; we reproduce those
-// models AND cross-check them with packet-level simulation on this engine.
+// Discrete-event engine for the performance experiments: sim::SimNetwork
+// schedules its frame arrivals and its machines' work on it, so the real
+// components run at the paper's scale (100 subscribers, ℓ, ℬ) in simulated
+// time.
 #pragma once
 
 #include <cstdint>
@@ -20,14 +21,6 @@ class SimEngine {
   void after(double delay, Task task);
 
   double now() const { return now_; }
-  bool empty() const { return queue_.empty(); }
-
-  /// Observability: this engine's clock as an obs::Registry clock source
-  /// (see obs::ClockGuard) — latency spans then record SIMULATED seconds.
-  /// The returned callable captures `this`; uninstall before destruction.
-  std::function<double()> clock_fn() {
-    return [this] { return now_; };
-  }
 
   /// Execute the next event; returns false when the queue is empty.
   bool step();

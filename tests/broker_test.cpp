@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "broker/baseline.hpp"
 #include "net/async.hpp"
 
 namespace p3s::broker {
 namespace {
+
+// Keeps what a subscriber's delivery handler is handed.
+struct Inbox {
+  explicit Inbox(BaselineSubscriber& sub) {
+    sub.set_delivery_handler(
+        [this](const BaselineDelivery& d) { items.push_back(d); });
+  }
+  std::vector<BaselineDelivery> items;
+};
 
 class BaselineTest : public ::testing::Test {
  protected:
@@ -15,6 +26,8 @@ class BaselineTest : public ::testing::Test {
 TEST_F(BaselineTest, DeliversToMatchingSubscribers) {
   BaselineSubscriber s1(net_, "s1", "broker");
   BaselineSubscriber s2(net_, "s2", "broker");
+  Inbox in1(s1);
+  Inbox in2(s2);
   BaselinePublisher pub(net_, "p", "broker");
   s1.subscribe({{"topic", "sports"}});
   s2.subscribe({{"topic", "finance"}});
@@ -22,13 +35,14 @@ TEST_F(BaselineTest, DeliversToMatchingSubscribers) {
 
   pub.publish({{"topic", "sports"}, {"lang", "en"}}, str_to_bytes("goal!"));
   net_.run_until_idle();
-  ASSERT_EQ(s1.received().size(), 1u);
-  EXPECT_EQ(bytes_to_str(s1.received()[0].payload), "goal!");
-  EXPECT_TRUE(s2.received().empty());
+  ASSERT_EQ(in1.items.size(), 1u);
+  EXPECT_EQ(bytes_to_str(in1.items[0].payload), "goal!");
+  EXPECT_TRUE(in2.items.empty());
 }
 
 TEST_F(BaselineTest, WildcardViaAbsentAttribute) {
   BaselineSubscriber s(net_, "s", "broker");
+  Inbox in(s);
   BaselinePublisher pub(net_, "p", "broker");
   s.subscribe({{"lang", "en"}});  // any topic
   net_.run_until_idle();
@@ -36,18 +50,19 @@ TEST_F(BaselineTest, WildcardViaAbsentAttribute) {
   pub.publish({{"topic", "b"}, {"lang", "en"}}, str_to_bytes("2"));
   pub.publish({{"topic", "b"}, {"lang", "fr"}}, str_to_bytes("3"));
   net_.run_until_idle();
-  EXPECT_EQ(s.received().size(), 2u);
+  EXPECT_EQ(in.items.size(), 2u);
 }
 
 TEST_F(BaselineTest, OneDeliveryPerSubscriberEvenWithMultipleMatchingSubs) {
   BaselineSubscriber s(net_, "s", "broker");
+  Inbox in(s);
   BaselinePublisher pub(net_, "p", "broker");
   s.subscribe({{"topic", "x"}});
   s.subscribe({{"lang", "en"}});
   net_.run_until_idle();
   pub.publish({{"topic", "x"}, {"lang", "en"}}, str_to_bytes("once"));
   net_.run_until_idle();
-  EXPECT_EQ(s.received().size(), 1u);
+  EXPECT_EQ(in.items.size(), 1u);
 }
 
 TEST_F(BaselineTest, MatchCostIsPerSubscriptionPerPublication) {
@@ -90,13 +105,14 @@ TEST_F(BaselineTest, MalformedFramesIgnored) {
 
 TEST_F(BaselineTest, DeliveryCarriesMetadata) {
   BaselineSubscriber s(net_, "s", "broker");
+  Inbox in(s);
   BaselinePublisher pub(net_, "p", "broker");
   s.subscribe({{"topic", "t"}});
   net_.run_until_idle();
   pub.publish({{"topic", "t"}, {"extra", "e"}}, str_to_bytes("m"));
   net_.run_until_idle();
-  ASSERT_EQ(s.received().size(), 1u);
-  EXPECT_EQ(s.received()[0].metadata.at("extra"), "e");
+  ASSERT_EQ(in.items.size(), 1u);
+  EXPECT_EQ(in.items[0].metadata.at("extra"), "e");
 }
 
 }  // namespace

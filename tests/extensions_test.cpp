@@ -4,6 +4,8 @@
 // configuration), and hierarchical dissemination (§6.2 remedy).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
 #include "delivery_log.hpp"
@@ -269,6 +271,28 @@ TEST(HierarchicalModel, LargePayloadRegimeUnaffected) {
   const auto flat = model::p3s_throughput(p, c);
   const auto tree = model::p3s_throughput_hierarchical(p, c, 10);
   EXPECT_DOUBLE_EQ(flat.total(), tree.total());  // rs-nic bound either way
+}
+
+TEST(HierarchicalModel, OneLevelTreeIsTheFlatBroadcastWhenHardened) {
+  model::ModelParams p = model::ModelParams::paper_defaults();
+  p.anon_pad_overhead = 0.05;
+  p.anon_cover_fraction = 0.25;
+  const double flat = model::p3s_throughput(p, 1024.0).r_ds;
+  for (const unsigned fanout : {100u, 250u}) {  // fanout >= N_s = 100
+    EXPECT_DOUBLE_EQ(
+        model::p3s_throughput_hierarchical(p, 1024.0, fanout).r_ds, flat)
+        << fanout;
+  }
+}
+
+TEST(HierarchicalModel, FanoutBelowTwoIsRejected) {
+  const model::ModelParams p = model::ModelParams::paper_defaults();
+  for (const unsigned fanout : {0u, 1u}) {
+    EXPECT_THROW((void)model::p3s_throughput_hierarchical(p, 1024.0, fanout),
+                 std::invalid_argument);
+    EXPECT_THROW((void)model::p3s_latency_hierarchical(p, 1024.0, fanout),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // Tests of the §6.2 analytic models: the qualitative claims the paper makes
-// about Figs. 8-10 must hold in our implementation of the formulas, and the
-// packet-level simulation must agree with the closed-form model.
+// about Figs. 8-10 must hold in our implementation of the formulas.
 #include <gtest/gtest.h>
 
 #include "model/analytic.hpp"
-#include "model/flowsim.hpp"
 
 namespace p3s::model {
 namespace {
@@ -151,62 +149,6 @@ TEST(AnalyticThroughput, RelativeThroughputIndependentOfSubscriberCount) {
         p3s_throughput(p2, c).total() / baseline_throughput(p2, c).total();
     EXPECT_NEAR(rel, rel_ref, 0.02) << ns;
   }
-}
-
-// --- Simulation vs analytic cross-checks ------------------------------------------
-
-TEST(FlowSim, BaselineLatencyMatchesAnalytic) {
-  // The analytic model is a worst case (it charges the network latency ℓ
-  // once per matching delivery; the packet-level sim overlaps them), so the
-  // simulation must land at or below the model, converging to it in the
-  // serialization-dominated regime.
-  const ModelParams p = ModelParams::paper_defaults();
-  for (double c : {1 * kMB, 16 * kMB}) {
-    const double sim = simulate_baseline_latency(p, c);
-    const double analytic = baseline_latency(p, c).total();
-    EXPECT_LE(sim, analytic * 1.01) << c;
-    EXPECT_NEAR(sim, analytic, 0.25 * analytic) << c;
-  }
-  // Small payloads: the model's extra per-delivery ℓ terms dominate; the
-  // sim stays strictly below but in the same order of magnitude.
-  const double sim_small = simulate_baseline_latency(p, 1 * kKB);
-  const double analytic_small = baseline_latency(p, 1 * kKB).total();
-  EXPECT_LE(sim_small, analytic_small);
-  EXPECT_GT(sim_small, 0.25 * analytic_small);
-}
-
-TEST(FlowSim, P3sLatencyMatchesAnalytic) {
-  const ModelParams p = ModelParams::paper_defaults();
-  for (double c : {1 * kKB, 1 * kMB, 16 * kMB}) {
-    const double sim = simulate_p3s_latency(p, c);
-    const double analytic = p3s_latency(p, c).total();
-    EXPECT_LE(sim, analytic * 1.01) << c;
-    EXPECT_NEAR(sim, analytic, 0.30 * analytic) << c;
-  }
-}
-
-TEST(FlowSim, BaselineThroughputMatchesAnalytic) {
-  const ModelParams p = ModelParams::paper_defaults();
-  for (double c : {256 * kKB, 1 * kMB}) {
-    const double sim = simulate_baseline_throughput(p, c);
-    const double analytic = baseline_throughput(p, c).total();
-    EXPECT_NEAR(sim, analytic, 0.25 * analytic) << c;
-  }
-}
-
-TEST(FlowSim, P3sThroughputMatchesAnalytic) {
-  const ModelParams p = ModelParams::paper_defaults();
-  for (double c : {64 * kKB, 1 * kMB}) {
-    const double sim = simulate_p3s_throughput(p, c);
-    const double analytic = p3s_throughput(p, c).total();
-    EXPECT_NEAR(sim, analytic, 0.30 * analytic) << c;
-  }
-}
-
-TEST(FlowSim, SimulatedP3sFloorsAtDsBroadcastRate) {
-  const ModelParams p = ModelParams::paper_defaults();
-  const double sim = simulate_p3s_throughput(p, 1 * kKB);
-  EXPECT_NEAR(sim, 1.25, 0.2);  // ds-nic bound
 }
 
 }  // namespace

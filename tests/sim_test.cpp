@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/simnet.hpp"
 #include "wire_log.hpp"
@@ -104,21 +108,6 @@ TEST(SimNetwork, PerLinkOverride) {
   EXPECT_NEAR(arrival, 0.001 + 0.010, 1e-9);
 }
 
-TEST(SimNetwork, EgressOverrideAppliesToAllDestinations) {
-  SimEngine eng;
-  SimNetwork net(eng, {0.0, 10e6});
-  net.set_egress("fast", {0.0, 100e6});
-  std::vector<double> arrivals;
-  net.register_endpoint("x", [&](const std::string&, BytesView) {
-    arrivals.push_back(eng.now());
-  });
-  net.register_endpoint("fast", [](const std::string&, BytesView) {});
-  net.send("fast", "x", Bytes(125'000));  // 10 ms at 100 Mbps
-  eng.run();
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_NEAR(arrivals[0], 0.010, 1e-9);
-}
-
 TEST(SimNetwork, FramesToDeadHostsAreLost) {
   SimEngine eng;
   SimNetwork net(eng);
@@ -141,18 +130,71 @@ TEST(SimNetwork, TrafficLogTimestamps) {
   EXPECT_DOUBLE_EQ(wire.frames()[0].time, 1.5);
 }
 
-TEST(SimNetwork, TapSeesModeledWireSize) {
-  // send_sized charges the NIC for `wire_size` bytes; the eavesdropper sees
-  // that size, next to the (smaller) frame actually carried.
+// --- Endpoints are machines --------------------------------------------------
+// A fake CPU clock that handlers advance by hand; every time below is a sum
+// of powers of two, so the expected values are exact.
+
+TEST(SimNetwork, HandlerCpuTimeDelaysItsSends) {
   SimEngine eng;
-  SimNetwork net(eng, {0.0, 8e6});
-  net.register_endpoint("b", [](const std::string&, BytesView) {});
+  double cpu = 0.0;
+  SimNetwork net(eng, {0.25, 8e6}, [&cpu] { return cpu; });
+  double arrival = -1;
+  net.register_endpoint("c", [&](const std::string&, BytesView) {
+    arrival = eng.now();
+  });
+  net.register_endpoint("b", [&](const std::string&, BytesView) {
+    cpu += 0.125;  // the handler's crypto
+    net.send("b", "c", Bytes{});
+  });
   test::WireLog wire(net);
-  net.send_sized("a", "b", Bytes(10), 1'000'000);
+  net.send("a", "b", Bytes{});
   eng.run();
-  ASSERT_EQ(wire.size(), 1u);
-  EXPECT_EQ(wire.frames()[0].size, 1'000'000u);
-  EXPECT_EQ(wire.frames()[0].bytes.size(), 10u);
+  ASSERT_EQ(wire.size(), 2u);
+  EXPECT_EQ(wire.frames()[1].time, 0.25 + 0.125);  // the tap sees it leave then
+  EXPECT_EQ(arrival, 0.25 + 0.125 + 0.25);
+}
+
+TEST(SimNetwork, BusyEndpointServesFramesInArrivalOrder) {
+  SimEngine eng;
+  double cpu = 0.0;
+  SimNetwork net(eng, {0.25, 8e6}, [&cpu] { return cpu; });
+  std::vector<std::pair<std::string, double>> served;  // sender, start
+  net.register_endpoint("b", [&](const std::string& from, BytesView) {
+    served.emplace_back(from, net.now());
+    cpu += 0.125;
+  });
+  net.send("a", "b", Bytes{});                                 // arrives 0.25
+  eng.at(0.0625, [&] { net.send("c", "b", Bytes{}); });        // 0.3125: busy
+  eng.at(0.125, [&] { net.send("d", "b", Bytes{}); });  // 0.375: as b frees
+  eng.run();
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"a", 0.25}, {"c", 0.375}, {"d", 0.5}};
+  EXPECT_EQ(served, expected);
+}
+
+TEST(SimNetwork, ClientCallIsChargedToItsEndpoint) {
+  SimEngine eng;
+  double cpu = 0.0;
+  SimNetwork net(eng, {0.25, 8e6}, [&cpu] { return cpu; });
+  net.set_link("y", "pub", {0.0625, 8e6});
+  std::vector<double> arrivals;
+  net.register_endpoint("x", [&](const std::string&, BytesView) {
+    arrivals.push_back(eng.now());
+  });
+  double frame_start = -1;
+  net.register_endpoint("pub", [&](const std::string&, BytesView) {
+    frame_start = net.now();
+  });
+  const auto publish = [&] {
+    cpu += 0.125;
+    net.send("pub", "x", Bytes{});
+  };
+  net.run_on("pub", publish);
+  net.run_on("pub", publish);     // back to back: starts when the first ends
+  net.send("y", "pub", Bytes{});  // arrives at 0.0625, queued behind both
+  eng.run();
+  EXPECT_EQ(arrivals, (std::vector<double>{0.125 + 0.25, 0.25 + 0.25}));
+  EXPECT_EQ(frame_start, 0.25);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ inline const std::map<std::string, std::set<std::string>>& layering_dag() {
       {"net", {"common", "crypto", "math", "pairing", "obs"}},
       {"sim", {"common", "net", "obs"}},
       {"broker", {"common", "net", "obs", "pbe"}},
-      {"model", {"common", "gadget", "obs", "pbe", "sim"}},
+      {"model", {"common", "gadget", "obs", "pbe"}},
       {"gadget", {"common"}},
       {"p3s",
        {"abe", "common", "crypto", "exec", "math", "net", "obs", "pairing",

@@ -28,12 +28,9 @@ class Rng {
   std::uint64_t u64();
 };
 
-/// Serves a fixed byte stream that was drawn from a real Rng ahead of time.
-/// This is how parallel code keeps bit-identical randomness: the caller
-/// pre-draws the exact bytes each task will consume (in sequential order) and
-/// hands every task its own ReplayRng slice, so N-thread output equals the
-/// 1-thread run. Throws std::out_of_range if a task asks for more bytes than
-/// were pre-drawn — a consumption-accounting bug, never silent.
+/// Serves a fixed byte stream, e.g. a known-answer test's nonce, to code
+/// that takes an Rng&. Throws std::out_of_range when asked for more bytes
+/// than it holds — a consumption-accounting bug, never silent.
 class ReplayRng final : public Rng {
  public:
   explicit ReplayRng(Bytes stream) : stream_(std::move(stream)) {}

@@ -1,13 +1,13 @@
-// Shared execution layer: a fixed-size fork-join pool driving the three hot
-// loops of the data path (multi-token HVE matching, DS fanout sealing,
-// publisher batch encryption). Design constraints, in order:
+// Shared execution layer: a fixed-size fork-join pool driving the
+// subscriber's HVE match (the per-position precompute of one broadcast and
+// its multi-token evaluation). Design constraints, in order:
 //
 //  1. Determinism. A pool of size 1 never spawns a thread: parallel_for()
 //     runs the loop inline on the caller, in order, so the discrete-event
 //     sim benches and the pinned equivalence tests see the exact sequential
 //     execution. Parallel callers must therefore arrange their work so the
-//     RESULT is order-independent (pure functions, or pre-drawn randomness
-//     + deterministic merge).
+//     RESULT is order-independent: a body depends only on its index and
+//     writes only its own slot, and no loop draws randomness.
 //  2. No oversubscription. A pool of size n runs n - 1 workers; the caller
 //     of a loop is the n-th thread. A loop started on a worker runs inline
 //     instead of waiting on the pool it is part of.

@@ -100,14 +100,13 @@ P3sLatency p3s_latency_hierarchical(const ModelParams& p, double payload_bytes,
 P3sThroughput p3s_throughput(const ModelParams& p, double payload_bytes) {
   P3sThroughput out;
   const double c_a = p.abe_ct_bytes(payload_bytes);
-  // Cover broadcasts also consume subscriber match time (a garbage HVE
-  // matches like a real one), so the match rate pays the cover factor but
-  // not the padding one.
+  // Cover and padding load the wire only: a subscriber's parse rejects a
+  // cover broadcast's garbage before any pairing work, so the match rate
+  // pays neither factor.
   out.r_ds = p.bandwidth_bps / (p.metadata_ct_bytes * 8.0 *
                                 static_cast<double>(p.n_subscribers) *
                                 wire_shaping(p));
-  out.r_match = static_cast<double>(p.sub_match_threads) /
-                (p.t_pbe_match_s * (1.0 + p.anon_cover_fraction));
+  out.r_match = static_cast<double>(p.sub_match_threads) / p.t_pbe_match_s;
   out.r_rs = p.bandwidth_bps /
              (c_a * 8.0 * static_cast<double>(p.n_subscribers) *
               p.match_fraction * wire_shaping(p));

@@ -41,9 +41,10 @@ struct ModelParams {
   /// bucket of dead bytes; callers derive the fraction from their bucket /
   /// typical-frame-size ratio.
   double anon_pad_overhead = 0.0;
-  /// Cover/decoy frames injected per genuine frame (0.0 = off). Cover
-  /// broadcasts also burn subscriber match time: a garbage HVE ciphertext is
-  /// indistinguishable from a real one until the match fails.
+  /// Cover/decoy frames injected per genuine frame (0.0 = off). They cost
+  /// wire time only: a cover broadcast is indistinguishable from a real one
+  /// on the wire, but a subscriber's parse rejects its garbage before any
+  /// pairing work.
   double anon_cover_fraction = 0.0;
 
   /// CP-ABE ciphertext size: c_A = c + 2vk (two group elements of k bits per

@@ -7,12 +7,11 @@
 // and the same configuration calls and every drop/dup/delay lands on the
 // same frame.
 //
-// The decision stream is a seeded xoshiro generator rather than a literal
-// ReplayRng: ReplayRng replays a finite pre-drawn byte budget, but a fault
-// schedule cannot know its draw count up front (it depends on how much
-// traffic the protocol generates, including retries the faults themselves
-// provoke). The seeded stream gives the same replay-by-seed property with
-// unbounded draws.
+// The decision stream is a seeded xoshiro generator rather than a
+// pre-drawn byte budget: a fault schedule cannot know its draw count up
+// front (it depends on how much traffic the protocol generates, including
+// retries the faults themselves provoke). The seeded stream gives the same
+// replay-by-seed property with unbounded draws.
 #pragma once
 
 #include <cstdint>

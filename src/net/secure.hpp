@@ -32,13 +32,13 @@ class SecureSession {
                                              BytesView hello);
 
   /// Encrypt a record for the peer. The sequence number is authenticated.
-  /// P3S_NO_BLOCK: called from pool task lambdas (DS fanout sealing), so it
-  /// must stay pure CPU — no waits, no network.
+  /// P3S_NO_BLOCK: a record is pure CPU work, so the lint's no-block pass
+  /// holds it to no waits and no network.
   Bytes seal(BytesView plaintext, Rng& rng) P3S_NO_BLOCK;
 
   /// Decrypt a record from the peer; enforces strictly increasing sequence
   /// numbers (detects replay, reorder, and silent drop of later reads).
-  /// P3S_NO_BLOCK for the same reason as seal().
+  /// P3S_NO_BLOCK, as seal().
   std::optional<Bytes> open(BytesView record) P3S_NO_BLOCK;
 
  private:

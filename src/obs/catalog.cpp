@@ -19,11 +19,6 @@ void register_catalog(Registry& r) {
   r.histogram(kPubAbeEncryptSeconds, {}, "seconds",
               "CP-ABE encryption of (GUID, payload) under the policy", lat);
   r.histogram(kPubPayloadBytes, {}, "bytes", "plaintext payload size", sz);
-  r.counter(kPubBatchTotal, {}, "1", "publish_batch() calls");
-  r.histogram(kPubBatchItems, {}, "1", "items per publish_batch() call",
-              Histogram::exponential_bounds(1.0, 2.0, 16));
-  r.histogram(kPubBatchSeconds, {}, "seconds",
-              "publish_batch() call: parallel encrypt + serial submit", lat);
 
   // Dissemination server.
   r.counter(kDsPublishesTotal, {}, "1", "metadata publishes accepted");
@@ -35,8 +30,7 @@ void register_catalog(Registry& r) {
   r.gauge(kDsPublishers, {}, "1", "registered publishers");
   r.gauge(kDsSessions, {}, "1", "live secure-channel sessions");
   r.histogram(kDsFanoutSeconds, {}, "seconds",
-              "one metadata fanout: seal (parallel) + send to all subscribers",
-              lat);
+              "one metadata fanout: seal + send to each subscriber", lat);
   r.counter(kDsBatchFlushesTotal, {}, "1",
             "batched broadcast flushes executed");
   r.counter(kDsCoverTotal, {}, "1", "garbage cover broadcasts injected");
@@ -116,7 +110,8 @@ void register_catalog(Registry& r) {
   r.counter(kSimEventsTotal, {}, "1", "discrete events executed");
   r.gauge(kSimQueueDepth, {}, "1", "pending events in the engine queue");
   r.counter(kSimFramesTotal, {}, "1", "frames sent through SimNetwork");
-  r.histogram(kSimFrameBytes, {}, "bytes", "simulated wire frame size", sz);
+  r.histogram(kSimFrameBytes, {}, "bytes",
+              "frame length the sender's NIC serializes", sz);
 
   // Pairing stack.
   r.histogram(kCryptoPairSeconds, {}, "seconds", "single pairing e(P,Q)",

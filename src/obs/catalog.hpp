@@ -29,9 +29,6 @@ inline constexpr char kPubPublishSeconds[] = "p3s.pub.publish_seconds";
 inline constexpr char kPubPbeEncryptSeconds[] = "p3s.pub.pbe_encrypt_seconds";
 inline constexpr char kPubAbeEncryptSeconds[] = "p3s.pub.abe_encrypt_seconds";
 inline constexpr char kPubPayloadBytes[] = "p3s.pub.payload_bytes";
-inline constexpr char kPubBatchTotal[] = "p3s.pub.batch_total";
-inline constexpr char kPubBatchItems[] = "p3s.pub.batch_items";
-inline constexpr char kPubBatchSeconds[] = "p3s.pub.batch_seconds";
 
 // --- dissemination server (paper §4.1) -------------------------------------
 inline constexpr char kDsPublishesTotal[] = "p3s.ds.publishes_total";

@@ -2,8 +2,6 @@
 
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/chacha20.hpp"
-#include "exec/pool.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "p3s/messages.hpp"
@@ -270,12 +268,8 @@ void DisseminationServer::fan_out_metadata(const Bytes& hve_ciphertext) {
   }
   // Fan out to every registered subscriber; the DS cannot tell who (if
   // anyone) will match — that is the point. The inner frame is serialized
-  // once per flavor (legacy / indexed); the per-session seals (AEAD over
-  // distinct session state) run in parallel into per-subscriber buffers.
-  // seal() consumes exactly one AEAD nonce from the RNG, so nonces are
-  // pre-drawn serially in subscriber order and replayed per task — the wire
-  // bytes are identical to the sequential loop for any pool size. Sends stay
-  // on this thread: net::Network is not thread-safe.
+  // once per flavor (legacy / indexed), then sealed and sent per session in
+  // subscriber order, each seal drawing its one AEAD nonce from rng_.
   Bytes legacy = broadcast_frame(hve_ciphertext, std::nullopt);
   Bytes indexed = broadcast_frame(hve_ciphertext, index);
   if (hard_.pad_bucket > 0) {
@@ -287,36 +281,13 @@ void DisseminationServer::fan_out_metadata(const Bytes& hve_ciphertext) {
         pad_to_bucket(std::move(indexed), hard_.pad_bucket, *hard_drbg_);
     metrics.pad_bytes.inc(legacy.size() + indexed.size() - before);
   }
-  std::vector<const std::string*> subs;
-  std::vector<net::SecureSession*> sess;
-  std::vector<const Bytes*> payloads;
-  subs.reserve(subscribers_.size());
-  sess.reserve(subscribers_.size());
-  payloads.reserve(subscribers_.size());
+  std::size_t sent = 0;
   for (const std::string& sub : subscribers_) {
-    const auto it = sessions_.find(sub);
-    if (it == sessions_.end()) continue;  // no session: drop, as before
-    subs.push_back(&sub);
-    sess.push_back(&it->second);
-    payloads.push_back(reliable_subs_.contains(sub) ? &indexed : &legacy);
+    if (!sessions_.contains(sub)) continue;  // no session: drop
+    send_sealed(sub, reliable_subs_.contains(sub) ? indexed : legacy);
+    ++sent;
   }
-  std::vector<Bytes> nonces;
-  nonces.reserve(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    nonces.push_back(rng_.bytes(crypto::ChaCha20::kNonceSize));
-  }
-  std::vector<Bytes> records(subs.size());
-  exec::Pool::global().parallel_for(0, subs.size(), [&](std::size_t i) {
-    ReplayRng nonce_rng(nonces[i]);
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(FrameType::kChannelRecord));
-    w.bytes(sess[i]->seal(*payloads[i], nonce_rng));
-    records[i] = w.take();
-  });
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    network_.send(name_, *subs[i], std::move(records[i]));
-  }
-  metrics.fanout.inc(subs.size());
+  metrics.fanout.inc(sent);
   metrics.fanout_batch.record(static_cast<double>(subscribers_.size()));
 }
 

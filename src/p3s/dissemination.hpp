@@ -86,9 +86,9 @@ class DisseminationServer {
   void on_frame(const std::string& from, BytesView frame);
   void handle_inner(const std::string& from, BytesView inner);
   void send_sealed(const std::string& to, BytesView inner);
-  /// Assign the next broadcast index, append to the replay ring, seal in
-  /// parallel (legacy frame for fire-and-forget subscribers, indexed frame
-  /// for reliable ones) and send to every registered subscriber.
+  /// Assign the next broadcast index, append to the replay ring, then seal
+  /// and send to every registered subscriber in order (legacy frame for
+  /// fire-and-forget subscribers, indexed frame for reliable ones).
   void fan_out_metadata(const Bytes& hve_ciphertext);
   /// Batching indirection: queue the broadcast for a jittered flush when
   /// hardening batches, otherwise fan out immediately (base behavior).

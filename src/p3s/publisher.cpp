@@ -4,8 +4,6 @@
 
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/drbg.hpp"
-#include "exec/pool.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "p3s/messages.hpp"
@@ -24,10 +22,6 @@ struct PubMetrics {
       reg.histogram(obs::names::kPubAbeEncryptSeconds);
   obs::Histogram& payload_bytes =
       reg.histogram(obs::names::kPubPayloadBytes, {}, "bytes");
-  obs::Counter& batches = reg.counter(obs::names::kPubBatchTotal);
-  obs::Histogram& batch_items = reg.histogram(obs::names::kPubBatchItems);
-  obs::Histogram& batch_seconds =
-      reg.histogram(obs::names::kPubBatchSeconds);
 };
 
 PubMetrics& pub_metrics() {
@@ -102,84 +96,6 @@ void Publisher::poll() {
             });
 }
 
-Publisher::EncodedItem Publisher::encode_item(const pbe::Metadata& metadata,
-                                              BytesView payload,
-                                              const abe::PolicyNode& policy,
-                                              double ttl_seconds,
-                                              const Guid& guid, Rng& rng,
-                                              double now) {
-  PubMetrics& metrics = pub_metrics();
-  metrics.payload_bytes.record(static_cast<double>(payload.size()));
-
-  // Token-revocation epochs (§6.1 mitigation): stamp the metadata with the
-  // epoch active now, so only current-epoch tokens match it.
-  pbe::Metadata stamped = metadata;
-  if (creds_.epoch.has_value()) {
-    stamped = creds_.epoch->stamp(std::move(stamped), now);
-  }
-
-  // CP-ABE-encrypt the 2-tuple (GUID, payload) under the policy into the
-  // (GUID, ciphertext, TTL) storage frame for the RS.
-  Writer tuple;
-  tuple.raw(guid.to_bytes());
-  tuple.bytes(payload);
-  const Bytes abe_ct = [&] {
-    obs::ScopedTimer t(metrics.reg, metrics.abe_encrypt_seconds,
-                       obs::names::kPubAbeEncryptSeconds);
-    return abe::cpabe_encrypt_bytes(creds_.abe_pk, tuple.data(), policy, rng);
-  }();
-  ContentBody body;
-  body.guid_wrapped = super_encrypt_guid_;
-  body.guid_field =
-      super_encrypt_guid_
-          ? pairing::ecies_encrypt(*creds_.abe_pk.pairing,
-                                   creds_.services.rs_pk, guid.to_bytes(), rng)
-          : guid.to_bytes();
-  body.ttl_seconds = ttl_seconds;
-  body.abe_ciphertext = abe_ct;
-  EncodedItem out;
-  out.content_body = content_body(body);
-
-  // PBE-encrypt the GUID under the metadata vector for dissemination to all
-  // subscribers (paper Fig. 4).
-  const pbe::BitVector bits = creds_.schema.encode_metadata(stamped);
-  out.hve_ciphertext = [&] {
-    obs::ScopedTimer t(metrics.reg, metrics.pbe_encrypt_seconds,
-                       obs::names::kPubPbeEncryptSeconds);
-    return pbe::hve_encrypt_bytes(creds_.hve_pk, bits, guid.to_bytes(), rng);
-  }();
-  return out;
-}
-
-void Publisher::submit_item(const EncodedItem& enc) {
-  if (!reliability_.enabled) {
-    // Fire-and-forget (base paper protocol). Content is submitted before
-    // the metadata broadcast so that a subscriber whose match races the
-    // store never misses (the paper's model takes max(t_p, t_b) for the
-    // same reason).
-    channel_.send(frame(FrameType::kPublishContent, enc.content_body));
-    Writer meta;
-    meta.u8(static_cast<std::uint8_t>(FrameType::kPublishMetadata));
-    meta.bytes(enc.hve_ciphertext);
-    channel_.send(meta.data());
-    return;
-  }
-  // Reliable: one retryable request carrying both halves; the DS broadcasts
-  // only after the RS acked the store, which closes the race structurally.
-  Writer req;
-  req.u8(static_cast<std::uint8_t>(FrameType::kPublishRequest));
-  req.raw(rng_.bytes(kRequestIdSize));
-  req.bytes(enc.content_body);
-  req.bytes(enc.hve_ciphertext);
-  const Bytes request_id(req.data().begin() + 1,
-                         req.data().begin() + 1 + kRequestIdSize);
-  PendingPublish pending;
-  pending.request_frame = req.take();
-  pending.deadline = network_.now() + retry_timeout(reliability_, 0, rng_);
-  const auto it = pending_.emplace(request_id, std::move(pending)).first;
-  channel_.send(it->second.request_frame);
-}
-
 Guid Publisher::publish(const pbe::Metadata& metadata, BytesView payload,
                         const abe::PolicyNode& policy, double ttl_seconds) {
   if (!connected()) throw std::logic_error("Publisher: not connected");
@@ -189,53 +105,72 @@ Guid Publisher::publish(const pbe::Metadata& metadata, BytesView payload,
   obs::ScopedTimer publish_timer(metrics.reg, metrics.publish_seconds,
                                  obs::names::kPubPublishSeconds);
   metrics.publishes.inc();
+  metrics.payload_bytes.record(static_cast<double>(payload.size()));
 
   const Guid guid = Guid::random(rng_);
-  const EncodedItem enc = encode_item(metadata, payload, policy, ttl_seconds,
-                                      guid, rng_, network_.now());
-  submit_item(enc);
-  return guid;
-}
-
-std::vector<Guid> Publisher::publish_batch(
-    const std::vector<PublishItem>& items) {
-  if (!connected()) throw std::logic_error("Publisher: not connected");
-  for (const PublishItem& item : items) check_ttl(item.ttl_seconds);
-
-  PubMetrics& metrics = pub_metrics();
-  obs::ScopedTimer batch_timer(metrics.reg, metrics.batch_seconds,
-                               obs::names::kPubBatchSeconds);
-  metrics.batches.inc();
-  metrics.batch_items.record(static_cast<double>(items.size()));
-  metrics.publishes.inc(items.size());
-
-  // Per-item randomness: a dedicated DRBG per item, seeded serially from
-  // the publisher's RNG in item order. Rejection sampling inside the
-  // pairing code makes a byte-budget pre-draw impossible, so independent
-  // deterministic streams are what keeps an N-worker batch bit-identical
-  // to the single-thread run (pinned by the batch equivalence test).
-  const double now = network_.now();
-  std::vector<Guid> guids;
-  std::vector<crypto::Drbg> rngs;
-  guids.reserve(items.size());
-  rngs.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    guids.push_back(Guid::random(rng_));
-    rngs.emplace_back(rng_.bytes(32));
+  // Token-revocation epochs (§6.1 mitigation): stamp the metadata with the
+  // epoch active now, so only current-epoch tokens match it.
+  pbe::Metadata stamped = metadata;
+  if (creds_.epoch.has_value()) {
+    stamped = creds_.epoch->stamp(std::move(stamped), network_.now());
   }
 
-  std::vector<EncodedItem> encoded(items.size());
-  exec::Pool::global().parallel_for(0, items.size(), [&](std::size_t i) {
-    encoded[i] = encode_item(items[i].metadata, items[i].payload,
-                             items[i].policy, items[i].ttl_seconds, guids[i],
-                             rngs[i], now);
-  });
+  // CP-ABE-encrypt the 2-tuple (GUID, payload) under the policy into the
+  // (GUID, ciphertext, TTL) storage frame for the RS.
+  Writer tuple;
+  tuple.raw(guid.to_bytes());
+  tuple.bytes(payload);
+  ContentBody body;
+  body.abe_ciphertext = [&] {
+    obs::ScopedTimer t(metrics.reg, metrics.abe_encrypt_seconds,
+                       obs::names::kPubAbeEncryptSeconds);
+    return abe::cpabe_encrypt_bytes(creds_.abe_pk, tuple.data(), policy, rng_);
+  }();
+  body.guid_wrapped = super_encrypt_guid_;
+  body.guid_field =
+      super_encrypt_guid_
+          ? pairing::ecies_encrypt(*creds_.abe_pk.pairing,
+                                   creds_.services.rs_pk, guid.to_bytes(), rng_)
+          : guid.to_bytes();
+  body.ttl_seconds = ttl_seconds;
+  const Bytes content = content_body(body);
 
-  // Seals and sends stay serial and in item order: the channel's record
-  // sequence numbers and net::Network are single-threaded state. Content
-  // still precedes metadata per item, as in publish().
-  for (const EncodedItem& enc : encoded) submit_item(enc);
-  return guids;
+  // PBE-encrypt the GUID under the metadata vector for dissemination to all
+  // subscribers (paper Fig. 4).
+  const pbe::BitVector bits = creds_.schema.encode_metadata(stamped);
+  const Bytes hve_ciphertext = [&] {
+    obs::ScopedTimer t(metrics.reg, metrics.pbe_encrypt_seconds,
+                       obs::names::kPubPbeEncryptSeconds);
+    return pbe::hve_encrypt_bytes(creds_.hve_pk, bits, guid.to_bytes(), rng_);
+  }();
+
+  if (!reliability_.enabled) {
+    // Fire-and-forget (base paper protocol). Content is submitted before
+    // the metadata broadcast so that a subscriber whose match races the
+    // store never misses (the paper's model takes max(t_p, t_b) for the
+    // same reason).
+    channel_.send(frame(FrameType::kPublishContent, content));
+    Writer meta;
+    meta.u8(static_cast<std::uint8_t>(FrameType::kPublishMetadata));
+    meta.bytes(hve_ciphertext);
+    channel_.send(meta.data());
+    return guid;
+  }
+  // Reliable: one retryable request carrying both halves; the DS broadcasts
+  // only after the RS acked the store, which closes the race structurally.
+  Writer req;
+  req.u8(static_cast<std::uint8_t>(FrameType::kPublishRequest));
+  req.raw(rng_.bytes(kRequestIdSize));
+  req.bytes(content);
+  req.bytes(hve_ciphertext);
+  const Bytes request_id(req.data().begin() + 1,
+                         req.data().begin() + 1 + kRequestIdSize);
+  PendingPublish pending;
+  pending.request_frame = req.take();
+  pending.deadline = network_.now() + retry_timeout(reliability_, 0, rng_);
+  const auto it = pending_.emplace(request_id, std::move(pending)).first;
+  channel_.send(it->second.request_frame);
+  return guid;
 }
 
 }  // namespace p3s::core

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/guid.hpp"
 #include "net/network.hpp"
@@ -24,14 +23,6 @@
 #include "p3s/reliability.hpp"
 
 namespace p3s::core {
-
-/// One item of a batch publish: the same inputs publish() takes.
-struct PublishItem {
-  pbe::Metadata metadata;
-  Bytes payload;
-  abe::PolicyNode policy;
-  double ttl_seconds = 3600.0;
-};
 
 class Publisher {
  public:
@@ -51,20 +42,10 @@ class Publisher {
   /// (T_pub). Returns the fresh GUID. Throws std::logic_error when not
   /// connected, std::invalid_argument on metadata/policy errors and on a
   /// negative, non-finite or out-of-range TTL (checked before any
-  /// randomness is drawn, for every item of a batch). When the
-  /// credentials carry an epoch policy, the metadata is stamped with the
-  /// current epoch automatically.
+  /// randomness is drawn). When the credentials carry an epoch policy, the
+  /// metadata is stamped with the current epoch automatically.
   Guid publish(const pbe::Metadata& metadata, BytesView payload,
                const abe::PolicyNode& policy, double ttl_seconds = 3600.0);
-
-  /// Publish a batch. The per-item cryptography (CP-ABE encrypt, HVE
-  /// encrypt, optional GUID super-encryption) runs as pool tasks; the
-  /// channel seals and network sends stay serial in item order (content
-  /// before metadata per item, as in publish()). Each item draws its
-  /// randomness from a dedicated DRBG seeded serially from the publisher's
-  /// RNG, so the produced traffic is bit-identical for any pool size.
-  /// Returns the fresh GUIDs in item order.
-  std::vector<Guid> publish_batch(const std::vector<PublishItem>& items);
 
   /// Reliable-mode driver: re-send past-deadline publish requests and the
   /// registration, with backoff + jitter from the client DRBG. Call it
@@ -87,10 +68,6 @@ class Publisher {
   std::size_t retries() const { return retries_; }
 
  private:
-  struct EncodedItem {
-    Bytes content_body;  // serialized ContentBody
-    Bytes hve_ciphertext;
-  };
   struct PendingPublish {
     Bytes request_frame;  // full kPublishRequest inner frame, re-sealed as is
     double deadline = 0.0;
@@ -98,13 +75,6 @@ class Publisher {
   };
 
   void on_frame(const std::string& from, BytesView frame);
-  void submit_item(const EncodedItem& enc);
-  /// The pure (sendless) per-item cryptography, shared by publish() and the
-  /// batch path; safe to run concurrently for distinct items when each call
-  /// gets its own Rng.
-  EncodedItem encode_item(const pbe::Metadata& metadata, BytesView payload,
-                          const abe::PolicyNode& policy, double ttl_seconds,
-                          const Guid& guid, Rng& rng, double now);
 
   net::Network& network_;
   std::string name_;

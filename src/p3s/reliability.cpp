@@ -19,7 +19,7 @@ double retry_timeout(const ReliabilityConfig& config, std::size_t attempt,
                      Rng& rng) {
   double t = config.timeout;
   for (std::size_t i = 0; i < attempt; ++i) {
-    t = std::min(t * config.backoff, config.max_timeout);
+    t = std::min(t * 2.0, config.max_timeout);
     if (t >= config.max_timeout) break;
   }
   t = std::min(t, config.max_timeout);

@@ -18,9 +18,8 @@ namespace p3s::core {
 
 struct ReliabilityConfig {
   bool enabled = false;
-  /// Base request timeout; doubles (capped) per attempt.
+  /// Base request timeout; doubles per attempt, up to max_timeout.
   double timeout = 64.0;
-  double backoff = 2.0;
   double max_timeout = 1024.0;
   /// Deadline is scaled by a uniform factor in [1-jitter, 1+jitter] so
   /// retry storms from many clients decorrelate.
@@ -35,7 +34,7 @@ struct ReliabilityConfig {
   double sync_interval = 256.0;
 };
 
-/// Timeout for attempt `attempt` (0-based): min(timeout·backoff^attempt,
+/// Timeout for attempt `attempt` (0-based): min(timeout·2^attempt,
 /// max_timeout), jittered from `rng`. Draws from `rng` only when jitter is
 /// on — so a run without faults (no retries, attempt 0 drawn once per
 /// request) stays cheap and deterministic.

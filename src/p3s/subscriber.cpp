@@ -82,7 +82,6 @@ bool Subscriber::unsubscribe(const pbe::Interest& interest) {
   // dropped on arrival; no retry re-sends the request.
   if (it->tag.has_value()) pending_token_requests_.erase(*it->tag);
   interests_.erase(it);
-  reindex_tokens();
   return true;
 }
 
@@ -112,23 +111,7 @@ void Subscriber::refresh_tokens() {
     rec.tag.reset();
     rec.ks.clear();
   }
-  reindex_tokens();
   for (InterestRecord& rec : interests_) request_token(rec);
-}
-
-void Subscriber::reindex_tokens() {
-  token_positions_union_.clear();
-  for (const InterestRecord& rec : interests_) {
-    if (!rec.token.has_value()) continue;
-    token_positions_union_.insert(token_positions_union_.end(),
-                                  rec.token->positions.begin(),
-                                  rec.token->positions.end());
-  }
-  std::sort(token_positions_union_.begin(), token_positions_union_.end());
-  token_positions_union_.erase(
-      std::unique(token_positions_union_.begin(),
-                  token_positions_union_.end()),
-      token_positions_union_.end());
 }
 
 void Subscriber::subscribe(const pbe::Interest& interest) {
@@ -167,7 +150,6 @@ void Subscriber::request_token(InterestRecord& record) {
   if (creds_.embedded_hve.has_value()) {
     record.token = pbe::hve_gen_token(
         *creds_.embedded_hve, creds_.schema.encode_interest(effective), rng_);
-    reindex_tokens();
     return;
   }
 
@@ -416,12 +398,18 @@ void Subscriber::handle_metadata(BytesView hve_ct) {
     try {
       std::vector<const pbe::HveToken*> all;
       all.reserve(interests_.size());
+      // hve_match_prepare only flags each position a token probes, so
+      // their order and duplicates do not matter.
+      std::vector<std::uint32_t> positions;
       for (const InterestRecord& rec : interests_) {
-        if (rec.token.has_value()) all.push_back(&*rec.token);
+        if (!rec.token.has_value()) continue;
+        all.push_back(&*rec.token);
+        positions.insert(positions.end(), rec.token->positions.begin(),
+                         rec.token->positions.end());
       }
       if (!all.empty()) {
-        const pbe::HveMatchCt prepared = pbe::hve_match_prepare(
-            pairing, hve_ct, &token_positions_union_);
+        const pbe::HveMatchCt prepared =
+            pbe::hve_match_prepare(pairing, hve_ct, &positions);
         metrics.match_attempts.inc(all.size());
         const pbe::HveMatchResult res =
             pbe::hve_match_any(pairing, all, prepared);
@@ -460,7 +448,6 @@ void Subscriber::handle_token_response(BytesView body) {
   }
   rec->token =
       pbe::HveToken::deserialize(*creds_.abe_pk.pairing, response->body);
-  reindex_tokens();
 }
 
 void Subscriber::handle_content_response(BytesView body) {

@@ -158,8 +158,6 @@ class Subscriber {
                              std::map<std::uint64_t, PendingRequest>& pending);
   void send_service_request(const std::string& service, Bytes request);
   void send_sync(double now);
-  /// Rebuild the position union after any token is added or dropped.
-  void reindex_tokens();
 
   net::Network& network_;
   std::string name_;
@@ -170,9 +168,6 @@ class Subscriber {
   ChannelClient channel_;
 
   std::vector<InterestRecord> interests_;
-  // Ascending union of the positions the tokens probe: the per-broadcast
-  // Miller precompute covers only positions some token actually probes.
-  std::vector<std::uint32_t> token_positions_union_;
   std::uint64_t next_tag_ = 1;
   struct PendingFetch {
     Bytes ks;

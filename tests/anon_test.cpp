@@ -238,6 +238,8 @@ TEST(DsHardeningTest, CoverBroadcastsFlowWithoutConfusingSubscribers) {
   ASSERT_EQ(sub->token_count(), 1u);
 
   const auto cover_before = counter_value(obs::names::kDsCoverTotal);
+  const auto attempts_before =
+      counter_value(obs::names::kSubMatchAttemptsTotal);
   for (int i = 0; i < 12; ++i) {
     net.advance(120);
     system.ds().poll();
@@ -245,9 +247,13 @@ TEST(DsHardeningTest, CoverBroadcastsFlowWithoutConfusingSubscribers) {
   }
   // Cover broadcasts went out on the normal fanout path and the subscriber
   // processed them as ordinary (unmatchable) metadata — no delivery, no
-  // crash, no match.
+  // crash, no match. The parse rejects the garbage before any token is
+  // tried, so cover costs no match attempt (the model's r_match relies on
+  // this).
   EXPECT_GT(counter_value(obs::names::kDsCoverTotal), cover_before);
   EXPECT_GT(sub->metadata_received(), 0u);
+  EXPECT_EQ(counter_value(obs::names::kSubMatchAttemptsTotal),
+            attempts_before);
   EXPECT_EQ(sub->match_count(), 0u);
   EXPECT_EQ(sub->delivery_count(), 0u);
 }

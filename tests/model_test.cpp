@@ -151,5 +151,20 @@ TEST(AnalyticThroughput, RelativeThroughputIndependentOfSubscriberCount) {
   }
 }
 
+// A cover broadcast fails the subscriber's parse before any pairing work
+// (DsHardeningTest.CoverBroadcastsFlowWithoutConfusingSubscribers counts no
+// match attempt), so cover and padding slow only the NIC-bound rates.
+TEST(AnalyticThroughput, CoverLoadsTheWireButNotTheMatch) {
+  const ModelParams plain = ModelParams::paper_defaults();
+  ModelParams hard = plain;
+  hard.anon_pad_overhead = 0.05;
+  hard.anon_cover_fraction = 0.25;
+  const P3sThroughput a = p3s_throughput(plain, 1024.0);
+  const P3sThroughput b = p3s_throughput(hard, 1024.0);
+  EXPECT_EQ(b.r_match, a.r_match);
+  EXPECT_NEAR(a.r_ds / b.r_ds, 1.05 * 1.25, 1e-12);
+  EXPECT_NEAR(a.r_rs / b.r_rs, 1.05 * 1.25, 1e-12);
+}
+
 }  // namespace
 }  // namespace p3s::model

@@ -313,9 +313,8 @@ TEST_F(P3sEndToEnd, RsSnapshotRestorePersistsEncryptedContent) {
 }
 
 // A TTL that the content body's u64 milliseconds cannot carry is refused
-// before any randomness is drawn, by publish() and by every item of a
-// batch. Cast unchecked, -5 s went on the wire as 1.84e16 s and NaN as
-// 9.22e15 s.
+// before any randomness is drawn. Cast unchecked, -5 s went on the wire as
+// 1.84e16 s and NaN as 9.22e15 s.
 TEST_F(P3sEndToEnd, PublishRejectsUnrepresentableTtl) {
   build();
   auto pub = system_->make_publisher("pub1", "p", rng_);
@@ -328,11 +327,6 @@ TEST_F(P3sEndToEnd, PublishRejectsUnrepresentableTtl) {
                               abe::parse_policy("a"), ttl),
                  std::invalid_argument)
         << ttl;
-    std::vector<PublishItem> batch(
-        2, PublishItem{md("tech", "us", "ipo"), str_to_bytes("x"),
-                       abe::parse_policy("a"), 60.0});
-    batch[1].ttl_seconds = ttl;
-    EXPECT_THROW(pub->publish_batch(batch), std::invalid_argument) << ttl;
     TestRng untouched = before;
     EXPECT_EQ(rng_.bytes(16), untouched.bytes(16)) << "drew for TTL " << ttl;
   }
@@ -581,39 +575,12 @@ TEST_F(P3sEndToEnd, PublishTimerDoesNotCountTheHandlersItTriggers) {
   EXPECT_GT(net_.now() - start, own);
 }
 
-// --- Batch publishing --------------------------------------------------------------
+// --- Pool size ---------------------------------------------------------------------
 
-TEST_F(P3sEndToEnd, PublishBatchDeliversLikeIndividualPublishes) {
-  build();
-  auto sub = system_->make_subscriber("sub1", "s", {"a"}, rng_);
-  test::DeliveryLog got(*sub);
-  auto pub = system_->make_publisher("pub1", "p", rng_);
-  sub->subscribe({{"sector", "finance"}});
-  net_.run_until_idle();
-
-  std::vector<PublishItem> items;
-  items.push_back({md("finance", "us", "ipo"), str_to_bytes("m1"),
-                   abe::parse_policy("a")});
-  items.push_back({md("tech", "us", "ipo"), str_to_bytes("no-match"),
-                   abe::parse_policy("a")});
-  items.push_back({md("finance", "eu", "merger"), str_to_bytes("m3"),
-                   abe::parse_policy("a")});
-  const std::vector<Guid> guids = pub->publish_batch(items);
-  net_.run_until_idle();
-
-  ASSERT_EQ(guids.size(), 3u);
-  EXPECT_EQ(sub->metadata_received(), 3u);
-  ASSERT_EQ(got.deliveries().size(), 2u);
-  EXPECT_EQ(got.deliveries()[0].guid, guids[0]);
-  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "m1");
-  EXPECT_EQ(got.deliveries()[1].guid, guids[2]);
-  EXPECT_EQ(bytes_to_str(got.deliveries()[1].payload), "m3");
-}
-
-// The parallel batch path must be bit-identical to the sequential one: run
-// the same seeded scenario under a 1-thread and a 4-thread global pool and
-// compare every frame an eavesdropper would see on the wire.
-TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
+// The pooled subscriber match must leave the wire as the sequential run
+// does: run the same seeded scenario under a 1-thread and a 4-thread global
+// pool and compare every frame an eavesdropper would see on the wire.
+TEST(P3sPoolEquivalence, WireTrafficIdenticalForAnyPoolSize) {
   const auto run = [](std::size_t threads) {
     exec::Pool::set_global_threads(threads);
     net::AsyncNetwork net;
@@ -630,16 +597,14 @@ TEST(P3sBatchEquivalence, WireTrafficIdenticalForAnyPoolSize) {
     sub->subscribe({{"event", "merger"}});
     net.run_until_idle();
 
-    std::vector<PublishItem> items;
-    items.push_back({md("finance", "us", "ipo"), str_to_bytes("a"),
-                     abe::parse_policy("a")});
-    items.push_back({md("tech", "eu", "merger"), str_to_bytes("bb"),
-                     abe::parse_policy("a")});
-    items.push_back({md("energy", "us", "earnings"), str_to_bytes("ccc"),
-                     abe::parse_policy("a")});
-    items.push_back({md("finance", "apac", "merger"), str_to_bytes("dddd"),
-                     abe::parse_policy("a")});
-    pub->publish_batch(items);
+    pub->publish(md("finance", "us", "ipo"), str_to_bytes("a"),
+                 abe::parse_policy("a"));
+    pub->publish(md("tech", "eu", "merger"), str_to_bytes("bb"),
+                 abe::parse_policy("a"));
+    pub->publish(md("energy", "us", "earnings"), str_to_bytes("ccc"),
+                 abe::parse_policy("a"));
+    pub->publish(md("finance", "apac", "merger"), str_to_bytes("dddd"),
+                 abe::parse_policy("a"));
     net.run_until_idle();
 
     std::vector<test::WireLog::Frame> traffic = wire.frames();

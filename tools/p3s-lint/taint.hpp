@@ -59,7 +59,7 @@ class TaintPass {
   TaintPass(const Project& proj, Findings& out) : proj_(proj), out_(out) {
     // Blessed laundering points: everything defined in src/crypto, plus the
     // session AEAD wrappers that are the sanctioned wire path.
-    blessed_ = {"seal", "open", "ReplayRng"};
+    blessed_ = {"seal", "open"};
     for (const FileUnit& u : proj_.units) {
       if (u.module != "crypto") continue;
       for (int rid : u.records) {

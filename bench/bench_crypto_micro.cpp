@@ -109,18 +109,6 @@ void BM_FeInv_Fermat(benchmark::State& state) {
 }
 BENCHMARK(BM_FeInv_Fermat)->Arg(3)->Arg(8);
 
-// The ciphertext-side Miller chain of one G1 point (hve_match_prepare runs
-// one per ciphertext point on every broadcast).
-void BM_MillerPrecompute(benchmark::State& state) {
-  TestRng rng(15);
-  const auto p = group_with_limbs(state.range(0));
-  const auto pt = p->random_g1(rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p->miller_precompute(pt));
-  }
-}
-BENCHMARK(BM_MillerPrecompute)->Arg(3)->Arg(8);
-
 void BM_G1_ScalarMul(benchmark::State& state) {
   TestRng rng(3);
   const auto p = pp();
@@ -341,10 +329,11 @@ BENCHMARK(BM_Hve_Match)->Arg(8)->Arg(20)->Arg(40);
 
 // Multi-token matching: a subscriber holding T tokens evaluates one
 // broadcast. The sequential baseline runs the full per-token hve_query
-// (every token re-derives the Miller-loop state from the ciphertext); the
-// batch path prepares the ciphertext-side state once (hve_match_prepare)
-// and shares it across all tokens (hve_match_any), optionally spreading the
-// per-token evaluations over the global pool (P3S_THREADS).
+// (every token parses the broadcast and walks its own Miller chains); the
+// batch path parses once (hve_match_prepare) and runs one multi-output
+// Miller loop for all tokens (hve_match_any), in which tokens probing the
+// same position share its chains, split over the global pool
+// (P3S_THREADS).
 struct HveMatchFixture {
   pairing::PairingPtr p = pp();
   pbe::HveKeys keys;
@@ -396,6 +385,8 @@ void BM_Hve_MatchAny(benchmark::State& state) {
 }
 BENCHMARK(BM_Hve_MatchAny)->Arg(4)->Arg(16);
 
+// Parsing one broadcast (its KEM and DEM halves), the only per-broadcast
+// work hve_match_any does not include.
 void BM_Hve_MatchPrepare(benchmark::State& state) {
   const HveMatchFixture fx(40, 1);
   for (auto _ : state) {

@@ -13,16 +13,6 @@ std::vector<Sighting> EavesdropperObserver::on_link(
   return out;
 }
 
-bool EavesdropperObserver::sent_in_window(const std::string& from,
-                                          const std::string& to, double after,
-                                          double until) const {
-  for (const Sighting& s : sightings_) {
-    if (s.time <= after || s.time > until) continue;
-    if (s.from == from && s.to == to) return true;
-  }
-  return false;
-}
-
 std::map<std::pair<std::string, std::string>, LinkStats>
 EavesdropperObserver::link_tally() const {
   std::map<std::pair<std::string, std::string>, LinkStats> tally;

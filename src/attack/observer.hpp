@@ -48,10 +48,6 @@ class EavesdropperObserver {
   std::vector<Sighting> on_link(const std::string& from,
                                 const std::string& to) const;
 
-  /// Did `from` send anything to `to` in (after, until]?
-  bool sent_in_window(const std::string& from, const std::string& to,
-                      double after, double until) const;
-
   /// Per-link frame/byte totals.
   std::map<std::pair<std::string, std::string>, LinkStats> link_tally() const;
 

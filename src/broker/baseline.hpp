@@ -29,7 +29,6 @@ class BaselineBroker {
   ~BaselineBroker();
 
   const std::string& name() const { return name_; }
-  std::size_t subscription_count() const { return subscriptions_.size(); }
   std::uint64_t publications() const { return publications_; }
   /// Total subscription predicate evaluations performed (the broker-side
   /// matching cost the paper models as N_s · t_match).

@@ -32,12 +32,6 @@ std::size_t intern(const char* name) {
   return t.names.size() - 1;
 }
 
-std::size_t interned_count() {
-  InternTable& t = table();
-  std::lock_guard<std::mutex> lock(t.mutex);
-  return t.names.size();
-}
-
 const char* interned_name(std::size_t id) {
   InternTable& t = table();
   std::lock_guard<std::mutex> lock(t.mutex);

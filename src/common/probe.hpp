@@ -35,8 +35,7 @@ class Sink {
 /// spelling returns the same id.
 std::size_t intern(const char* name);
 
-/// Number of interned names so far / name for an id (for sinks).
-std::size_t interned_count();
+/// The name interned as `id`, or nullptr (for sinks).
 const char* interned_name(std::size_t id);
 
 /// Install (or clear, with nullptr) the process-wide sink. The sink must

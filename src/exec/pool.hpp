@@ -1,6 +1,6 @@
 // Shared execution layer: a fixed-size fork-join pool driving the
-// subscriber's HVE match (the per-position precompute of one broadcast and
-// its multi-token evaluation). Design constraints, in order:
+// subscriber's HVE match (the chains of one broadcast's multi-output Miller
+// loop, split over the threads). Design constraints, in order:
 //
 //  1. Determinism. A pool of size 1 never spawns a thread: parallel_for()
 //     runs the loop inline on the caller, in order, so the discrete-event

@@ -44,10 +44,6 @@ NodeId Gadget::find(const std::string& name) const {
   return it->second;
 }
 
-const std::string& Gadget::name_of(NodeId id) const { return nodes_.at(id).name; }
-
-bool Gadget::is_sensitive(NodeId id) const { return nodes_.at(id).sensitive; }
-
 std::set<NodeId> Gadget::derive(const std::set<NodeId>& known) const {
   std::set<NodeId> closure = known;
   bool changed = true;

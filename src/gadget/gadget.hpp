@@ -38,8 +38,6 @@ class Gadget {
 
   /// Look up an element by name; throws std::out_of_range if absent.
   NodeId find(const std::string& name) const;
-  const std::string& name_of(NodeId id) const;
-  bool is_sensitive(NodeId id) const;
 
   /// Fixpoint closure: everything derivable from `known`.
   std::set<NodeId> derive(const std::set<NodeId>& known) const;
@@ -48,8 +46,6 @@ class Gadget {
 
   /// Sensitive elements exposed to a participant with the given knowledge.
   std::vector<std::string> exposed_sensitive(const std::set<NodeId>& known) const;
-
-  std::size_t node_count() const { return nodes_.size(); }
 
   /// Graphviz rendering of the gadget, mirroring the paper's Fig. 5 visual
   /// conventions: information elements as ellipses (sensitive ones with a

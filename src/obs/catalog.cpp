@@ -117,9 +117,11 @@ void register_catalog(Registry& r) {
   r.histogram(kCryptoPairSeconds, {}, "seconds", "single pairing e(P,Q)",
               lat);
   r.histogram(kCryptoPairProductSeconds, {}, "seconds",
-              "multi-pairing product (one shared final exponentiation)", lat);
+              "multi-pairing product, or one miller_multi call (its final "
+              "exponentiations are not timed here)",
+              lat);
   r.histogram(kCryptoPairProductPairs, {}, "1",
-              "terms per pair_product call",
+              "(P, Q) pairs per pair_product or miller_multi call",
               Histogram::exponential_bounds(1.0, 2.0, 12));
   r.histogram(kCryptoG1MulSeconds, {}, "seconds",
               "G1 scalar multiplication (wNAF or fixed-base table)", lat);
@@ -131,13 +133,13 @@ void register_catalog(Registry& r) {
   r.histogram(kCryptoHashToG1Seconds, {}, "seconds",
               "hash-to-G1 (try-and-increment + cofactor clearing)", lat);
   r.histogram(kCryptoHveBatchSeconds, {}, "seconds",
-              "hve_match_any: all tokens against one prepared ciphertext",
+              "hve_match_any: all tokens against one parsed broadcast",
               lat);
   r.histogram(kCryptoHveBatchTokens, {}, "1",
               "tokens evaluated per hve_match_any call",
               Histogram::exponential_bounds(1.0, 2.0, 12));
   r.histogram(kCryptoHvePrepareSeconds, {}, "seconds",
-              "hve_match_prepare: per-broadcast Miller precompute", lat);
+              "hve_match_prepare: parsing one broadcast", lat);
 
   // Execution layer.
   r.gauge(kExecThreads, {}, "1",

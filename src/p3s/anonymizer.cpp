@@ -45,20 +45,12 @@ AnonMetrics& anon_metrics() {
   static AnonMetrics m;
   return m;
 }
-
-Bytes seed_bytes(std::uint64_t seed) {
-  Writer w;
-  w.u64(seed);
-  return w.take();
-}
 }  // namespace
 
-Anonymizer::Anonymizer(net::Network& network, std::string name,
+Anonymizer::Anonymizer(net::Network& network, std::string name, Rng& rng,
                        AnonHardening hardening)
-    : network_(network),
-      name_(std::move(name)),
-      hard_(hardening),
-      drbg_(seed_bytes(hardening.seed)) {
+    : network_(network), name_(std::move(name)), hard_(hardening) {
+  if (hard_.any_enabled()) drbg_.emplace(hardening_drbg(hard_.seed, rng));
   network_.register_endpoint(name_, [this](const std::string& from,
                                            BytesView frame) {
     on_frame(from, frame);
@@ -75,7 +67,7 @@ void Anonymizer::enable_cover(pairing::PairingPtr pairing, std::string rs_name,
 Bytes Anonymizer::maybe_pad(Bytes frame) {
   if (hard_.pad_bucket == 0) return frame;
   const std::size_t before = frame.size();
-  Bytes padded = pad_to_bucket(std::move(frame), hard_.pad_bucket, drbg_);
+  Bytes padded = pad_to_bucket(std::move(frame), hard_.pad_bucket, *drbg_);
   anon_metrics().pad_bytes.inc(padded.size() - before);
   return padded;
 }
@@ -90,13 +82,13 @@ Anonymizer::Held Anonymizer::make_decoy() {
   // a random "GUID" sealed to the RS. The RS answers a clean
   // kStatusNotFound under the throwaway Ks; the reply is absorbed here.
   // Neither the wire nor the RS can tell a decoy from a real miss.
-  const Bytes ks = drbg_.bytes(32);
-  const Bytes guid = drbg_.bytes(Guid::kSize);
+  const Bytes ks = drbg_->bytes(32);
+  const Bytes guid = drbg_->bytes(Guid::kSize);
   Held h;
   h.destination = cover_->rs_name;
   h.type = FrameType::kContentRequest;
   h.tag = next_tag_++;
-  h.payload = seal_request(*cover_->pairing, cover_->rs_pk, ks, guid, drbg_);
+  h.payload = seal_request(*cover_->pairing, cover_->rs_pk, ks, guid, *drbg_);
   decoy_tags_.insert(h.tag);
   evict_oldest(decoy_tags_);
   anon_metrics().cover.inc();
@@ -116,7 +108,7 @@ void Anonymizer::flush() {
   while (cover_.has_value() && held_.size() < hard_.min_batch) {
     held_.push_back(make_decoy());
   }
-  drbg_shuffle(held_, drbg_);
+  drbg_shuffle(held_, *drbg_);
   for (const Held& h : held_) relay(h);
   metrics.batch_flushes.inc();
   metrics.batch_size.record(static_cast<double>(held_.size()));
@@ -164,7 +156,7 @@ void Anonymizer::on_frame(const std::string& from, BytesView data) {
         flush();
       } else if (!flush_deadline_.has_value()) {
         flush_deadline_ = network_.now() + jittered(hard_.flush_interval,
-                                                    hard_.flush_jitter, drbg_);
+                                                    hard_.flush_jitter, *drbg_);
       }
       return;
     }

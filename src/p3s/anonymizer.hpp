@@ -33,7 +33,9 @@ class Anonymizer {
   /// Cap on each tag table (anonymizer.cpp says why).
   static constexpr std::size_t kTagCap = 4096;
 
-  Anonymizer(net::Network& network, std::string name,
+  /// `rng` seeds the hardening DRBG when hardening is on and
+  /// `hardening.seed` is unset; nothing else draws from it.
+  Anonymizer(net::Network& network, std::string name, Rng& rng,
              AnonHardening hardening = {});
   ~Anonymizer();
 
@@ -81,7 +83,7 @@ class Anonymizer {
   AnonHardening hard_;
   /// Dedicated randomness for mixing, padding, and decoys — never the
   /// shared test RNG (hardening must not shift other components' streams).
-  crypto::Drbg drbg_;
+  std::optional<crypto::Drbg> drbg_;  // iff hard_.any_enabled()
   struct Pending {
     std::string requester;
     std::uint64_t original_tag;

@@ -9,12 +9,12 @@
 namespace p3s::core {
 
 namespace {
-// Replay ring / idempotency caps: bounded memory under arbitrarily long
-// chaos runs. A subscriber that falls more than kMetaRingCap broadcasts
-// behind can no longer repair the gap by sync (same truncation any
-// non-durable broker exhibits); a publisher retrying a request evicted from
-// the done set would double-store, but stores are GUID-idempotent anyway.
-constexpr std::size_t kMetaRingCap = 1024;
+// Replay ring (kMetaRingCap, messages.hpp) and idempotency caps: bounded
+// memory under arbitrarily long chaos runs. A subscriber that falls more
+// than kMetaRingCap broadcasts behind can no longer repair the gap by sync
+// (same truncation any non-durable broker exhibits); a publisher retrying a
+// request evicted from the done set would double-store, but stores are
+// GUID-idempotent anyway.
 constexpr std::size_t kDoneCap = 4096;
 
 struct DsMetrics {
@@ -126,17 +126,16 @@ void DisseminationServer::send_sealed(const std::string& to, BytesView inner) {
   network_.send(name_, to, w.take());
 }
 
-void DisseminationServer::set_hardening(DsHardening hardening) {
+void DisseminationServer::set_hardening(DsHardening hardening,
+                                        std::size_t broadcast_size) {
   hard_ = hardening;
+  cover_size_ = broadcast_size;
   if (hard_.any_enabled()) {
-    Writer seed;
-    seed.u64(hard_.seed);
-    hard_drbg_.emplace(seed.data());
+    hard_drbg_.emplace(hardening_drbg(hard_.seed, rng_));
   }
 }
 
 void DisseminationServer::schedule_fanout(const Bytes& hve_ciphertext) {
-  last_hve_size_ = hve_ciphertext.size();
   if (!hard_.batching) {
     fan_out_metadata(hve_ciphertext);
     return;
@@ -177,7 +176,7 @@ void DisseminationServer::poll() {
       // padding, when on) a cover broadcast is indistinguishable from a
       // publication on the wire; subscribers parse it into a universal
       // non-match (no pairing work done).
-      fan_out_metadata(hard_drbg_->bytes(last_hve_size_));
+      fan_out_metadata(hard_drbg_->bytes(cover_size_));
       ds_metrics().cover.inc();
       next_cover_ = network_.now() + jittered(hard_.cover_interval,
                                               hard_.flush_jitter, *hard_drbg_);

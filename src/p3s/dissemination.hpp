@@ -45,13 +45,14 @@ class DisseminationServer {
 
   std::size_t subscriber_count() const { return subscribers_.size(); }
   std::size_t publisher_count() const { return publishers_.size(); }
-  /// Publish requests stored on the RS but not yet acknowledged.
-  std::size_t pending_store_count() const { return pending_stores_.size(); }
 
   /// Broadcast shaping (DESIGN.md §11): batched fanout with a DRBG-jittered
   /// flush, bucketed broadcast padding, and garbage cover broadcasts. All
-  /// off by default; enabling creates the dedicated hardening DRBG.
-  void set_hardening(DsHardening hardening);
+  /// off by default; enabling creates the dedicated hardening DRBG, whose
+  /// seed is drawn from the DS's RNG when `hardening.seed` is unset. Cover
+  /// broadcasts carry `broadcast_size` bytes of garbage: the size of every
+  /// real broadcast's HVE blob (pbe::hve_encrypt_bytes_size).
+  void set_hardening(DsHardening hardening, std::size_t broadcast_size);
   const DsHardening& hardening() const { return hard_; }
   /// Hardening driver: flush a due broadcast batch and inject due cover.
   /// Call whenever network time may have advanced; no-op unhardened.
@@ -123,17 +124,17 @@ class DisseminationServer {
   std::deque<Bytes> done_order_;  // FIFO eviction for done_requests_
 
   // --- broadcast shaping (DESIGN.md §11) -----------------------------------
-  // Hardening randomness comes from a dedicated DRBG, not rng_: enabling
-  // shaping must not shift the shared test RNG stream (the fanout seals'
-  // wire-determinism pin depends on it). Cover broadcasts DO consume rng_
-  // seal nonces like any real fanout — that is inherent to being real
-  // broadcasts.
+  // Hardening randomness comes from a dedicated DRBG, not rng_: shaping
+  // must not shift the shared RNG stream (the fanout seals'
+  // wire-determinism pin depends on it); rng_ gives at most the DRBG's
+  // seed. Cover broadcasts DO consume rng_ seal nonces like any real
+  // fanout — that is inherent to being real broadcasts.
   DsHardening hard_;
   std::optional<crypto::Drbg> hard_drbg_;
   std::vector<Bytes> pending_fanout_;  // queued hve cts awaiting flush
   std::optional<double> fanout_deadline_;
   std::optional<double> next_cover_;
-  std::size_t last_hve_size_ = 256;  // cover broadcasts mimic real ct size
+  std::size_t cover_size_ = 0;  // a real broadcast's HVE blob size
 };
 
 }  // namespace p3s::core

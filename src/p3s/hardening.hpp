@@ -14,18 +14,22 @@
 //   * cover traffic: decoy fetches (anonymizer) and garbage broadcasts (DS)
 //     that give a lone real frame a crowd to hide in.
 //
-// Every knob draws its randomness from a dedicated crypto::Drbg seeded from
-// the config, NEVER from the component's shared test RNG — enabling
-// hardening must not shift the main RNG stream (wire-level determinism pins
-// in other tests depend on it).
+// Every knob draws its randomness from a dedicated crypto::Drbg, NEVER from
+// the component's shared RNG. The DRBG's seed is the configured one, or one
+// 64-bit draw from the deployment's RNG when the component is built with
+// its hardening on, so deployments that leave it unset do not share pad
+// bytes, shuffles, jitter or decoys, and an unhardened run draws nothing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serial.hpp"
+#include "crypto/drbg.hpp"
 
 namespace p3s::core {
 
@@ -47,8 +51,8 @@ struct AnonHardening {
   std::size_t min_batch = 0;
   /// Pad relayed requests and responses to this bucket (0 = off).
   std::size_t pad_bucket = 0;
-  /// Seed for the dedicated mixing/decoy DRBG.
-  std::uint64_t seed = 0xa70'11;
+  /// Seed for the dedicated mixing/decoy DRBG (unset: drawn, see above).
+  std::optional<std::uint64_t> seed;
 
   bool any_enabled() const {
     return batching || min_batch > 0 || pad_bucket > 0;
@@ -73,12 +77,22 @@ struct DsHardening {
   /// (0 = off). Subscribers treat garbage as a universal non-match, so cover
   /// costs them no pairing work beyond the parse attempt.
   double cover_interval = 0.0;
-  std::uint64_t seed = 0xd5'c0;
+  /// Seed for the dedicated shaping DRBG (unset: drawn, see above).
+  std::optional<std::uint64_t> seed;
 
   bool any_enabled() const {
     return batching || pad_bucket > 0 || cover_interval > 0.0;
   }
 };
+
+/// The dedicated hardening DRBG: seeded with `seed`, or with a draw from the
+/// deployment's `rng` when no seed is configured.
+inline crypto::Drbg hardening_drbg(std::optional<std::uint64_t> seed,
+                                   Rng& rng) {
+  Writer w;
+  w.u64(seed.has_value() ? *seed : rng.u64());
+  return crypto::Drbg(w.data());
+}
 
 /// `base` plus a uniform [0, jitter) extra drawn from `drbg`: a flush time
 /// that leaks nothing. Draws nothing when jitter is off.

@@ -61,6 +61,12 @@ enum class FrameType : std::uint8_t {
 /// the publisher, echoed through DS → RS → DS → publisher acks.
 inline constexpr std::size_t kRequestIdSize = 16;
 
+/// The DS keeps its last kMetaRingCap broadcasts for kMetaSyncRequest
+/// replay. A reliable subscriber therefore drops a gap more than
+/// kMetaRingCap indices below the newest index it knows of as lost: no
+/// sync can repair it.
+inline constexpr std::size_t kMetaRingCap = 1024;
+
 /// Frame header parse: returns the type and leaves `r` positioned at the
 /// body. Throws on truncated input or unknown type.
 FrameType read_frame_type(Reader& r);

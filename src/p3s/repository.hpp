@@ -39,7 +39,6 @@ class RepositoryServer {
   void set_response_pad_bucket(std::size_t bucket) {
     response_pad_bucket_ = bucket;
   }
-  std::size_t response_pad_bucket() const { return response_pad_bucket_; }
 
   std::size_t stored_items() const { return store_.size(); }
 

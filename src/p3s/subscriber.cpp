@@ -340,10 +340,8 @@ void Subscriber::handle_sequenced_metadata(Reader& r) {
   skip_pad(r);  // hardened DS pads broadcasts to a bucket
   if (!meta_baseline_) return;  // pre-ack frame; recovered via sync
   if (index >= next_meta_index_) {
-    for (std::uint64_t i = next_meta_index_; i < index; ++i) {
-      missing_meta_.insert(i);
-    }
-    next_meta_index_ = index + 1;
+    advance_meta_index(index + 1);
+    missing_meta_.erase(index);
     handle_metadata(hve_ct);
     return;
   }
@@ -369,13 +367,24 @@ void Subscriber::handle_sync_info(Reader& r) {
   } else {
     // Everything below the DS's next index exists; anything we have not
     // seen yet is a gap to repair on the next sync round.
-    for (std::uint64_t i = next_meta_index_; i < ds_next; ++i) {
-      missing_meta_.insert(i);
-    }
-    next_meta_index_ = std::max(next_meta_index_, ds_next);
+    advance_meta_index(ds_next);
   }
   sync_deadline_.reset();
   sync_failures_ = 0;
+}
+
+void Subscriber::advance_meta_index(std::uint64_t next) {
+  if (next <= next_meta_index_) return;
+  // Only the last kMetaRingCap indices below `next` can still be replayed.
+  const std::uint64_t floor = next > kMetaRingCap ? next - kMetaRingCap : 0;
+  while (!missing_meta_.empty() && *missing_meta_.begin() < floor) {
+    missing_meta_.erase(missing_meta_.begin());
+    ++lost_metadata_;
+  }
+  const std::uint64_t first = std::max(next_meta_index_, floor);
+  lost_metadata_ += first - next_meta_index_;
+  for (std::uint64_t i = first; i < next; ++i) missing_meta_.insert(i);
+  next_meta_index_ = next;
 }
 
 void Subscriber::handle_metadata(BytesView hve_ct) {
@@ -386,11 +395,10 @@ void Subscriber::handle_metadata(BytesView hve_ct) {
 
   // Local matching on encrypted metadata. A successful KEM decryption
   // reveals exactly the GUID — nothing else about the metadata (attribute
-  // hiding). The ciphertext-side Miller state is prepared once per
-  // broadcast (restricted to positions some token probes) and shared by
-  // every token evaluation, which run on the global pool with first-hit
-  // short-circuit. A token probing past the broadcast's width is a miss
-  // there before any pairing work.
+  // hiding). All tokens are evaluated against the broadcast in one
+  // multi-output Miller loop on the global pool, and the lowest-index hit
+  // wins. A token probing past the broadcast's width is a miss there before
+  // any pairing work.
   std::optional<Guid> matched;
   {
     obs::ScopedTimer match_timer(metrics.reg, metrics.match_seconds,
@@ -398,21 +406,13 @@ void Subscriber::handle_metadata(BytesView hve_ct) {
     try {
       std::vector<const pbe::HveToken*> all;
       all.reserve(interests_.size());
-      // hve_match_prepare only flags each position a token probes, so
-      // their order and duplicates do not matter.
-      std::vector<std::uint32_t> positions;
       for (const InterestRecord& rec : interests_) {
-        if (!rec.token.has_value()) continue;
-        all.push_back(&*rec.token);
-        positions.insert(positions.end(), rec.token->positions.begin(),
-                         rec.token->positions.end());
+        if (rec.token.has_value()) all.push_back(&*rec.token);
       }
       if (!all.empty()) {
-        const pbe::HveMatchCt prepared =
-            pbe::hve_match_prepare(pairing, hve_ct, &positions);
+        const pbe::HveMatchCt ct = pbe::hve_match_prepare(pairing, hve_ct);
         metrics.match_attempts.inc(all.size());
-        const pbe::HveMatchResult res =
-            pbe::hve_match_any(pairing, all, prepared);
+        const pbe::HveMatchResult res = pbe::hve_match_any(pairing, all, ct);
         if (res.matched() && res.payload.size() == Guid::kSize) {
           ++matches_;
           metrics.match_hits.inc();
@@ -433,14 +433,14 @@ void Subscriber::handle_token_response(BytesView body) {
       interests_.begin(), interests_.end(),
       [&](const InterestRecord& x) { return x.tag == tagged.tag; });
   if (rec == interests_.end()) return;
-  const Bytes ks = std::move(rec->ks);
+  // The request is consumed only by a response that opens under its Ks:
+  // anyone can send a frame with a guessed tag.
+  const auto response =
+      open_response(FrameType::kTokenResponse, rec->ks, tagged.payload);
+  if (!response.has_value()) return;
   rec->ks.clear();
   rec->tag.reset();
   pending_token_requests_.erase(tagged.tag);
-
-  const auto response =
-      open_response(FrameType::kTokenResponse, ks, tagged.payload);
-  if (!response.has_value()) return;
   if (response->status != kStatusOk) {
     ++token_rejections_;
     sub_metrics().token_rejections.inc();
@@ -455,13 +455,13 @@ void Subscriber::handle_content_response(BytesView body) {
   const TaggedBody tagged = read_tagged(r);
   const auto it = pending_content_ks_.find(tagged.tag);
   if (it == pending_content_ks_.end()) return;
+  // As for tokens: only a response that opens under the fetch's Ks ends it.
+  const auto response =
+      open_response(FrameType::kContentResponse, it->second.ks, tagged.payload);
+  if (!response.has_value()) return;
   const PendingFetch fetch = std::move(it->second);
   pending_content_ks_.erase(it);
   pending_content_requests_.erase(tagged.tag);
-
-  const auto response =
-      open_response(FrameType::kContentResponse, fetch.ks, tagged.payload);
-  if (!response.has_value()) return;
   SubMetrics& metrics = sub_metrics();
   if (response->status != kStatusOk) {
     ++fetch_failures_;

@@ -16,8 +16,9 @@
 // are detected and repaired through kMetaSyncRequest, with a heartbeat sync
 // that also detects a restarted DS (incarnation change) and re-registers.
 // Delivery is exactly-once however often a broadcast or response is
-// replayed: one fetch per GUID, one answer per fetch (its Ks is erased on
-// arrival), and an answer counts only if it carries the GUID asked for.
+// replayed: one fetch per GUID, one answer per fetch (its Ks is erased once
+// an answer opens under it), and an answer counts only if it carries the
+// GUID asked for.
 #pragma once
 
 #include <cstdint>
@@ -119,6 +120,9 @@ class Subscriber {
   }
   /// Broadcast indices known missing and awaiting sync repair.
   std::size_t missing_metadata_count() const { return missing_meta_.size(); }
+  /// Broadcast indices given up as lost: they fell out of the DS's replay
+  /// ring (kMetaRingCap) before a sync could repair them.
+  std::size_t lost_metadata_count() const { return lost_metadata_; }
   const std::string& name() const { return name_; }
   const SubscriberCredentials& credentials() const { return creds_; }
 
@@ -144,6 +148,10 @@ class Subscriber {
   void handle_reliable_ack(Reader& r);
   void handle_sequenced_metadata(Reader& r);
   void handle_sync_info(Reader& r);
+  /// Raise next_meta_index_ to `next`: the indices skipped are missing,
+  /// except those older than the DS's replay ring, which are lost along
+  /// with any missing index below it.
+  void advance_meta_index(std::uint64_t next);
   void handle_metadata(BytesView hve_ct);
   void handle_token_response(BytesView body);
   void handle_content_response(BytesView body);
@@ -187,7 +195,8 @@ class Subscriber {
   bool meta_baseline_ = false;
   std::optional<std::uint64_t> ds_incarnation_;
   std::uint64_t next_meta_index_ = 0;
-  std::set<std::uint64_t> missing_meta_;
+  std::set<std::uint64_t> missing_meta_;  // at most kMetaRingCap entries
+  std::size_t lost_metadata_ = 0;
   bool force_sync_ = false;
   std::optional<double> sync_deadline_;
   std::size_t sync_failures_ = 0;

@@ -1,5 +1,8 @@
 #include "p3s/system.hpp"
 
+#include "common/guid.hpp"
+#include "pbe/hve.hpp"
+
 namespace p3s::core {
 
 P3sSystem::P3sSystem(net::Network& network, P3sConfig config, Rng& rng)
@@ -16,9 +19,12 @@ P3sSystem::P3sSystem(net::Network& network, P3sConfig config, Rng& rng)
   rs_->set_response_pad_bucket(config_.rs_response_pad_bucket);
   ds_ = std::make_unique<DisseminationServer>(
       network_, config_.ds_name, config_.pairing, config_.rs_name, rng);
-  ds_->set_hardening(config_.ds_hardening);
+  ds_->set_hardening(config_.ds_hardening,
+                     pbe::hve_encrypt_bytes_size(*config_.pairing,
+                                                 config_.schema.width(),
+                                                 Guid::kSize));
   if (config_.with_anonymizer) {
-    anon_ = std::make_unique<Anonymizer>(network_, config_.anon_name,
+    anon_ = std::make_unique<Anonymizer>(network_, config_.anon_name, rng,
                                          config_.anon_hardening);
     if (config_.anon_hardening.min_batch > 0) {
       // Decoy fetches need the RS public key; without cover material a short

@@ -454,7 +454,13 @@ Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
 namespace {
 using fqm::Fe;
 using fqm::Fe2;
-using Line = MillerPrecomp::Slot;
+
+// One Miller-loop line: at φ(Q) it is (a·xQ + b) + i·(c·yQ), up to a
+// factor in F_q* that the final exponentiation removes.
+struct Line {
+  Fe a, b, c;
+  bool skip = false;  // V at O or a vertical line: no GT multiplication
+};
 
 // The running point V of one Miller loop, Jacobian (z == 0 → V = O).
 struct MillerV {
@@ -569,14 +575,6 @@ void miller_eval(const math::Montgomery& mq, const Line& line, const Fe& qx,
   f = tmp;
 }
 
-// Per-term Miller-loop state: the affine inputs P and Q, −P's y for the
-// −1 digits, and the running V, which miller_product starts at P.
-struct MillerTermM {
-  Point p, q;
-  Fe neg_py{};
-  MillerV v{};
-};
-
 // The shared final exponentiation f^((q²−1)/r) = (conj(f)·f⁻¹)^h since
 // (q²−1)/r = (q−1)·h and f^q = conj(f) in F_q².
 Fe2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
@@ -586,115 +584,107 @@ Fe2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
   return fqm::fe2_pow(mq, f_q_minus_1, params.h);
 }
 
-// Interleaved Miller loops computing ∏ f_{r,P_i}(φ(Q_i)) over the NAF of r:
-// one shared F_q² accumulator (a single squaring per digit regardless of
-// the term count) followed by ONE final exponentiation. Against r's binary
-// expansion the NAF drops vertical lines at −1 digits and changes the
-// Jacobian scale factors; all of them lie in F_q*, which the final
-// exponent (a multiple of q − 1) kills, so every GT value is unchanged.
-Fq2 miller_product(const math::Montgomery& mq, const Params& params,
-                   const std::vector<std::int8_t>& naf_r,
-                   std::vector<MillerTermM>& terms) {
+// The one Miller loop: every chain's V walks NAF(r) once, and each of its
+// lines folds, evaluated at the chain's every Q, into that Q's output; an
+// output's accumulator is squared once per digit however many terms it
+// has. Against r's binary expansion the NAF drops vertical lines at −1
+// digits and changes the Jacobian scale factors; all of them lie in F_q*,
+// which the final exponent (a multiple of q − 1) kills, so every GT value
+// is unchanged.
+std::vector<Fe2> miller_loop(const math::Montgomery& mq,
+                             const std::vector<std::int8_t>& naf_r,
+                             std::span<const MillerChain> chains,
+                             std::size_t outputs) {
+  struct Walk {
+    const MillerChain* chain;
+    Fe neg_py;  // −P's y, for the −1 digits
+    MillerV v;
+  };
   const Fe one_m = fqm::fe_one(mq);
-  for (auto& t : terms) {
-    t.neg_py = fqm::fe_neg(mq, t.p.y);
-    t.v = {t.p.x, t.p.y, one_m};
+  std::vector<Walk> walks;
+  // An output with no term stays 1 and is never squared.
+  std::vector<std::uint8_t> live(outputs, 0);
+  for (const MillerChain& c : chains) {
+    for (const MillerChain::Eval& e : c.evals) {
+      if (e.output >= outputs) {
+        throw std::out_of_range("miller_multi: output index out of range");
+      }
+      if (c.p.infinity || e.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
+      live[e.output] = 1;
+      if (walks.empty() || walks.back().chain != &c) {
+        walks.push_back({&c, fqm::fe_neg(mq, c.p.y), {c.p.x, c.p.y, one_m}});
+      }
+    }
   }
-  Fe2 f = fqm::fe2_one(mq);
+  std::vector<Fe2> f(outputs, fqm::fe2_one(mq));
+  const auto fold = [&](const Walk& w, const Line& line) {
+    for (const MillerChain::Eval& e : w.chain->evals) {
+      if (!e.q.infinity) miller_eval(mq, line, e.q.x, e.q.y, f[e.output]);
+    }
+  };
   for (std::size_t i = naf_r.size() - 1; i-- > 0;) {
-    fqm::fe2_sqr(mq, f, f);
-    for (auto& t : terms) {
+    for (std::size_t j = 0; j < outputs; ++j) {
+      if (live[j]) fqm::fe2_sqr(mq, f[j], f[j]);
+    }
+    for (Walk& w : walks) {
       Line line;
-      miller_double(mq, t.v, line);
-      miller_eval(mq, line, t.q.x, t.q.y, f);
+      miller_double(mq, w.v, line);
+      fold(w, line);
     }
     if (naf_r[i] == 0) continue;
-    for (auto& t : terms) {
+    for (Walk& w : walks) {
       Line line;
-      miller_add(mq, t.v, t.p.x, naf_r[i] > 0 ? t.p.y : t.neg_py, line);
-      miller_eval(mq, line, t.q.x, t.q.y, f);
+      const Point& p = w.chain->p;
+      miller_add(mq, w.v, p.x, naf_r[i] > 0 ? p.y : w.neg_py, line);
+      fold(w, line);
     }
   }
-  return final_exponentiation_m(mq, params, f);
+  return f;
 }
 }  // namespace
 
 Fq2 Pairing::pair(const Point& p, const Point& qpt) const {
   probe::ScopedTimer timer(pair_probe_);
-  if (p.infinity || qpt.infinity) return gt_one();
-  std::vector<MillerTermM> terms{{p, qpt}};
-  return miller_product(montq_, params_, naf_r_, terms);
+  const MillerChain chain{p, {{qpt, 0}}};
+  return final_exponentiation_m(
+      montq_, params_, miller_loop(montq_, naf_r_, {&chain, 1}, 1)[0]);
 }
 
 Fq2 Pairing::pair_product(std::span<const PairTerm> in) const {
   probe::ScopedTimer timer(pair_product_probe_);
   probe::observe(pair_product_pairs_probe_, static_cast<double>(in.size()));
-  std::vector<MillerTermM> terms;
-  terms.reserve(in.size());
+  std::vector<MillerChain> chains;
   for (const PairTerm& t : in) {
-    if (t.p.infinity || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
-    terms.push_back({t.p, t.q});
+    const auto same_p = std::find_if(
+        chains.begin(), chains.end(),
+        [&](const MillerChain& c) { return c.p == t.p; });
+    if (same_p != chains.end()) {
+      same_p->evals.push_back({t.q, 0});
+    } else {
+      chains.push_back({t.p, {{t.q, 0}}});
+    }
   }
-  return miller_product(montq_, params_, naf_r_, terms);
+  return final_exponentiation_m(montq_, params_,
+                                miller_loop(montq_, naf_r_, chains, 1)[0]);
 }
 
-MillerPrecomp Pairing::miller_precompute(const Point& p) const {
-  MillerPrecomp pre;
-  if (p.infinity) {
-    pre.infinity_ = true;
-    return pre;
-  }
-  const math::Montgomery& mq = montq_;
-  const Fe neg_py = fqm::fe_neg(mq, p.y);
-  MillerV v{p.x, p.y, fqm::fe_one(mq)};
+std::vector<Fq2> Pairing::miller_multi(std::span<const MillerChain> chains,
+                                       std::size_t outputs) const {
+  probe::ScopedTimer timer(pair_product_probe_);
+  std::size_t pairs = 0;
+  for (const MillerChain& c : chains) pairs += c.evals.size();
+  probe::observe(pair_product_pairs_probe_, static_cast<double>(pairs));
+  return miller_loop(montq_, naf_r_, chains, outputs);
+}
 
-  const std::size_t additions = static_cast<std::size_t>(
-      std::count_if(naf_r_.begin(), naf_r_.end() - 1,
-                    [](std::int8_t d) { return d != 0; }));
-  pre.slots_.reserve(naf_r_.size() - 1 + additions);
-  // Walk the exact V-chain of miller_product, recording each line's
-  // (A, B, C) instead of evaluating it against a Q.
-  for (std::size_t i = naf_r_.size() - 1; i-- > 0;) {
-    miller_double(mq, v, pre.slots_.emplace_back());
-    if (naf_r_[i] == 0) continue;
-    miller_add(mq, v, p.x, naf_r_[i] > 0 ? p.y : neg_py,
-               pre.slots_.emplace_back());
-  }
-  return pre;
+Fq2 Pairing::final_exponentiation(const Fq2& f) const {
+  return final_exponentiation_m(montq_, params_, f);
 }
 
 Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
-  probe::ScopedTimer timer(pair_product_probe_);
-  probe::observe(pair_product_pairs_probe_, static_cast<double>(in.size()));
-
-  // Live term state: the precomputed slot stream plus Q.
-  struct TermState {
-    const MillerPrecomp* pre;
-    const Point* q;
-    std::size_t cursor = 0;
-  };
-  std::vector<TermState> terms;
-  terms.reserve(in.size());
-  for (const PrecompPairTerm& t : in) {
-    if (t.p->infinity() || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
-    terms.push_back({t.p, &t.q});
-  }
-
-  // Same interleaved loop shape as miller_product: one shared squaring per
-  // digit, then every term evaluates its next slot, so the product is
-  // bit-identical to the PairTerm overload.
-  const math::Montgomery& mq = montq_;
-  Fe2 f = fqm::fe2_one(mq);
-  auto eval = [&](TermState& t) {
-    miller_eval(mq, t.pre->slots_[t.cursor++], t.q->x, t.q->y, f);
-  };
-  for (std::size_t i = naf_r_.size() - 1; i-- > 0;) {
-    fqm::fe2_sqr(mq, f, f);
-    for (auto& t : terms) eval(t);
-    if (naf_r_[i] == 0) continue;
-    for (auto& t : terms) eval(t);
-  }
-  return final_exponentiation_m(mq, params_, f);
+  std::vector<PairTerm> terms;
+  for (const PrecompPairTerm& t : in) terms.push_back({*t.p, t.q});
+  return pair_product(terms);
 }
 
 GtFixedBase::GtFixedBase(const math::Montgomery& mq, const Fq2& base,

@@ -49,39 +49,23 @@ struct PairTerm {
   Point q;
 };
 
-/// Ciphertext-side Miller-loop precompute for one G1 point P. The Jacobian
-/// V-chain of the Miller loop depends only on P; the second input Q enters
-/// each iteration solely through the line evaluation, which is affine in
-/// Q's coordinates: line = (A·xQ + B) + i·(C·yQ). Precomputing the (A,B,C)
-/// stream once per point turns every later pairing against a fresh Q into
-/// ~5 field multiplications per slot instead of the full double/add chain —
-/// this is the per-broadcast state a subscriber reuses across all of its
-/// tokens. Produced by Pairing::miller_precompute; consumed by the
-/// PrecompPairTerm pair_product overload, which is bit-identical to the
-/// plain pair_product on the same (P, Q) inputs.
-class MillerPrecomp {
- public:
-  /// One Miller-loop line: at φ(Q) it is (a·xQ + b) + i·(c·yQ), up to a
-  /// factor in F_q* that the final exponentiation removes.
-  struct Slot {
-    fqm::Fe a, b, c;
-    bool skip = false;  // V at O or a vertical line: no GT multiplication
+/// One doubling/addition chain of Pairing::miller_multi: the first point P,
+/// walked once over NAF(r), and the second points its lines are evaluated
+/// at, each folded into the accumulator of its own output.
+struct MillerChain {
+  struct Eval {
+    Point q;
+    std::size_t output;
   };
-
-  bool infinity() const { return infinity_; }
-  std::size_t memory_bytes() const { return slots_.size() * sizeof(Slot); }
-
- private:
-  friend class Pairing;
-  bool infinity_ = false;
-  // Fixed schedule over the non-adjacent form of r: one slot per doubling
-  // plus one per nonzero digit below the top (an addition of ±P), so every
-  // precomp of the same pairing walks in lockstep with the interleaved
-  // product loop: 106 slots in the test group, 210 in the paper group.
-  std::vector<Slot> slots_;
+  Point p;
+  std::vector<Eval> evals;
 };
 
-/// One (precomputed-P, Q) input to a multi-pairing product.
+/// Adapters kept only because perfbench's probes call them (ROADMAP,
+/// benchmark backlog, "Drop the stored-precompute probes"): nothing is
+/// stored, the "precompute" of P is P, and pair_product_precomp forwards
+/// to pair_product.
+using MillerPrecomp = Point;
 struct PrecompPairTerm {
   const MillerPrecomp* p;
   Point q;
@@ -164,16 +148,27 @@ class Pairing {
   /// The pairing itself: the fixed-limb Miller loop over NAF(r) and one
   /// final exponentiation.
   Fq2 pair(const Point& p, const Point& q) const;
-  /// ∏ e(P_i, Q_i) via one interleaved Miller loop sharing a single F_q²
-  /// accumulator and a SINGLE final exponentiation. Divisions fold in as
+  /// ∏ e(P_i, Q_i): one output of miller_multi, whose terms with equal P
+  /// share a chain, and a SINGLE final exponentiation. Divisions fold in as
   /// e(A,B)·e(C,D)⁻¹ = e(A,B)·e(−C,D). Terms with an identity input
   /// contribute 1. Equals ∏ pair(P_i, Q_i) exactly.
   Fq2 pair_product(std::span<const PairTerm> terms) const;
-  /// Precompute the P-side Miller state once; amortizes across every later
-  /// pairing of P against a fresh Q (the HVE broadcast/token split).
-  MillerPrecomp miller_precompute(const Point& p) const;
-  /// ∏ e(P_i, Q_i) with precomputed P_i: identical output (bit for bit) to
-  /// pair_product on the same points, ~2.5× less field work.
+  /// The Miller loop with several outputs: each chain's V runs once over
+  /// NAF(r), its line at every step is evaluated at each of the chain's Q
+  /// and folded into that Q's output, and every output's F_q² accumulator
+  /// is squared once per step. Returns the `outputs` accumulators before
+  /// the final exponentiation. F_q² products are exact, so the chains'
+  /// order, and the product of the outputs of calls over a split of the
+  /// chains, give the same values; final_exponentiation of output j equals
+  /// pair_product over the (P, Q) pairs folded into j, bit for bit.
+  /// Identity inputs contribute 1. Throws std::out_of_range for an eval
+  /// whose output is not below `outputs`.
+  std::vector<Fq2> miller_multi(std::span<const MillerChain> chains,
+                                std::size_t outputs) const;
+  /// f^((q²−1)/r), which turns a miller_multi output into an element of GT.
+  Fq2 final_exponentiation(const Fq2& f) const;
+  /// Adapters for perfbench's probes only (see MillerPrecomp).
+  MillerPrecomp miller_precompute(const Point& p) const { return p; }
   Fq2 pair_product_precomp(std::span<const PrecompPairTerm> terms) const;
   /// The original BigInt Miller loop over r's binary expansion with a
   /// per-call final exponentiation, reading the coordinates as

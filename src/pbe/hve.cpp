@@ -1,5 +1,6 @@
 #include "pbe/hve.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/serial.hpp"
@@ -366,6 +367,18 @@ Bytes hve_encrypt_bytes(const HvePublicKey& pk, const BitVector& x,
   return w.take();
 }
 
+std::size_t hve_encrypt_bytes_size(const pairing::Pairing& pairing,
+                                   std::size_t width,
+                                   std::size_t payload_size) {
+  // Each Writer::bytes and point-vector length is a 4-byte prefix; the DEM
+  // is a 12-byte nonce and the payload with its 16-byte tag.
+  constexpr std::size_t kPrefix = 4, kNonce = 12, kTag = 16;
+  const std::size_t kem =
+      pairing.gt_bytes() + 2 * (kPrefix + width * pairing.g1_bytes());
+  const std::size_t dem = kPrefix + kNonce + kPrefix + payload_size + kTag;
+  return kPrefix + kem + kPrefix + dem;
+}
+
 std::optional<Bytes> hve_query_bytes(const pairing::Pairing& pairing,
                                      const HveToken& token, BytesView data) {
   try {
@@ -400,56 +413,14 @@ MatchMetrics& match_metrics() {
 }  // namespace
 
 HveMatchCt hve_match_prepare(const pairing::Pairing& pairing, BytesView data,
-                             const std::vector<std::uint32_t>* positions) {
+                             const std::vector<std::uint32_t>* /*positions*/) {
   obs::ScopedTimer timer(obs::Registry::global(), match_metrics().prepare);
   Reader r(data);
   HveMatchCt ct;
   ct.kem = HveCiphertext::deserialize(pairing, r.bytes());
   ct.dem = crypto::AeadCiphertext::deserialize(r.bytes());
   r.expect_done();
-  const std::size_t width = ct.kem.width();
-  ct.prepared.assign(width, positions == nullptr ? 1 : 0);
-  if (positions != nullptr) {
-    for (std::uint32_t p : *positions) {
-      if (p < width) ct.prepared[p] = 1;
-    }
-  }
-  ct.x.resize(width);
-  ct.w.resize(width);
-  // Each position's precompute is pure and deterministic (no RNG), so the
-  // loop parallelizes with bit-identical results for any pool size.
-  std::vector<std::size_t> todo;
-  todo.reserve(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    if (ct.prepared[i]) todo.push_back(i);
-  }
-  exec::Pool::global().parallel_for(0, todo.size(), [&](std::size_t k) {
-    const std::size_t i = todo[k];
-    ct.x[i] = pairing.miller_precompute(ct.kem.x[i]);
-    ct.w[i] = pairing.miller_precompute(ct.kem.w[i]);
-  });
   return ct;
-}
-
-Fq2 hve_query(const pairing::Pairing& pairing, const HveToken& token,
-              const HveMatchCt& ct) {
-  // Same term order as the plain overload; pair_product_precomp is
-  // bit-identical to pair_product, so so is this.
-  std::vector<pairing::PrecompPairTerm> terms;
-  terms.reserve(2 * token.positions.size());
-  for (std::size_t j = 0; j < token.positions.size(); ++j) {
-    const std::size_t i = token.positions[j];
-    if (i >= ct.width()) {
-      throw std::invalid_argument("hve_query: token/ciphertext width mismatch");
-    }
-    if (!ct.prepared[i]) {
-      throw std::invalid_argument(
-          "hve_query: position excluded from hve_match_prepare");
-    }
-    terms.push_back({&ct.x[i], token.y[j]});
-    terms.push_back({&ct.w[i], token.l[j]});
-  }
-  return pairing.gt_mul(ct.kem.c0, pairing.pair_product_precomp(terms));
 }
 
 HveMatchResult hve_match_any(const pairing::Pairing& pairing,
@@ -457,32 +428,60 @@ HveMatchResult hve_match_any(const pairing::Pairing& pairing,
                              const HveMatchCt& ct, exec::Pool* pool) {
   obs::ScopedTimer timer(obs::Registry::global(), match_metrics().batch);
   match_metrics().batch_tokens.record(static_cast<double>(tokens.size()));
-  HveMatchResult res;
-  if (tokens.empty()) return res;
 
-  // A slot per token so concurrent evaluations never share state; slot idx
-  // is written by exactly one task.
-  std::vector<std::optional<Bytes>> payloads(tokens.size());
-  const auto eval = [&](std::size_t idx) -> bool {
-    const HveToken& tok = *tokens[idx];
-    // Tokens wider than this broadcast can never match — same outcome as
-    // hve_query_bytes's width-mismatch nullopt, without the pairing work.
-    for (const std::uint32_t i : tok.positions) {
-      if (i >= ct.width()) return false;
+  // Chains 2i and 2i + 1 run on X_i and W_i; token j's terms on position i
+  // fold (X_i, Y) and (W_i, L) into output j, the terms of hve_query.
+  const std::size_t width = ct.width();
+  std::vector<pairing::MillerChain> chains(2 * width);
+  for (std::size_t i = 0; i < width; ++i) {
+    chains[2 * i].p = ct.kem.x[i];
+    chains[2 * i + 1].p = ct.kem.w[i];
+  }
+  std::vector<std::uint8_t> fits(tokens.size(), 0);
+  for (std::size_t j = 0; j < tokens.size(); ++j) {
+    const HveToken& tok = *tokens[j];
+    fits[j] = std::all_of(tok.positions.begin(), tok.positions.end(),
+                          [&](std::uint32_t i) { return i < width; });
+    if (!fits[j]) continue;
+    for (std::size_t k = 0; k < tok.positions.size(); ++k) {
+      const std::size_t i = tok.positions[k];
+      chains[2 * i].evals.push_back({tok.y[k], j});
+      chains[2 * i + 1].evals.push_back({tok.l[k], j});
     }
-    const Fq2 z = hve_query(pairing, tok, ct);
+  }
+  std::erase_if(chains,
+                [](const pairing::MillerChain& c) { return c.evals.empty(); });
+
+  // Each part of the split is one loop call with its own accumulators;
+  // their product is the accumulator of one call over every chain.
+  exec::Pool& p = pool != nullptr ? *pool : exec::Pool::global();
+  const std::size_t parts = std::min(p.thread_count(), chains.size());
+  std::vector<std::vector<Fq2>> partial(parts);
+  p.parallel_for(0, parts, [&](std::size_t k) {
+    const std::size_t first = chains.size() * k / parts;
+    const std::size_t last = chains.size() * (k + 1) / parts;
+    partial[k] = pairing.miller_multi(
+        std::span(chains).subspan(first, last - first), tokens.size());
+  });
+  std::vector<Fq2> f(tokens.size(), pairing.gt_one());
+  for (const std::vector<Fq2>& part : partial) {
+    for (std::size_t j = 0; j < f.size(); ++j) {
+      f[j] = pairing.gt_mul(f[j], part[j]);
+    }
+  }
+
+  HveMatchResult res;
+  for (std::size_t j = 0; j < tokens.size(); ++j) {
+    if (!fits[j]) continue;
+    const Fq2 z =
+        pairing.gt_mul(ct.kem.c0, pairing.final_exponentiation(f[j]));
     auto payload =
         crypto::aead_decrypt(kem_key(pairing, z), ct.dem, str_to_bytes("hve"));
-    if (!payload.has_value()) return false;
-    payloads[idx] = std::move(payload);
-    return true;
-  };
-
-  exec::Pool& p = pool != nullptr ? *pool : exec::Pool::global();
-  const std::size_t hit = p.parallel_find(tokens.size(), eval);
-  if (hit == HveMatchResult::kNoMatch) return res;
-  res.token_index = hit;
-  res.payload = std::move(*payloads[hit]);
+    if (!payload.has_value()) continue;
+    res.token_index = j;
+    res.payload = std::move(*payload);
+    break;
+  }
   return res;
 }
 

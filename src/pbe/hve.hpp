@@ -139,41 +139,33 @@ Fq2 hve_query_reference(const pairing::Pairing& pairing,
 Bytes hve_encrypt_bytes(const HvePublicKey& pk, const BitVector& x,
                         BytesView payload, Rng& rng);
 
+/// Size of every hve_encrypt_bytes blob at `width` positions over a
+/// `payload_size`-byte payload: the group and these two fix it.
+std::size_t hve_encrypt_bytes_size(const pairing::Pairing& pairing,
+                                   std::size_t width, std::size_t payload_size);
+
 /// nullopt iff the token's predicate does not match the ciphertext's
 /// attribute vector (or the input is malformed).
 std::optional<Bytes> hve_query_bytes(const pairing::Pairing& pairing,
                                      const HveToken& token, BytesView data);
 
-// --- Batch matching: ciphertext-side state shared across tokens ---------------
+// --- Batch matching: one broadcast against all of a subscriber's tokens -------
 
-/// Per-broadcast, token-independent match state: the KEM/DEM halves of one
-/// hve_encrypt_bytes blob plus a Miller precompute for every ciphertext
-/// point. Built ONCE per broadcast by hve_match_prepare and then shared —
-/// strictly read-only, hence safe to probe from many threads — by every
-/// token evaluation, so the Miller loop's point-arithmetic chain is paid
-/// per broadcast instead of per (broadcast, token) pair.
+/// One parsed hve_encrypt_bytes blob: its KEM and DEM halves.
 struct HveMatchCt {
   HveCiphertext kem;
   crypto::AeadCiphertext dem;
-  std::vector<pairing::MillerPrecomp> x, w;  // index = ciphertext position
-  std::vector<std::uint8_t> prepared;        // 1 iff position has precomp
 
   std::size_t width() const { return kem.width(); }
 };
 
-/// Deserialize an hve_encrypt_bytes blob and precompute the ciphertext-side
-/// Miller state. `positions` restricts the (expensive) precompute to the
-/// union of positions the caller's tokens actually probe; nullptr prepares
-/// every position. Throws std::invalid_argument on malformed input.
+/// Parse an hve_encrypt_bytes blob. Throws std::invalid_argument on
+/// malformed input. `positions` is ignored: it is kept only because
+/// perfbench's probes pass it (ROADMAP, benchmark backlog, "Drop the
+/// stored-precompute probes").
 HveMatchCt hve_match_prepare(
     const pairing::Pairing& pairing, BytesView data,
     const std::vector<std::uint32_t>* positions = nullptr);
-
-/// hve_query against prepared state — bit-identical to the plain overload
-/// on the same token and ciphertext. Throws std::invalid_argument if the
-/// token probes a position hve_match_prepare was told to skip.
-Fq2 hve_query(const pairing::Pairing& pairing, const HveToken& token,
-              const HveMatchCt& ct);
 
 /// Outcome of hve_match_any.
 struct HveMatchResult {
@@ -186,13 +178,15 @@ struct HveMatchResult {
   bool matched() const { return token_index != kNoMatch; }
 };
 
-/// Evaluate every token against one prepared broadcast, in parallel on
-/// `pool` (nullptr → exec::Pool::global()) with first-hit short-circuit.
-/// Each evaluation is a pure function of (token, ct), so the result is
-/// deterministic regardless of thread count. A token probing past the
-/// broadcast's width is a miss, before any pairing work; tokens probing
-/// positions the prepare call skipped make the whole call throw
-/// std::invalid_argument.
+/// Evaluate every token against one parsed broadcast: one multi-output
+/// Miller loop (Pairing::miller_multi) with one output per token over the
+/// chains of the ciphertext points the tokens probe, so tokens that probe a
+/// position share its chains. The chains are split across `pool`'s threads
+/// (nullptr → exec::Pool::global()), each with its own partial
+/// accumulators; the outputs are then finalized and tried in token order
+/// up to the first hit. Output j is bit-identical to hve_query of token j,
+/// so the result is the lowest-index hit for any pool size. A token
+/// probing past the broadcast's width is a miss and adds no pairing work.
 HveMatchResult hve_match_any(const pairing::Pairing& pairing,
                              std::span<const HveToken* const> tokens,
                              const HveMatchCt& ct,

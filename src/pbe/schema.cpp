@@ -87,16 +87,6 @@ MetadataSchema MetadataSchema::uniform(std::size_t n_attrs,
   return MetadataSchema(std::move(specs));
 }
 
-const MetadataSchema::Layout& MetadataSchema::layout_of(
-    const std::string& attr) const {
-  const auto it = index_.find(attr);
-  if (it == index_.end()) {
-    throw std::invalid_argument("MetadataSchema: unknown attribute '" + attr +
-                                "'");
-  }
-  return layouts_[it->second];
-}
-
 std::size_t MetadataSchema::value_index(const AttributeSpec& spec,
                                         const std::string& value) const {
   for (std::size_t i = 0; i < spec.values.size(); ++i) {

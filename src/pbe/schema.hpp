@@ -78,7 +78,6 @@ class MetadataSchema {
     std::size_t offset;  // first bit
     std::size_t bits;    // bit count
   };
-  const Layout& layout_of(const std::string& attr) const;
   std::size_t value_index(const AttributeSpec& spec,
                           const std::string& value) const;
 

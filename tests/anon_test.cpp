@@ -6,11 +6,15 @@
 // confusing subscribers.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "net/async.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
@@ -57,7 +61,8 @@ TEST(AnonHardeningTest, EmptyBatchFlushIsWireNoop) {
   hard.batch_size = 4;
   hard.flush_interval = 50.0;
   test::WireLog wire(net);
-  Anonymizer anon(net, "anon", hard);
+  TestRng rng(0xe3b7);
+  Anonymizer anon(net, "anon", rng, hard);
   const auto flushes_before =
       counter_value(obs::names::kAnonBatchFlushesTotal);
   // Plenty of deadline-worths of time with nothing held: no frames, no
@@ -220,6 +225,96 @@ TEST(AnonHardeningTest, UnansweredForwardsStayCapped) {
   net.run_until_idle(1000000);
   EXPECT_EQ(sub->delivery_count(), 1u);
   EXPECT_LE(pending.value(), static_cast<std::int64_t>(Anonymizer::kTagCap));
+}
+
+// Deployments that leave the hardening seeds unset draw them from their own
+// RNG: built from different seeds, two of them shuffle the same batch of
+// requests into different orders and pad each one with different bytes.
+TEST(AnonHardeningTest, UnsetSeedsDifferAcrossDeployments) {
+  // What the anonymizer relays to the RS: request i's marker byte in
+  // relay order, and each request's padded frame.
+  struct Relayed {
+    std::vector<std::uint8_t> order;
+    std::map<std::uint8_t, Bytes> frames;
+  };
+  const auto relay = [](std::uint64_t seed) {
+    net::AsyncNetwork net;
+    TestRng rng(seed);
+    P3sConfig config = base_config();
+    config.anon_hardening.batching = true;
+    config.anon_hardening.batch_size = 8;
+    config.anon_hardening.pad_bucket = 256;
+    P3sSystem system(net, std::move(config), rng);
+    test::WireLog wire(net);
+    const std::string anon = system.directory().anonymizer_name;
+    const std::string rs = system.directory().rs_name;
+    for (std::uint8_t i = 0; i < 8; ++i) {
+      Writer w;
+      w.u8(static_cast<std::uint8_t>(FrameType::kAnonForward));
+      w.str(rs);
+      w.bytes(tagged_frame(FrameType::kContentRequest, 1, Bytes(32, i)));
+      net.send("client", anon, w.take());
+    }
+    net.run_until_idle();
+    Relayed out;
+    for (const auto& f : wire.frames()) {
+      if (f.from != anon || f.to != rs) continue;
+      Reader r(f.bytes);
+      (void)read_frame_type(r);
+      const std::uint8_t i = read_tagged(r).payload.at(0);
+      out.order.push_back(i);
+      out.frames[i] = f.bytes;
+    }
+    return out;
+  };
+  const Relayed a = relay(1);
+  const Relayed b = relay(2);
+  ASSERT_EQ(a.frames.size(), 8u);
+  ASSERT_EQ(b.frames.size(), 8u);
+  EXPECT_NE(a.order, b.order);
+  for (const auto& [i, frame] : a.frames) {
+    ASSERT_EQ(frame.size(), b.frames.at(i).size());
+    EXPECT_TRUE(frame != b.frames.at(i)) << "same pad for request " << +i;
+  }
+}
+
+// With cover on and padding off, every broadcast record has one size from
+// the start: the DS sizes cover from the group and the schema, so cover
+// sent before the first publication looks like the publication.
+TEST(DsHardeningTest, CoverBeforeFirstPublicationMatchesRealBroadcasts) {
+  net::AsyncNetwork net;
+  TestRng rng(0x5123);
+  P3sConfig config = base_config();
+  config.ds_hardening.cover_interval = 120.0;
+  P3sSystem system(net, std::move(config), rng);
+  auto sub = system.make_subscriber("sub1", "alice", {"m"}, rng);
+  auto pub = system.make_publisher("pub1", "press", rng);
+  net.run_until_idle();
+  ASSERT_TRUE(sub->connected());
+
+  // From here on every DS → subscriber record is a broadcast.
+  test::WireLog wire(net);
+  const std::string ds = system.directory().ds_name;
+  const auto cover_rounds = [&] {
+    for (int i = 0; i < 8; ++i) {
+      net.advance(120);
+      system.ds().poll();
+      net.run_until_idle();
+    }
+  };
+  cover_rounds();
+  const std::size_t before = wire.count(ds, "sub1");
+  pub->publish({{"sector", "finance"}, {"grade", "x"}}, str_to_bytes("p"),
+               abe::parse_policy("m"), 1e9);
+  net.run_until_idle();
+  cover_rounds();
+  EXPECT_GT(before, 0u);
+  EXPECT_GT(wire.count(ds, "sub1"), before + 1);
+  std::set<std::size_t> sizes;
+  for (const auto& f : wire.frames()) {
+    if (f.from == ds && f.to == "sub1") sizes.insert(f.size);
+  }
+  EXPECT_EQ(sizes.size(), 1u);
 }
 
 TEST(DsHardeningTest, CoverBroadcastsFlowWithoutConfusingSubscribers) {

@@ -449,6 +449,37 @@ TEST_F(AsyncP3sTest, SlowConsumerMissesStrictlyDeletedItem) {
   EXPECT_GE(sub->fetch_failures(), 1u);
 }
 
+// Any endpoint can send a response frame with a guessed tag (tags count up
+// from 1). One whose body does not open under the request's Ks cancels
+// nothing: the token and the item still arrive, each once.
+TEST_F(AsyncP3sTest, ForgedResponsesDoNotCancelRequests) {
+  auto sub = subscriber("sub1");
+  auto pub = system_->make_publisher("pub1", "press", rng_);
+  net_.run_until_idle();
+  const auto forge = [&](FrameType type) {
+    for (std::uint64_t tag = 1; tag <= 4; ++tag) {
+      net_.send("mallory", "sub1", tagged_frame(type, tag, Bytes(64, 0x5a)));
+    }
+  };
+
+  sub->subscribe({{"topic", "a"}});
+  forge(FrameType::kTokenResponse);  // queued ahead of the PBE-TS's answer
+  net_.run_until_idle();
+  ASSERT_EQ(sub->token_count(), 1u);
+
+  test::DeliveryLog got(*sub);
+  pub->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("kept"),
+               abe::parse_policy("m"), /*ttl=*/1e6);
+  while (sub->match_count() == 0 && net_.pump_one()) {
+  }
+  ASSERT_EQ(sub->match_count(), 1u);
+  forge(FrameType::kContentResponse);  // queued ahead of the RS's answer
+  net_.run_until_idle();
+  ASSERT_EQ(got.deliveries().size(), 1u);
+  EXPECT_EQ(bytes_to_str(got.deliveries()[0].payload), "kept");
+  EXPECT_EQ(sub->delivery_count(), 1u);
+}
+
 TEST_F(AsyncP3sTest, ResponseCarryingAnotherItemIsNotDelivered) {
   // An RS that answers a fetch with some other stored item must not make
   // the subscriber deliver a payload it never matched. The RS's store is

@@ -547,6 +547,56 @@ TEST(ReliablePublisher, DisconnectStopsRetriesUntilConnect) {
   EXPECT_EQ(system.rs().stored_items(), 1u);
 }
 
+// A reliable subscriber dark while more than kMetaRingCap items are
+// published can repair only what the DS's replay ring still holds. The
+// older gaps are lost: once it has caught up nothing stays missing, and its
+// later syncs draw no replay from the DS.
+TEST(ReliableSubscriber, GapsOlderThanTheDsRingAreLost) {
+  net::AsyncNetwork net;
+  TestRng rng(0x41ac);
+  P3sSystem system(net, chaos_config(), rng);
+  auto pub = system.make_publisher("pub1", "press", rng);
+  auto sub = system.make_subscriber("sub1", "alice", {"m"}, rng);
+  net.run_until_idle();
+  ASSERT_TRUE(pub->connected());
+  ASSERT_TRUE(sub->connected());
+
+  constexpr std::size_t kLost = 100;
+  net::FaultPlan dark(1);
+  dark.add_blackout("sub1", net.now(), 1e18);
+  net.set_fault_plan(std::move(dark));
+  for (std::size_t i = 0; i < kMetaRingCap + kLost; ++i) {
+    pub->publish({{"sector", "finance"}, {"grade", "x"}}, str_to_bytes("x"),
+                 abe::parse_policy("m"), 1e9);
+    net.run_until_idle();
+  }
+  ASSERT_EQ(pub->pending_publish_count(), 0u);
+  ASSERT_EQ(sub->metadata_received(), 0u);
+  net.set_fault_plan(net::FaultPlan(2));
+
+  const auto round = [&] {
+    net.advance(400);
+    sub->poll();
+    net.run_until_idle();
+  };
+  for (int i = 0; i < 20 && (sub->metadata_received() == 0 ||
+                             sub->missing_metadata_count() > 0);
+       ++i) {
+    round();
+  }
+  EXPECT_EQ(sub->missing_metadata_count(), 0u);
+  EXPECT_EQ(sub->lost_metadata_count(), kLost);
+  EXPECT_EQ(sub->metadata_received(), kMetaRingCap);
+
+  const obs::Counter& fanout =
+      obs::Registry::global().counter(obs::names::kDsFanoutTotal);
+  const auto fanout_before = fanout.value();
+  for (int i = 0; i < 10; ++i) round();
+  EXPECT_EQ(fanout.value(), fanout_before);
+  EXPECT_EQ(sub->metadata_received(), kMetaRingCap);
+  EXPECT_EQ(sub->duplicate_metadata(), 0u);
+}
+
 // --- RS T_G grace period, pinned end-to-end ----------------------------------
 
 class GracePeriodTest : public ::testing::Test {

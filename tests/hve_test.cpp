@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "exec/pool.hpp"
@@ -283,46 +286,50 @@ TEST_F(HveTest, PublicKeySerializationRoundTrip) {
 }
 
 TEST_F(HveTest, PreparedQueryBitIdenticalToPlainQuery) {
-  // The ciphertext-side Miller precompute must reproduce the plain
-  // multi-pairing query bit-for-bit — on matches AND on the garbage GT
-  // element a mismatch produces.
+  // hve_match_prepare only parses, and one multi-output Miller loop over
+  // the ciphertext points' chains gives every token its hve_query value bit
+  // for bit — on matches AND on the garbage GT element a mismatch produces
+  // — while the three tokens share positions 0 and 2.
   const auto& p = *keys_->pk.pairing;
   const BitVector x = {1, 0, 1, 1, 0, 0, 1, 0};
   const Bytes blob = hve_encrypt_bytes(keys_->pk, x, str_to_bytes("g"), *rng_);
-  Reader r(blob);
-  const HveCiphertext kem = HveCiphertext::deserialize(p, r.bytes());
+  const HveCiphertext kem =
+      HveCiphertext::deserialize(p, Reader(blob).bytes());
   const HveMatchCt prepared = hve_match_prepare(p, blob);
   ASSERT_EQ(prepared.width(), kWidth);
+  EXPECT_EQ(prepared.kem.c0, kem.c0);
+  EXPECT_EQ(prepared.kem.x, kem.x);
+  EXPECT_EQ(prepared.kem.w, kem.w);
 
   const Pattern matching = {1, kWildcard, 1, kWildcard, 0,
                             kWildcard, kWildcard, 0};
   Pattern mismatching = matching;
   mismatching[0] = 0;
-  for (const Pattern& w : {matching, mismatching}) {
-    const auto tok = hve_gen_token(*keys_, w, *rng_);
-    EXPECT_EQ(hve_query(p, tok, prepared), hve_query(p, tok, kem));
+  Pattern other(kWidth, kWildcard);
+  other[2] = 1;
+  other[5] = 1;
+  std::vector<HveToken> toks;
+  for (const Pattern& w : {matching, mismatching, other}) {
+    toks.push_back(hve_gen_token(*keys_, w, *rng_));
   }
-}
-
-TEST_F(HveTest, PreparePositionFilterRestrictsAndRejects) {
-  const auto& p = *keys_->pk.pairing;
-  const BitVector x = {1, 0, 1, 1, 0, 0, 1, 0};
-  const Bytes blob = hve_encrypt_bytes(keys_->pk, x, str_to_bytes("g"), *rng_);
-  const std::vector<std::uint32_t> subset = {0, 3};
-  const HveMatchCt prepared = hve_match_prepare(p, blob, &subset);
-
-  Pattern inside(kWidth, kWildcard);
-  inside[0] = 1;
-  inside[3] = 1;
-  const auto tok_in = hve_gen_token(*keys_, inside, *rng_);
-  const HveCiphertext kem =
-      HveCiphertext::deserialize(p, Reader(blob).bytes());
-  EXPECT_EQ(hve_query(p, tok_in, prepared), hve_query(p, tok_in, kem));
-
-  Pattern outside(kWidth, kWildcard);
-  outside[5] = 0;  // position excluded from the prepare call
-  const auto tok_out = hve_gen_token(*keys_, outside, *rng_);
-  EXPECT_THROW(hve_query(p, tok_out, prepared), std::invalid_argument);
+  std::vector<pairing::MillerChain> chains(2 * kWidth);
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    chains[2 * i].p = kem.x[i];
+    chains[2 * i + 1].p = kem.w[i];
+  }
+  for (std::size_t j = 0; j < toks.size(); ++j) {
+    for (std::size_t k = 0; k < toks[j].positions.size(); ++k) {
+      const std::size_t i = toks[j].positions[k];
+      chains[2 * i].evals.push_back({toks[j].y[k], j});
+      chains[2 * i + 1].evals.push_back({toks[j].l[k], j});
+    }
+  }
+  const std::vector<Fq2> f = p.miller_multi(chains, toks.size());
+  for (std::size_t j = 0; j < toks.size(); ++j) {
+    EXPECT_EQ(p.gt_mul(kem.c0, p.final_exponentiation(f[j])),
+              hve_query(p, toks[j], kem))
+        << j;
+  }
 }
 
 TEST_F(HveTest, MatchAnyReturnsLowestMatchAndPayload) {
@@ -389,6 +396,54 @@ TEST_F(HveTest, MatchAnyParallelEqualsSequential) {
   EXPECT_EQ(b.payload, a.payload);
 }
 
+// The lowest-index hit wins whether the tokens share positions or not, at
+// any pool size. Each subset of the tokens is made to hit in turn, so every
+// output of the shared loop is checked bit for bit: the DEM opens only
+// under the exact KEM value.
+TEST_F(HveTest, MatchAnyLowestHitAmongOverlappingAndDisjointTokens) {
+  const auto& p = *keys_->pk.pairing;
+  TestRng rng(0x10e57);
+  const BitVector x = {1, 0, 1, 1, 0, 0, 1, 0};
+  const Bytes payload = rng.bytes(16);
+  const HveMatchCt ct =
+      hve_match_prepare(p, hve_encrypt_bytes(keys_->pk, x, payload, rng));
+  // The positions each of four tokens probes.
+  const std::vector<std::vector<std::uint32_t>> overlapping = {
+      {0, 1, 2}, {1, 2, 3}, {0, 2}, {2, 3, 4}};
+  const std::vector<std::vector<std::uint32_t>> disjoint = {
+      {0, 1}, {2, 3}, {4, 5}, {6, 7}};
+  exec::Pool seq(1), par(4);
+  for (const auto* probes : {&overlapping, &disjoint}) {
+    for (unsigned hits = 0; hits < 16; ++hits) {
+      std::vector<HveToken> toks;
+      for (std::size_t t = 0; t < probes->size(); ++t) {
+        const bool hit = ((hits >> t) & 1) != 0;
+        Pattern w(kWidth, kWildcard);
+        for (const std::uint32_t i : (*probes)[t]) {
+          w[i] = static_cast<std::int8_t>(x[i]);
+        }
+        const std::uint32_t first = (*probes)[t][0];
+        if (!hit) w[first] = static_cast<std::int8_t>(1 - x[first]);
+        toks.push_back(hve_gen_token(*keys_, w, rng));
+      }
+      std::vector<const HveToken*> ptrs;
+      for (const auto& t : toks) ptrs.push_back(&t);
+      const std::size_t expect =
+          hits == 0 ? HveMatchResult::kNoMatch
+                    : static_cast<std::size_t>(std::countr_zero(hits));
+      for (exec::Pool* pool : {&seq, &par}) {
+        const HveMatchResult res = hve_match_any(p, ptrs, ct, pool);
+        EXPECT_EQ(res.token_index, expect)
+            << (probes == &overlapping ? "overlapping" : "disjoint")
+            << " hits=" << hits << " pool=" << pool->thread_count();
+        if (res.matched()) {
+          EXPECT_EQ(res.payload, payload);
+        }
+      }
+    }
+  }
+}
+
 TEST_F(HveTest, MatchAnyTreatsTokenWiderThanBroadcastAsMiss) {
   // A token probing past the broadcast's width can never match: it is a
   // miss before any pairing work, not an error for the whole batch.
@@ -415,6 +470,24 @@ TEST_F(HveTest, MatchAnyTreatsTokenWiderThanBroadcastAsMiss) {
   ASSERT_TRUE(res.matched());
   EXPECT_EQ(res.token_index, 1u);
   EXPECT_EQ(res.payload, payload);
+}
+
+// The blob's length depends only on the group, the width and the payload
+// length, so the DS can size cover broadcasts before any publication.
+TEST(HveBlobSize, MatchesRealBlobsInBothGroups) {
+  TestRng rng(0x512e);
+  for (const auto& pp : {pairing::Pairing::test_pairing(),
+                         pairing::Pairing::paper_pairing()}) {
+    for (const std::size_t width : {1u, 5u}) {
+      const HveKeys keys = hve_setup(pp, width, rng);
+      for (const std::size_t payload : {0u, 16u, 33u}) {
+        const BitVector x(width, 1);
+        EXPECT_EQ(hve_encrypt_bytes(keys.pk, x, rng.bytes(payload), rng).size(),
+                  hve_encrypt_bytes_size(*pp, width, payload))
+            << "width " << width << ", payload " << payload;
+      }
+    }
+  }
 }
 
 TEST_F(HveTest, KemRejectsMalformedInput) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -502,10 +503,14 @@ TEST_F(PairingTest, SmallOrderPointsMatchReference) {
       EXPECT_EQ(pp_->pair(p, q), e_pq) << order;
       const std::vector<PairTerm> terms{{p, q}, {q, p}};
       EXPECT_EQ(pp_->pair_product(terms), product) << order;
-      const MillerPrecomp pre_p = pp_->miller_precompute(p);
-      const MillerPrecomp pre_q = pp_->miller_precompute(q);
-      const std::vector<PrecompPairTerm> pterms{{&pre_p, q}, {&pre_q, p}};
-      EXPECT_EQ(pp_->pair_product_precomp(pterms), product) << order;
+      // One loop call: both terms as output 0, each alone as outputs 1, 2.
+      const std::vector<MillerChain> chains{{p, {{q, 0}, {q, 1}}},
+                                            {q, {{p, 0}, {p, 2}}}};
+      const std::vector<Fq2> f = pp_->miller_multi(chains, 3);
+      EXPECT_EQ(pp_->final_exponentiation(f[0]), product) << order;
+      EXPECT_EQ(pp_->final_exponentiation(f[1]), e_pq) << order;
+      EXPECT_EQ(pp_->final_exponentiation(f[2]), pp_->pair_reference(q, p))
+          << order;
     }
   }
 }
@@ -517,6 +522,77 @@ TEST_F(PairingTest, PairProductNegationCancels) {
   const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const std::vector<PairTerm> terms{{a, b}, {pp_->neg(a), b}};
   EXPECT_EQ(pp_->pair_product(terms), pp_->gt_one());
+}
+
+// --- The multi-output Miller loop ------------------------------------------
+
+// A first point shared by several outputs walks one chain; every output
+// still equals its own pair_product, and outputs of calls over a split of
+// the chains multiply to the output of one call over all of them.
+TEST_F(PairingTest, MillerMultiSharedFirstPointAcrossOutputs) {
+  const auto g1 = [&] { return pp_->random_g1(rng_); };
+  const Point a = g1(), b = g1();
+  const Point q0 = g1(), q1 = g1(), q2 = g1(), q3 = g1();
+  // Output 0: e(a, q0)·e(b, q1); output 1: e(a, q2); output 2: e(a, q3)·
+  // e(b, q3).
+  const std::vector<MillerChain> chains{{a, {{q0, 0}, {q2, 1}, {q3, 2}}},
+                                        {b, {{q1, 0}, {q3, 2}}}};
+  const std::vector<Fq2> f = pp_->miller_multi(chains, 3);
+  ASSERT_EQ(f.size(), 3u);
+  const std::vector<PairTerm> out0{{a, q0}, {b, q1}};
+  const std::vector<PairTerm> out1{{a, q2}};
+  const std::vector<PairTerm> out2{{a, q3}, {b, q3}};
+  EXPECT_EQ(pp_->final_exponentiation(f[0]), pp_->pair_product(out0));
+  EXPECT_EQ(pp_->final_exponentiation(f[1]), pp_->pair_product(out1));
+  EXPECT_EQ(pp_->final_exponentiation(f[2]), pp_->pair_product(out2));
+  EXPECT_EQ(pp_->final_exponentiation(f[1]), pp_->pair_reference(a, q2));
+
+  const std::span<const MillerChain> all(chains);
+  const std::vector<Fq2> first = pp_->miller_multi(all.first(1), 3);
+  const std::vector<Fq2> second = pp_->miller_multi(all.subspan(1), 3);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(pp_->gt_mul(first[j], second[j]), f[j]) << j;
+  }
+}
+
+// pair_product folds terms with one first point into one chain; so does a
+// chain that lists one output twice.
+TEST_F(PairingTest, MillerMultiSharedFirstPointWithinOneOutput) {
+  const Point a = pp_->random_g1(rng_);
+  const Point b = pp_->random_g1(rng_);
+  const Point c = pp_->random_g1(rng_);
+  const Fq2 expect =
+      pp_->gt_mul(pp_->pair_reference(a, b), pp_->pair_reference(a, c));
+  const std::vector<PairTerm> terms{{a, b}, {a, c}};
+  EXPECT_EQ(pp_->pair_product(terms), expect);
+  const std::vector<MillerChain> chain{{a, {{b, 0}, {c, 0}}}};
+  EXPECT_EQ(pp_->final_exponentiation(pp_->miller_multi(chain, 1)[0]),
+            expect);
+  // e(a, b)·e(−a, b) = 1 with the two terms on different chains.
+  const std::vector<PairTerm> cancel{{a, b}, {pp_->neg(a), b}, {a, b}};
+  EXPECT_EQ(pp_->pair_product(cancel), pp_->pair_reference(a, b));
+}
+
+// Identity inputs contribute 1, an output with no term is 1 before the
+// final exponentiation, and an output index past `outputs` is refused.
+TEST_F(PairingTest, MillerMultiIdentityInputsAndEmptyOutputs) {
+  const Point a = pp_->random_g1(rng_);
+  const Point b = pp_->random_g1(rng_);
+  const Point o = Point::at_infinity();
+  const std::vector<MillerChain> chains{
+      {o, {{b, 0}, {a, 1}}}, {a, {{o, 1}, {b, 1}}}, {b, {{o, 2}}}};
+  const std::vector<Fq2> f = pp_->miller_multi(chains, 4);
+  EXPECT_EQ(f[0], pp_->gt_one());
+  EXPECT_EQ(pp_->final_exponentiation(f[1]), pp_->pair_reference(a, b));
+  EXPECT_EQ(f[2], pp_->gt_one());
+  EXPECT_EQ(f[3], pp_->gt_one());
+  EXPECT_EQ(pp_->final_exponentiation(f[3]), pp_->gt_one());
+  EXPECT_TRUE(pp_->miller_multi({}, 2) ==
+              std::vector<Fq2>(2, pp_->gt_one()));
+  EXPECT_EQ(pp_->pair(o, b), pp_->gt_one());
+  EXPECT_EQ(pp_->pair(a, o), pp_->gt_one());
+  const std::vector<MillerChain> bad{{a, {{b, 2}}}};
+  EXPECT_THROW(pp_->miller_multi(bad, 2), std::out_of_range);
 }
 
 // In both groups. k = r ends the wNAF loop adding the negation of the
@@ -721,8 +797,7 @@ TEST_F(PairingTest, HashToG1PinnedAcrossProcesses) {
 // templated on the limb count. The test group runs the 3-limb kernels and
 // the paper group the 8-limb ones, so a change that moves one output bit of
 // either shows here without a second implementation to compare against.
-// precomp_bytes pins the Miller schedule: one 200-byte slot per doubling
-// and per nonzero digit below the top of NAF(r). The hash values were
+// The hash values were
 // captured while hash_to_g1 still tested residuosity and took the root as
 // two BigInt exponentiations; in each group the three inputs between them
 // reject a non-residue candidate and take both root signs.
@@ -730,10 +805,9 @@ TEST_F(PairingTest, HashToG1PinnedAcrossProcesses) {
 struct GroupKat {
   PairingPtr (*group)();
   const char* egg;      // serialize_gt(e(g, g))
-  const char* product;  // 12-term pair_product == pair_product_precomp
+  const char* product;  // 12-term pair_product == one miller_multi output
   const char* mul;      // serialize_g1(point_mul_mont(P, k1))
   const char* fixed;    // serialize_g1(FixedBaseTable(P).mul(k2))
-  std::size_t precomp_bytes;  // miller_precompute(P).memory_bytes()
   // serialize_g1(hash_to_g1("p3s hash_to_g1 kat <n>")) for n = 0, 1, 2
   std::array<const char*, 3> hash;
 };
@@ -751,16 +825,19 @@ void check_group_kat(const GroupKat& kat) {
     const Point p = pp->mul(g, pp->random_nonzero_scalar(rng));
     terms.push_back({p, pp->mul(g, pp->random_nonzero_scalar(rng))});
   }
-  std::vector<MillerPrecomp> pre;
-  for (const PairTerm& t : terms) pre.push_back(pp->miller_precompute(t.p));
-  std::vector<PrecompPairTerm> pterms;
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    pterms.push_back({&pre[i], terms[i].q});
-  }
   EXPECT_EQ(to_hex(pp->serialize_gt(pp->pair_product(terms))), kat.product);
-  EXPECT_EQ(to_hex(pp->serialize_gt(pp->pair_product_precomp(pterms))),
+  // The same terms straight through the loop: as one output, and as two
+  // calls over halves of the chains whose outputs multiply.
+  std::vector<MillerChain> chains;
+  for (const PairTerm& t : terms) chains.push_back({t.p, {{t.q, 0}}});
+  const std::span<const MillerChain> all(chains);
+  const auto gt_hex = [&](const Fq2& f) {
+    return to_hex(pp->serialize_gt(pp->final_exponentiation(f)));
+  };
+  EXPECT_EQ(gt_hex(pp->miller_multi(all, 1)[0]), kat.product);
+  EXPECT_EQ(gt_hex(pp->gt_mul(pp->miller_multi(all.first(6), 1)[0],
+                              pp->miller_multi(all.subspan(6), 1)[0])),
             kat.product);
-  EXPECT_EQ(pre[0].memory_bytes(), kat.precomp_bytes);
 
   const Point& base = terms[0].p;
   const BigInt k1 = pp->random_scalar(rng);
@@ -792,8 +869,6 @@ TEST(PairingKnownAnswer, TestGroup) {
                    "01149bc6872615dd460a92a8dd435aa621254cdae706b0eace9f09cb"
                    "ec17589e"
                    "69d05f2bf7ea281e50",
-                   // precomp_bytes: 80 doublings + 26 additions
-                   21200,
                    // hash: accepted at candidate 0, 2, 0; root negated,
                    // kept, kept
                    {"018d1f3cc9a658ca636adc4633191218383c65c64870a2a1db7ffb44"
@@ -831,8 +906,6 @@ TEST(PairingKnownAnswer, PaperGroup) {
                    "31a8b2d2591323bfb630fe563e47a65bbde50dc121d4f48b943760a6"
                    "2d4da593e6d598fae6eb8290a1d3312d"
                    "a7",
-                   // precomp_bytes: 160 doublings + 50 additions
-                   42000,
                    // hash: accepted at candidate 1, 1, 1; root kept,
                    // negated, negated
                    {"01637a6529c92d223fc63246d2d33efdc148553a985ccf9a1ae99116"
